@@ -31,6 +31,12 @@ pub enum AccelKind {
     Lpm,
 }
 
+impl AccelKind {
+    /// Every kind, in discriminant order.
+    pub const ALL: [AccelKind; 4] =
+        [AccelKind::Checksum, AccelKind::Crypto, AccelKind::FlowCache, AccelKind::Lpm];
+}
+
 impl fmt::Display for AccelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -252,7 +252,7 @@ fn solve_mapping_ilp(
     // Θ queue/utilization constraints: accelerators are single servers;
     // the NPU pool has total_threads servers.
     let freq_hz = params.freq_ghz * 1e9;
-    for kind in [AccelKind::Checksum, AccelKind::Crypto, AccelKind::FlowCache, AccelKind::Lpm] {
+    for kind in AccelKind::ALL {
         if !params.accels.contains_key(&kind) {
             continue;
         }

@@ -8,22 +8,24 @@
 use crate::fit::{knee_of_curve, linear_fit};
 use crate::params::{AccelEst, CacheEst, MemEst, NicParameters};
 use clara_lnic::{AccelKind, Lnic, MemKind};
-use clara_nicsim::{simulate, BytesSpec, MicroOp, NicProgram, Stage, StageUnit, TableCfg};
-use clara_workload::{SizeDist, Trace, TraceGenerator};
+use clara_nicsim::{
+    simulate_streamed, BytesSpec, FaultPlan, MicroOp, NicProgram, SimConfig, SimResult,
+    SimScratch, Stage, StageUnit, TableCfg, Watchdog,
+};
+use clara_workload::{SizeDist, TraceGenerator};
 use std::collections::HashMap;
 
 /// Calibration rate: low enough that queueing never contaminates the
 /// latency measurements.
 const CAL_RATE_PPS: f64 = 10_000.0;
 
-fn cal_trace(packets: usize, flows: usize, payload: usize, seed: u64) -> Trace {
+fn cal_trace(packets: usize, flows: usize, payload: usize, seed: u64) -> TraceGenerator {
     TraceGenerator::new(seed)
         .packets(packets)
         .flows(flows.max(1))
         .rate_pps(CAL_RATE_PPS)
         .sizes(SizeDist::Fixed(payload))
         .syn_on_first(false)
-        .generate()
 }
 
 fn npu_prog(ops: Vec<MicroOp>, tables: Vec<TableCfg>) -> NicProgram {
@@ -34,28 +36,189 @@ fn npu_prog(ops: Vec<MicroOp>, tables: Vec<TableCfg>) -> NicProgram {
     }
 }
 
-fn run(nic: &Lnic, prog: &NicProgram, trace: &Trace) -> f64 {
-    simulate(nic, prog, trace)
-        .expect("microbench program must be valid")
-        .avg_latency_cycles
+/// The NIC under calibration plus the simulator arenas that every
+/// calibration point reuses. Each point streams its trace from the
+/// generator into the simulator, so no calibration trace (up to 1.5 M
+/// packets) is ever materialized; results equal `simulate` on the
+/// generated trace bit for bit.
+struct Bench<'a> {
+    nic: &'a Lnic,
+    scratch: SimScratch,
 }
 
-/// Like [`run`], but discards the first half of the trace as warmup —
-/// standard practice for cache-sensitive measurements.
-fn run_steady(nic: &Lnic, prog: &NicProgram, trace: &Trace) -> f64 {
-    let r = simulate(nic, prog, trace).expect("microbench program must be valid");
-    let tail = &r.latencies[r.latencies.len() / 2..];
-    if tail.is_empty() {
-        return r.avg_latency_cycles;
+impl<'a> Bench<'a> {
+    fn new(nic: &'a Lnic) -> Self {
+        Bench { nic, scratch: SimScratch::new() }
     }
-    tail.iter().sum::<u64>() as f64 / tail.len() as f64
-}
 
-/// Marginal cost of `op` via the k vs 2k difference.
-fn marginal(nic: &Lnic, op: MicroOp, k: usize, trace: &Trace) -> f64 {
-    let once = npu_prog(vec![op.clone(); k], vec![]);
-    let twice = npu_prog(vec![op; 2 * k], vec![]);
-    (run(nic, &twice, trace) - run(nic, &once, trace)) / k as f64
+    fn simulate(&mut self, prog: &NicProgram, trace: &TraceGenerator) -> SimResult {
+        simulate_streamed(
+            self.nic,
+            prog,
+            trace.stream(),
+            &FaultPlan::none(),
+            &Watchdog::default(),
+            &SimConfig::default(),
+            &mut self.scratch,
+        )
+        .expect("microbench program must be valid")
+    }
+
+    fn run(&mut self, prog: &NicProgram, trace: &TraceGenerator) -> f64 {
+        self.simulate(prog, trace).avg_latency_cycles
+    }
+
+    /// Like [`Self::run`], but discards the first half of the trace as
+    /// warmup — standard practice for cache-sensitive measurements.
+    fn run_steady(&mut self, prog: &NicProgram, trace: &TraceGenerator) -> f64 {
+        let r = self.simulate(prog, trace);
+        let latencies = self.scratch.latencies();
+        let tail = &latencies[latencies.len() / 2..];
+        if tail.is_empty() {
+            return r.avg_latency_cycles;
+        }
+        tail.iter().sum::<u64>() as f64 / tail.len() as f64
+    }
+
+    /// Marginal cost of `op` via the k vs 2k difference.
+    fn marginal(&mut self, op: MicroOp, k: usize, trace: &TraceGenerator) -> f64 {
+        let once = npu_prog(vec![op.clone(); k], vec![]);
+        let twice = npu_prog(vec![op; 2 * k], vec![]);
+        (self.run(&twice, trace) - self.run(&once, trace)) / k as f64
+    }
+
+    fn memory_latency_vs_working_set(
+        &mut self,
+        region: &str,
+        entry_bytes: usize,
+        working_sets: &[usize],
+    ) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        for &ws in working_sets {
+            // The table is kept 8x sparser than the flow count so that hash
+            // buckets rarely collide and the touched set really is ~ws bytes.
+            let entries = ((ws / entry_bytes).max(8) as u64) * 8;
+            let table = TableCfg {
+                name: "bench".into(),
+                mem: region.into(),
+                entry_bytes,
+                entries,
+                use_flow_cache: false,
+            };
+            // The touched working set is one entry per flow, so flows must
+            // scale with the target size, and packets must revisit each flow
+            // several times or nothing is ever warm.
+            let flows = (ws / entry_bytes).clamp(8, 600_000);
+            let packets = (6 * flows).clamp(500, 1_500_000);
+            let trace = cal_trace(packets, flows, 64, 11);
+            let base = npu_prog(vec![], vec![table.clone()]);
+            let with = npu_prog(vec![MicroOp::TableLookup { table: 0 }], vec![table]);
+            let cost = self.run_steady(&with, &trace) - self.run_steady(&base, &trace);
+            out.push((ws as f64, cost));
+        }
+        out
+    }
+
+    fn checksum_sw_curve(&mut self, payloads: &[usize]) -> Vec<(f64, f64)> {
+        payloads
+            .iter()
+            .map(|&p| {
+                let trace = cal_trace(300, 64, p, 13);
+                let base = npu_prog(vec![], vec![]);
+                let with = npu_prog(vec![MicroOp::ChecksumSw], vec![]);
+                ((p + 40) as f64, self.run(&with, &trace) - self.run(&base, &trace))
+            })
+            .collect()
+    }
+
+    fn stream_curve(&mut self, payloads: &[usize]) -> Vec<(f64, f64)> {
+        payloads
+            .iter()
+            .map(|&p| {
+                let trace = cal_trace(300, 64, p, 17);
+                let base = npu_prog(vec![], vec![]);
+                let with = npu_prog(
+                    vec![MicroOp::StreamPayload { table: None, loop_overhead: 0 }],
+                    vec![],
+                );
+                (p as f64, self.run(&with, &trace) - self.run(&base, &trace))
+            })
+            .collect()
+    }
+
+    fn accel_service_curve(&mut self, kind: AccelKind, sizes: &[u64]) -> Vec<(f64, f64)> {
+        sizes
+            .iter()
+            .map(|&n| {
+                let trace = cal_trace(300, 64, 64, 19);
+                let prog = NicProgram {
+                    name: "accel-bench".into(),
+                    tables: vec![],
+                    stages: vec![Stage {
+                        name: "accel".into(),
+                        unit: StageUnit::Accel(kind),
+                        ops: vec![MicroOp::AccelCall { bytes: BytesSpec::Fixed(n) }],
+                    }],
+                };
+                let base = npu_prog(vec![], vec![]);
+                (n as f64, self.run(&prog, &trace) - self.run(&base, &trace))
+            })
+            .collect()
+    }
+
+    fn linear_scan_curve(
+        &mut self,
+        region: &str,
+        entry_bytes: usize,
+        rules: &[u64],
+    ) -> Vec<(f64, f64)> {
+        rules
+            .iter()
+            .map(|&n| {
+                let table = TableCfg {
+                    name: "rules".into(),
+                    mem: region.into(),
+                    entry_bytes,
+                    entries: n,
+                    use_flow_cache: false,
+                };
+                let trace = cal_trace(200, 64, 64, 23);
+                let base = npu_prog(vec![], vec![table.clone()]);
+                let with = npu_prog(vec![MicroOp::LinearScan { table: 0 }], vec![table]);
+                (n as f64, self.run(&with, &trace) - self.run(&base, &trace))
+            })
+            .collect()
+    }
+
+    /// Family 3 (flow cache): hit latency and capacity estimate.
+    fn flow_cache_params(&mut self) -> (f64, f64) {
+        if self.nic.accelerators(AccelKind::FlowCache).is_empty() {
+            return (f64::INFINITY, 0.0);
+        }
+        let table = |entries: u64| TableCfg {
+            name: "fc".into(),
+            mem: "emem".into(),
+            entry_bytes: 16,
+            entries,
+            use_flow_cache: true,
+        };
+        // Hit cost: tiny flow count, warm.
+        let trace = cal_trace(2000, 8, 64, 29);
+        let base = npu_prog(vec![], vec![table(1 << 16)]);
+        let with = npu_prog(vec![MicroOp::TableLookup { table: 0 }], vec![table(1 << 16)]);
+        let hit = self.run_steady(&with, &trace) - self.run_steady(&base, &trace);
+
+        // Capacity: sweep concurrent flows until hits collapse.
+        let mut curve = Vec::new();
+        for flows in [1_000usize, 4_000, 8_000, 16_000, 24_000, 32_000, 48_000, 60_000] {
+            let trace = cal_trace(3 * flows.min(20_000), flows, 64, 31);
+            let with = npu_prog(vec![MicroOp::TableLookup { table: 0 }], vec![table(1 << 20)]);
+            let base = npu_prog(vec![], vec![table(1 << 20)]);
+            curve.push((flows as f64, self.run(&with, &trace) - self.run(&base, &trace)));
+        }
+        let capacity = knee_of_curve(&curve).unwrap_or(32_768.0);
+        (hit, capacity)
+    }
 }
 
 /// Family 5 (memory): mean lookup latency as the working set grows.
@@ -66,150 +229,51 @@ pub fn memory_latency_vs_working_set(
     entry_bytes: usize,
     working_sets: &[usize],
 ) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    for &ws in working_sets {
-        // The table is kept 8x sparser than the flow count so that hash
-        // buckets rarely collide and the touched set really is ~ws bytes.
-        let entries = ((ws / entry_bytes).max(8) as u64) * 8;
-        let table = TableCfg {
-            name: "bench".into(),
-            mem: region.into(),
-            entry_bytes,
-            entries,
-            use_flow_cache: false,
-        };
-        // The touched working set is one entry per flow, so flows must
-        // scale with the target size, and packets must revisit each flow
-        // several times or nothing is ever warm.
-        let flows = (ws / entry_bytes).clamp(8, 600_000);
-        let packets = (6 * flows).clamp(500, 1_500_000);
-        let trace = cal_trace(packets, flows, 64, 11);
-        let base = npu_prog(vec![], vec![table.clone()]);
-        let with = npu_prog(vec![MicroOp::TableLookup { table: 0 }], vec![table]);
-        let cost = run_steady(nic, &with, &trace) - run_steady(nic, &base, &trace);
-        out.push((ws as f64, cost));
-    }
-    out
+    Bench::new(nic).memory_latency_vs_working_set(region, entry_bytes, working_sets)
 }
 
 /// Family 2 (checksum): software checksum latency vs payload size.
 pub fn checksum_sw_curve(nic: &Lnic, payloads: &[usize]) -> Vec<(f64, f64)> {
-    payloads
-        .iter()
-        .map(|&p| {
-            let trace = cal_trace(300, 64, p, 13);
-            let base = npu_prog(vec![], vec![]);
-            let with = npu_prog(vec![MicroOp::ChecksumSw], vec![]);
-            ((p + 40) as f64, run(nic, &with, &trace) - run(nic, &base, &trace))
-        })
-        .collect()
+    Bench::new(nic).checksum_sw_curve(payloads)
 }
 
 /// Payload streaming latency vs payload size (no side table).
 pub fn stream_curve(nic: &Lnic, payloads: &[usize]) -> Vec<(f64, f64)> {
-    payloads
-        .iter()
-        .map(|&p| {
-            let trace = cal_trace(300, 64, p, 17);
-            let base = npu_prog(vec![], vec![]);
-            let with = npu_prog(vec![MicroOp::StreamPayload { table: None, loop_overhead: 0 }], vec![]);
-            (p as f64, run(nic, &with, &trace) - run(nic, &base, &trace))
-        })
-        .collect()
+    Bench::new(nic).stream_curve(payloads)
 }
 
 /// Accelerator service latency vs request size.
 pub fn accel_service_curve(nic: &Lnic, kind: AccelKind, sizes: &[u64]) -> Vec<(f64, f64)> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let trace = cal_trace(300, 64, 64, 19);
-            let prog = NicProgram {
-                name: "accel-bench".into(),
-                tables: vec![],
-                stages: vec![Stage {
-                    name: "accel".into(),
-                    unit: StageUnit::Accel(kind),
-                    ops: vec![MicroOp::AccelCall { bytes: BytesSpec::Fixed(n) }],
-                }],
-            };
-            let base = npu_prog(vec![], vec![]);
-            (n as f64, run(nic, &prog, &trace) - run(nic, &base, &trace))
-        })
-        .collect()
+    Bench::new(nic).accel_service_curve(kind, sizes)
 }
 
 /// Match/action linear-scan latency vs rule count in `region` (warm).
 pub fn linear_scan_curve(nic: &Lnic, region: &str, entry_bytes: usize, rules: &[u64]) -> Vec<(f64, f64)> {
-    rules
-        .iter()
-        .map(|&n| {
-            let table = TableCfg {
-                name: "rules".into(),
-                mem: region.into(),
-                entry_bytes,
-                entries: n,
-                use_flow_cache: false,
-            };
-            let trace = cal_trace(200, 64, 64, 23);
-            let base = npu_prog(vec![], vec![table.clone()]);
-            let with = npu_prog(vec![MicroOp::LinearScan { table: 0 }], vec![table]);
-            (n as f64, run(nic, &with, &trace) - run(nic, &base, &trace))
-        })
-        .collect()
-}
-
-/// Family 3 (flow cache): hit latency and capacity estimate.
-fn flow_cache_params(nic: &Lnic) -> (f64, f64) {
-    if nic.accelerators(AccelKind::FlowCache).is_empty() {
-        return (f64::INFINITY, 0.0);
-    }
-    let table = |entries: u64| TableCfg {
-        name: "fc".into(),
-        mem: "emem".into(),
-        entry_bytes: 16,
-        entries,
-        use_flow_cache: true,
-    };
-    // Hit cost: tiny flow count, warm.
-    let trace = cal_trace(2000, 8, 64, 29);
-    let base = npu_prog(vec![], vec![table(1 << 16)]);
-    let with = npu_prog(vec![MicroOp::TableLookup { table: 0 }], vec![table(1 << 16)]);
-    let hit = run_steady(nic, &with, &trace) - run_steady(nic, &base, &trace);
-
-    // Capacity: sweep concurrent flows until hits collapse.
-    let mut curve = Vec::new();
-    for flows in [1_000usize, 4_000, 8_000, 16_000, 24_000, 32_000, 48_000, 60_000] {
-        let trace = cal_trace(3 * flows.min(20_000), flows, 64, 31);
-        let with = npu_prog(vec![MicroOp::TableLookup { table: 0 }], vec![table(1 << 20)]);
-        let base = npu_prog(vec![], vec![table(1 << 20)]);
-        curve.push((flows as f64, run(nic, &with, &trace) - run(nic, &base, &trace)));
-    }
-    let capacity = knee_of_curve(&curve).unwrap_or(32_768.0);
-    (hit, capacity)
+    Bench::new(nic).linear_scan_curve(region, entry_bytes, rules)
 }
 
 /// Run every family and assemble the parameter table.
 pub fn extract_parameters(nic: &Lnic) -> NicParameters {
+    let mut bench = Bench::new(nic);
     let std_trace = cal_trace(400, 64, 300, 1);
 
     // Fixed per-packet overhead (hub traversals): an empty program.
-    let hub_overhead = run(nic, &npu_prog(vec![], vec![]), &std_trace);
+    let hub_overhead = bench.run(&npu_prog(vec![], vec![]), &std_trace);
 
     // Families 1, 4, 6: parse, metadata, hash, float.
-    let parse_header = marginal(nic, MicroOp::ParseHeader, 4, &std_trace);
-    let metadata_mod = marginal(nic, MicroOp::MetadataMod { count: 1 }, 32, &std_trace);
-    let hash = marginal(nic, MicroOp::Hash { count: 1 }, 16, &std_trace);
-    let float_op = marginal(nic, MicroOp::FloatOps { count: 1 }, 16, &std_trace);
+    let parse_header = bench.marginal(MicroOp::ParseHeader, 4, &std_trace);
+    let metadata_mod = bench.marginal(MicroOp::MetadataMod { count: 1 }, 32, &std_trace);
+    let hash = bench.marginal(MicroOp::Hash { count: 1 }, 16, &std_trace);
+    let float_op = bench.marginal(MicroOp::FloatOps { count: 1 }, 16, &std_trace);
 
     // Streaming slopes: resident vs spilled.
-    let resident = stream_curve(nic, &[128, 256, 512, 768, 1000]);
+    let resident = bench.stream_curve(&[128, 256, 512, 768, 1000]);
     let (_, stream_per_byte_resident) = linear_fit(&resident);
-    let spilled = stream_curve(nic, &[1100, 1200, 1300, 1400, 1500]);
+    let spilled = bench.stream_curve(&[1100, 1200, 1300, 1400, 1500]);
     let (_, stream_per_byte_spilled) = linear_fit(&spilled);
 
     // Software checksum curve.
-    let ck = checksum_sw_curve(nic, &[100, 300, 500, 700, 900]);
+    let ck = bench.checksum_sw_curve(&[100, 300, 500, 700, 900]);
     let (ck_base, ck_slope) = linear_fit(&ck);
 
     // Memory regions.
@@ -234,7 +298,7 @@ pub fn extract_parameters(nic: &Lnic) -> NicParameters {
         if sweep.is_empty() {
             sweep.push(min_ws.max(512));
         }
-        let curve = memory_latency_vs_working_set(nic, &m.name, entry_bytes, &sweep);
+        let curve = bench.memory_latency_vs_working_set(&m.name, entry_bytes, &sweep);
         let floor = curve.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
         let ceil = curve.iter().map(|p| p.1).fold(0.0f64, f64::max);
         let knee = knee_of_curve(&curve);
@@ -244,7 +308,7 @@ pub fn extract_parameters(nic: &Lnic) -> NicParameters {
         // twice the capacity (hit ratio C/W puts the midpoint at W = 2C),
         // so the knee is halved when converting to a capacity estimate.
         let cache = knee.map(|knee_ws| {
-            let warm = memory_latency_vs_working_set(nic, &m.name, entry_bytes, &[16 << 10]);
+            let warm = bench.memory_latency_vs_working_set(&m.name, entry_bytes, &[16 << 10]);
             CacheEst { capacity: knee_ws / 2.0, hit_latency: warm[0].1.min(floor) }
         });
         // Raw latency: the large-working-set plateau when a cache exists,
@@ -259,7 +323,7 @@ pub fn extract_parameters(nic: &Lnic) -> NicParameters {
                 .map(|r| r.min(max_rules.max(8)))
                 .collect()
         };
-        let scan = linear_scan_curve(nic, &m.name, entry_bytes, &scan_rules);
+        let scan = bench.linear_scan_curve(&m.name, entry_bytes, &scan_rules);
         let (_, per_rule) = linear_fit(&scan);
         let bulk_per_byte = (per_rule / entry_bytes as f64).max(0.0);
 
@@ -276,16 +340,16 @@ pub fn extract_parameters(nic: &Lnic) -> NicParameters {
 
     // Accelerators.
     let mut accels = HashMap::new();
-    for kind in [AccelKind::Checksum, AccelKind::Crypto, AccelKind::FlowCache, AccelKind::Lpm] {
+    for kind in AccelKind::ALL {
         if nic.accelerators(kind).is_empty() {
             continue;
         }
-        let curve = accel_service_curve(nic, kind, &[0, 256, 512, 1024, 1500]);
+        let curve = bench.accel_service_curve(kind, &[0, 256, 512, 1024, 1500]);
         let (base, per_byte) = linear_fit(&curve);
         accels.insert(kind, AccelEst { base: base.max(0.0), per_byte: per_byte.max(0.0) });
     }
 
-    let (flow_cache_hit, flow_cache_entries) = flow_cache_params(nic);
+    let (flow_cache_hit, flow_cache_entries) = bench.flow_cache_params();
 
     // Linear-scan cost per 16-byte rule in the slowest bulk region rules
     // typically live in (external memory), warm.
@@ -296,7 +360,7 @@ pub fn extract_parameters(nic: &Lnic) -> NicParameters {
         .map(|m| m.name.clone());
     let linear_scan_per_entry = match &ext_region {
         Some(region) => {
-            let scan = linear_scan_curve(nic, region, 16, &[1000, 4000, 8000, 16000]);
+            let scan = bench.linear_scan_curve(region, 16, &[1000, 4000, 8000, 16000]);
             linear_fit(&scan).1
         }
         None => 40.0,

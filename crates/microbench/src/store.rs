@@ -106,10 +106,14 @@ pub fn to_text(p: &NicParameters) -> String {
             let _ = writeln!(out, "mem.{n}.cache.hit_latency = {}", c.hit_latency);
         }
     }
-    for (kind, a) in &p.accels {
-        let n = accel_name(*kind);
-        let _ = writeln!(out, "accel.{n}.base = {}", a.base);
-        let _ = writeln!(out, "accel.{n}.per_byte = {}", a.per_byte);
+    // Fixed kind order, not map order: the same parameters always
+    // serialize to the same bytes.
+    for kind in AccelKind::ALL {
+        if let Some(a) = p.accels.get(&kind) {
+            let n = accel_name(kind);
+            let _ = writeln!(out, "accel.{n}.base = {}", a.base);
+            let _ = writeln!(out, "accel.{n}.per_byte = {}", a.per_byte);
+        }
     }
     out
 }
@@ -173,7 +177,7 @@ pub fn from_text(text: &str) -> Result<NicParameters, StoreError> {
     }
 
     let mut accels = HashMap::new();
-    for kind in [AccelKind::Checksum, AccelKind::Crypto, AccelKind::FlowCache, AccelKind::Lpm] {
+    for kind in AccelKind::ALL {
         let n = accel_name(kind);
         if let (Some(base), Some(per_byte)) =
             (kv.get(&format!("accel.{n}.base")), kv.get(&format!("accel.{n}.per_byte")))
@@ -282,6 +286,32 @@ mod tests {
         let mut text = to_text(params());
         text.push_str("accel.warp_drive.base = 1\n");
         assert!(matches!(from_text(&text), Err(StoreError::BadValue(_))));
+    }
+
+    #[test]
+    fn accel_lines_do_not_depend_on_map_order() {
+        let p = params();
+        let kinds: Vec<AccelKind> =
+            AccelKind::ALL.into_iter().filter(|k| p.accels.contains_key(k)).collect();
+        assert!(kinds.len() > 1, "need several accelerators to reorder");
+        // Each map hashes with its own random keys, so iteration order
+        // usually differs between these maps whatever the insertion order.
+        let inserted_in = |order: Vec<AccelKind>| NicParameters {
+            accels: order.into_iter().map(|k| (k, p.accels[&k])).collect(),
+            ..p.clone()
+        };
+        let forward = to_text(&inserted_in(kinds.clone()));
+        let backward = to_text(&inserted_in(kinds.iter().rev().copied().collect()));
+        assert_eq!(forward, backward);
+        assert_eq!(forward, to_text(p));
+        // And the order is the kinds' declaration order.
+        let listed: Vec<&str> = forward
+            .lines()
+            .filter_map(|l| l.strip_prefix("accel.")?.split_once(".base "))
+            .map(|(name, _)| name)
+            .collect();
+        let expected: Vec<&str> = kinds.iter().map(|k| accel_name(*k)).collect();
+        assert_eq!(listed, expected);
     }
 
     #[test]

@@ -141,10 +141,6 @@ pub(crate) struct AccelRt {
     free_at: u64,
 }
 
-/// All four accelerator kinds, in discriminant order.
-const ACCEL_KINDS: [AccelKind; 4] =
-    [AccelKind::Checksum, AccelKind::Crypto, AccelKind::FlowCache, AccelKind::Lpm];
-
 /// Engine tuning knobs, mirroring `SolverConfig` on the solve side: the
 /// default is the fast path, and the seed-exact path stays one call away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -695,7 +691,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
 
     // Resolve accelerators once; offline engines are simply absent.
     let mut accels: [Option<AccelRt>; 4] = [None, None, None, None];
-    for kind in ACCEL_KINDS {
+    for kind in AccelKind::ALL {
         if faults.is_offline(kind) {
             continue;
         }
@@ -1295,7 +1291,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         let accel_stats: Vec<AccelStats> = probes
             .take()
             .map(|probes| {
-                ACCEL_KINDS
+                AccelKind::ALL
                     .iter()
                     .zip(probes.iter())
                     .filter(|(_, p)| p.calls > 0)

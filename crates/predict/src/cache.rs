@@ -29,8 +29,9 @@ pub fn state_region_hit(
 /// cumulative Zipf mass is O(flows) with a `powf` per rank — at 100k
 /// flows it dwarfs everything else in the hit model — but it depends
 /// only on `(flows, zipf_alpha)`, so one table serves every (state,
-/// region) pair of a prediction. Lazily built: uniform workloads that
-/// fit in cache never pay for it.
+/// region) pair of a prediction. Lazily built, so skewed workloads that
+/// fit in cache never pay for it; uniform workloads never pay at all
+/// (at α = 0 [`Zipf`] is a closed form with no table).
 fn state_region_hit_shared(
     state: &StateSpec,
     region: &clara_microbench::MemEst,
