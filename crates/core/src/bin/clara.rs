@@ -15,9 +15,10 @@
 //! failed — the sweep itself completes and reports either way.
 
 use clara_core::{
-    exit_codes, predict_with_sink, run_sweep_supervised, run_validation_sweep, CellOutcome,
-    CellResult, Clara, ClaraError, PredictOptions, RunClass, Sink, SolveStats, SupervisorConfig,
-    SweepScenario, TelemetryReport, ValidationConfig, ValidationResult, WorkloadProfile,
+    exit_codes, json_escape, predict_with_sink, run_sweep_supervised, run_validation_sweep,
+    CellOutcome, CellResult, Clara, ClaraError, PredictOptions, RunClass, Sink, SolveStats,
+    SupervisorConfig, SweepScenario, TelemetryReport, ValidationConfig, ValidationResult,
+    WorkloadProfile,
 };
 use std::process::ExitCode;
 
@@ -565,22 +566,6 @@ fn corpus_nf(name: &str) -> Result<(String, clara_core::sim::NicProgram), CliErr
             clara_core::nfs::CORPUS_NAMES.join(", ")
         ))
     })
-}
-
-/// Escape a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render a validation run as the per-cell JSON artifact.

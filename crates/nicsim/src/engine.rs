@@ -238,16 +238,6 @@ impl SimScratch {
     pub fn attach_cost_cache(&mut self, cache: Arc<CostCache>) {
         self.shared_costs = Some(cache);
     }
-
-    /// Detach the shared cache, restoring the per-run-memo-only path.
-    pub fn detach_cost_cache(&mut self) -> Option<Arc<CostCache>> {
-        self.shared_costs.take()
-    }
-
-    /// The attached shared cache, if any.
-    pub fn cost_cache(&self) -> Option<&Arc<CostCache>> {
-        self.shared_costs.as_ref()
-    }
 }
 
 /// Opt-in observation state for one simulation run.

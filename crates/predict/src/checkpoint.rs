@@ -13,6 +13,7 @@
 
 use crate::predictor::Prediction;
 use crate::sweep::SweepScenario;
+use clara_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -134,17 +135,17 @@ impl Checkpoint {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 out,
-                "{{\"hash\":\"{:016x}\",\"label\":{},\"avg_latency_cycles\":{:?},\
+                "{{\"hash\":\"{:016x}\",\"label\":\"{}\",\"avg_latency_cycles\":{:?},\
                  \"avg_latency_ns\":{:?},\"throughput_pps\":{:?},\
-                 \"energy_nj_per_packet\":{:?},\"bottleneck\":{},\"quality\":{}}}",
+                 \"energy_nj_per_packet\":{:?},\"bottleneck\":\"{}\",\"quality\":\"{}\"}}",
                 cell.hash,
-                escape(&cell.label),
+                json_escape(&cell.label),
                 cell.avg_latency_cycles,
                 cell.avg_latency_ns,
                 cell.throughput_pps,
                 cell.energy_nj_per_packet,
-                escape(&cell.bottleneck),
-                escape(&cell.quality),
+                json_escape(&cell.bottleneck),
+                json_escape(&cell.quality),
             );
         }
         out.push_str("\n]}\n");
@@ -258,27 +259,6 @@ fn field_f64(obj: &str, key: &str) -> Option<f64> {
     let rest = obj.get(at..)?;
     let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
-}
-
-/// JSON string literal for `s` (quotes included).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Content hash identifying a scenario across processes: FNV-1a over the

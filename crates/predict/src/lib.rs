@@ -29,6 +29,7 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod classes;
+mod fanout;
 pub mod interfere;
 pub mod partial;
 pub mod predictor;
@@ -44,13 +45,14 @@ pub use classes::{enumerate_classes, PacketClass};
 pub use interfere::{predict_sliced, SliceSpec};
 pub use partial::{predict_partial, HostParams, PartialPlan};
 pub use clara_map::{MappingQuality, RunDeadline, SolveBudget, SolverConfig};
-pub use clara_telemetry::{Sink, SimStats, SolveStats, TelemetryReport};
+pub use clara_telemetry::{json_escape, Sink, SimStats, SolveStats, TelemetryReport};
+pub use fanout::panic_text;
 pub use predictor::{
-    predict, predict_with_options, predict_with_sink, ClassPrediction, PredictError,
+    predict, predict_with_options, predict_with_sink, ClassKey, ClassPrediction, PredictError,
     PredictOptions, Prediction,
 };
 pub use queueing::{accel_wait, pool_wait};
-pub use session::{ClassKey, NfSession, SessionBuildError, SessionStats};
+pub use session::{NfSession, SessionBuildError, SessionStats};
 pub use supervisor::{
     run_sweep_supervised, CellOutcome, CellReport, CellResult, RunClass, RunReport,
     SupervisedSweep, SupervisorConfig, SupervisorError,

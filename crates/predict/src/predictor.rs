@@ -41,14 +41,6 @@ pub enum PredictError {
         /// preserved verbatim).
         payload: String,
     },
-    /// The cell's result slot was never filled — its worker died without
-    /// reporting. Should be unreachable now that cells are
-    /// panic-isolated; kept so a future worker bug degrades to a
-    /// per-cell error instead of a process abort.
-    Lost {
-        /// Index of the lost cell in the sweep's scenario order.
-        cell: usize,
-    },
 }
 
 impl core::fmt::Display for PredictError {
@@ -59,9 +51,6 @@ impl core::fmt::Display for PredictError {
             PredictError::Cancelled => write!(f, "prediction cancelled"),
             PredictError::Panicked { cell, payload } => {
                 write!(f, "cell {cell} panicked: {payload}")
-            }
-            PredictError::Lost { cell } => {
-                write!(f, "cell {cell} lost: worker died without reporting")
             }
         }
     }
@@ -208,13 +197,49 @@ pub fn predict(
     predict_with_options(module, params, workload, PredictOptions::default())
 }
 
+/// The workload fields `prepare` reads — everything except `rate_pps`.
+/// Two workloads with equal keys share one `Prepared`: a sweep keeps one
+/// per (module, parameters, class), a session one per class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ClassKey {
+    tcp_share: u64,
+    syn_share: u64,
+    avg_payload: u64,
+    max_payload: usize,
+    flows: usize,
+    zipf_alpha: u64,
+}
+
+impl ClassKey {
+    /// The class key of a workload (floats by bit pattern).
+    pub fn of(wl: &WorkloadProfile) -> Self {
+        // No `..`: a new workload field fails to compile here until it
+        // is either keyed or, like the rate, ignored on purpose.
+        let WorkloadProfile {
+            flows,
+            tcp_share,
+            syn_share,
+            avg_payload,
+            max_payload,
+            rate_pps: _,
+            zipf_alpha,
+        } = wl;
+        ClassKey {
+            tcp_share: tcp_share.to_bits(),
+            syn_share: syn_share.to_bits(),
+            avg_payload: avg_payload.to_bits(),
+            max_payload: *max_payload,
+            flows: *flows,
+            zipf_alpha: zipf_alpha.to_bits(),
+        }
+    }
+}
+
 /// The workload-derived inputs of a prediction that do *not* depend on
 /// the offered rate or the porting strategy: packet classes (CIR
 /// interpreter runs), state specs, and the cache model. Computing these
-/// dominates a prediction's cost, so sweeps share one `Prepared` across
-/// every grid cell with the same non-rate workload fields (see
-/// [`crate::sweep`]). Keep the inputs read here in sync with the sweep's
-/// sharing key.
+/// dominates a prediction's cost, so sweeps and sessions share one
+/// `Prepared` per [`ClassKey`].
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     pub(crate) classes: Vec<crate::classes::PacketClass>,
@@ -667,6 +692,25 @@ mod tests {
             at_1400.avg_latency_cycles,
             proportional
         );
+    }
+
+    #[test]
+    fn class_key_tracks_every_rate_independent_field() {
+        let base = wl();
+        let key = ClassKey::of(&base);
+        let faster = WorkloadProfile { rate_pps: base.rate_pps * 7.0, ..base.clone() };
+        assert_eq!(ClassKey::of(&faster), key, "the rate is not part of the class");
+        let variants = [
+            WorkloadProfile { flows: base.flows + 1, ..base.clone() },
+            WorkloadProfile { tcp_share: base.tcp_share + 0.25, ..base.clone() },
+            WorkloadProfile { syn_share: base.syn_share + 0.25, ..base.clone() },
+            WorkloadProfile { avg_payload: base.avg_payload + 1.0, ..base.clone() },
+            WorkloadProfile { max_payload: base.max_payload + 1, ..base.clone() },
+            WorkloadProfile { zipf_alpha: base.zipf_alpha + 0.5, ..base.clone() },
+        ];
+        for v in &variants {
+            assert_ne!(ClassKey::of(v), key, "{v:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! `prepare`'s class profiles + cache model depend only on the
 //! workload's *rate-independent* fields. [`NfSession`] owns the lowered
 //! module and NIC parameters once, and caches one `Prepared` per
-//! workload class (the content-keyed analogue of the sweep's
-//! pointer-keyed `PrepKey`), so repeated requests skip straight to the
-//! rate-dependent solve.
+//! [`ClassKey`] (the same workload-class key a sweep's prep groups use),
+//! so repeated requests skip straight to the rate-dependent solve.
 //!
 //! Concurrency: every method takes `&self`; the cache is a mutex-held
 //! map of `Arc<Prepared>` entries, and the lock is never held across a
@@ -34,7 +33,8 @@
 //! bits depending on what happened to be cached.)
 
 use crate::predictor::{
-    predict_prepared_limited, prepare, PredictError, PredictOptions, Prediction, Prepared,
+    predict_prepared_limited, prepare, ClassKey, PredictError, PredictOptions, Prediction,
+    Prepared,
 };
 use clara_cir::CirModule;
 use clara_map::RunDeadline;
@@ -44,35 +44,6 @@ use clara_workload::WorkloadProfile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// The workload fields `prepare` reads — everything except `rate_pps`.
-/// Two workloads with equal keys share one `Prepared`. Content-keyed
-/// (bit patterns), so it is safe across independent requests, unlike the
-/// sweep's pointer-identity `PrepKey`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClassKey {
-    tcp_share: u64,
-    syn_share: u64,
-    avg_payload: u64,
-    max_payload: usize,
-    flows: usize,
-    zipf_alpha: u64,
-}
-
-impl ClassKey {
-    /// The class key of a workload. Must stay in sync with the fields
-    /// `prepare` consumes (`rate_pps` deliberately excluded).
-    pub fn of(wl: &WorkloadProfile) -> Self {
-        ClassKey {
-            tcp_share: wl.tcp_share.to_bits(),
-            syn_share: wl.syn_share.to_bits(),
-            avg_payload: wl.avg_payload.to_bits(),
-            max_payload: wl.max_payload,
-            flows: wl.flows,
-            zipf_alpha: wl.zipf_alpha.to_bits(),
-        }
-    }
-}
 
 /// Cache effectiveness counters of one session (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,7 +1,9 @@
 //! Supervised sweep execution: run-wide deadlines, fail-fast
 //! cancellation, one retry under a tighter budget, and
-//! checkpoint/resume — the robustness layer between [`crate::sweep`]'s
-//! raw fan-out and the CLI.
+//! checkpoint/resume — the robustness layer between the CLI and
+//! [`crate::sweep`]'s cell runner. The first pass runs on the same
+//! `fanout.rs` executor and [`crate::sweep`] prep groups as the
+//! plain sweep; only the policy around each cell is added here.
 //!
 //! A supervised sweep never aborts wholesale on one bad cell. Each cell
 //! ends in exactly one [`CellOutcome`]; the aggregated [`RunReport`]
@@ -10,13 +12,14 @@
 //! an interrupted grid resumable with only the unfinished cells re-run.
 
 use crate::checkpoint::{scenario_hash, CellSummary, Checkpoint};
+use crate::fanout::fan_out;
 use crate::predictor::{PredictError, Prediction};
-use crate::sweep::{run_cell_supervised, PrepShare, SweepScenario};
+use crate::sweep::{run_cell, PrepShare, SweepScenario};
 use clara_map::{RunDeadline, SolveBudget};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Policy knobs for one supervised sweep.
 #[derive(Debug, Clone)]
@@ -249,19 +252,12 @@ pub fn run_sweep_supervised(
     let hashes: Vec<u64> = scenarios.iter().map(scenario_hash).collect();
     let checkpoint = Mutex::new(restored.clone());
 
-    let threads = match config.threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    };
     let cancel = Arc::new(AtomicBool::new(false));
     let share = PrepShare::build(scenarios);
 
-    // First pass: parallel, mirrors `run_sweep`'s counter + slots scheme.
-    // Restored cells are claimed like any other but resolved instantly.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<CellResult>> =
-        (0..scenarios.len()).map(|_| OnceLock::new()).collect();
-    let run_one = |i: usize| -> CellResult {
+    // First pass: parallel. Restored cells are claimed like any other
+    // but resolved instantly.
+    let mut results: Vec<CellResult> = fan_out(scenarios.len(), config.threads, || (), |i, _| {
         if let Some(summary) = restored.get(hashes[i]) {
             return CellResult::Resumed(summary.clone());
         }
@@ -270,7 +266,7 @@ pub fn run_sweep_supervised(
         }
         let eff = scenarios[i].options.deadline_ms.or(config.deadline_ms);
         let deadline = RunDeadline::within_ms(eff).with_cancel(Arc::clone(&cancel));
-        match run_cell_supervised(scenarios, &share, i, &deadline) {
+        match run_cell(scenarios, &share, i, &deadline) {
             Ok(p) => {
                 checkpoint_cell(&checkpoint, &ck_path, hashes[i], &scenarios[i].label, &p);
                 CellResult::Fresh(p)
@@ -283,35 +279,7 @@ pub fn run_sweep_supervised(
                 CellResult::Failed(e)
             }
         }
-    };
-    if threads <= 1 || scenarios.len() <= 1 {
-        for (i, slot) in slots.iter().enumerate() {
-            let _ = slot.set(run_one(i));
-        }
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(scenarios.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= scenarios.len() {
-                        break;
-                    }
-                    let _ = slots[i].set(run_one(i));
-                });
-            }
-        });
-    }
-    let mut results: Vec<CellResult> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            // An empty slot means a worker died without reporting
-            // (unreachable today — cells are panic-isolated).
-            // Attribute, don't abort.
-            slot.into_inner()
-                .unwrap_or(CellResult::Failed(PredictError::Lost { cell: i }))
-        })
-        .collect();
+    });
 
     // Retry pass: sequential, one attempt per failed cell, tighter
     // budget, fresh deadline, no cancel token. Cancelled/skipped cells
@@ -329,7 +297,7 @@ pub fn run_sweep_supervised(
             let retry_share = PrepShare::build(&retry_scenarios);
             let eff = retry_scenarios[0].options.deadline_ms.or(config.deadline_ms);
             let deadline = RunDeadline::within_ms(eff);
-            match run_cell_supervised(&retry_scenarios, &retry_share, 0, &deadline) {
+            match run_cell(&retry_scenarios, &retry_share, 0, &deadline) {
                 Ok(p) => {
                     checkpoint_cell(&checkpoint, &ck_path, hashes[i], &scenarios[i].label, &p);
                     results[i] = CellResult::Fresh(p);
@@ -401,6 +369,7 @@ mod tests {
     use clara_lnic::profiles;
     use clara_microbench::{extract_parameters, NicParameters};
     use clara_workload::WorkloadProfile;
+    use std::sync::OnceLock;
 
     fn params() -> &'static NicParameters {
         static P: OnceLock<NicParameters> = OnceLock::new();

@@ -4,28 +4,31 @@
 //! 600 kpps with 1400-byte payloads?" over a whole grid of rates,
 //! payload sizes, flow counts, and porting strategies (§2.3). Every
 //! scenario is an independent pure function of its inputs, so a sweep
-//! fans scenarios across a scoped thread pool.
+//! runs its scenarios on the `fanout.rs` executor.
 //!
-//! Determinism: results are written to per-scenario slots, so the output
-//! order equals the input order and is bit-identical to a sequential
-//! run regardless of thread count or scheduling.
+//! Sharing: scenarios of one workload class share one `Prepared` and one
+//! ILP warm-start donor (`PrepShare`). The supervised sweep
+//! ([`crate::supervisor`]) and the validation sweep ([`crate::validate`])
+//! predict through the same share and `run_cell`, so all three make
+//! identical sharing and seeding decisions.
 //!
-//! Fault containment: each cell runs under `catch_unwind`, so one
-//! panicking prediction becomes that cell's [`PredictError::Panicked`]
-//! instead of unwinding the whole `thread::scope` and aborting every
-//! sibling. See [`crate::supervisor`] for deadlines, retries, and
-//! checkpoint/resume on top of this.
+//! Determinism: results land in per-scenario slots, so the output order
+//! equals the input order and is bit-identical to a sequential run
+//! regardless of thread count or scheduling.
+//!
+//! Fault containment: each cell runs under `contain`, so one panicking
+//! prediction becomes that cell's [`PredictError::Panicked`] instead of
+//! unwinding the pool and aborting every sibling.
 
+use crate::fanout::{contain, fan_out};
 use crate::predictor::{
-    predict_prepared_seeded, prepare, PredictError, PredictOptions, Prediction, Prepared,
+    predict_prepared_seeded, prepare, ClassKey, PredictError, PredictOptions, Prediction, Prepared,
 };
 use clara_cir::CirModule;
 use clara_map::{IlpSeed, RunDeadline};
 use clara_microbench::NicParameters;
 use clara_workload::WorkloadProfile;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// One cell of a sweep grid: an NF to predict under one workload and
@@ -45,143 +48,67 @@ pub struct SweepScenario<'a> {
     pub options: PredictOptions,
 }
 
-/// The inputs of [`prepare`] a scenario depends on: module and parameter
-/// identities plus every workload field the rate-independent phase reads
-/// (`rate_pps` deliberately excluded — cells differing only in offered
-/// rate share one `Prepared`). Must stay in sync with what
-/// [`prepare`] consumes.
+/// The shared rate-independent inputs of a sweep: one prep group per
+/// distinct (module address, parameters address, [`ClassKey`]), with a
+/// lazily filled [`Prepared`] and a warm-start donor each.
 ///
-/// # Pointer identity
+/// Keys compare addresses, not contents. They exist only inside
+/// [`PrepShare::build`], while every scenario — and so every module and
+/// parameter table it borrows — is alive, so equal addresses are one
+/// live object.
 ///
-/// `module` and `params` are *addresses*, not contents. That is sound
-/// only because [`SweepScenario`] borrows both for the sweep's entire
-/// lifetime (`'a` outlives the `PrepShare`), so no address can be freed
-/// and reused for a different module mid-sweep. Do not build `PrepKey`s
-/// from temporaries or across independent sweep invocations; the
-/// debug-build fingerprint check in [`PrepShare`] exists to catch
-/// exactly that kind of refactor going wrong.
-#[derive(PartialEq, Eq, Hash)]
-struct PrepKey {
-    module: usize,
-    params: usize,
-    tcp_share: u64,
-    syn_share: u64,
-    avg_payload: u64,
-    max_payload: usize,
-    flows: usize,
-    zipf_alpha: u64,
-}
-
-impl PrepKey {
-    fn of(sc: &SweepScenario<'_>) -> Self {
-        let wl = &sc.workload;
-        PrepKey {
-            module: sc.module as *const CirModule as usize,
-            params: sc.params as *const NicParameters as usize,
-            tcp_share: wl.tcp_share.to_bits(),
-            syn_share: wl.syn_share.to_bits(),
-            avg_payload: wl.avg_payload.to_bits(),
-            max_payload: wl.max_payload,
-            flows: wl.flows,
-            zipf_alpha: wl.zipf_alpha.to_bits(),
-        }
-    }
-}
-
-/// Cheap content fingerprint backing the debug assertion on
-/// [`PrepKey`]'s pointer-identity assumption: if two scenarios alias the
-/// same addresses they must also describe the same module/NIC.
-#[cfg(debug_assertions)]
-#[derive(PartialEq, Debug, Clone)]
-struct PrepFingerprint {
-    module_name: String,
-    module_states: usize,
-    nic_name: String,
-    nic_mems: usize,
-}
-
-#[cfg(debug_assertions)]
-impl PrepFingerprint {
-    fn of(sc: &SweepScenario<'_>) -> Self {
-        PrepFingerprint {
-            module_name: sc.module.name.clone(),
-            module_states: sc.module.states.len(),
-            nic_name: sc.params.nic_name.clone(),
-            nic_mems: sc.params.mems.len(),
-        }
-    }
-}
-
-/// The shared rate-independent inputs of a sweep: one [`Prepared`] slot
-/// per distinct [`PrepKey`], lazily filled by whichever worker reaches
-/// that key first. Shared between the plain [`run_sweep`] and the
-/// supervised sweep so both resolve identical `Prepared` values (and
-/// therefore bit-identical predictions).
+/// Warm starts follow a star topology: each group's *first* scenario (in
+/// input order) is its seed donor, and every other cell of the group
+/// seeds its branch-and-bound from the donor's solved mapping. The donor
+/// itself always solves cold. The donor index is fixed by input order
+/// and its seed is a pure function of the donor scenario's contents
+/// (with the panic test hook stripped), computed on first demand under a
+/// `OnceLock` — so seeding decisions are identical for every thread
+/// schedule, and a masked-out (panicking) donor still yields the seed
+/// its healthy twin would have.
 pub(crate) struct PrepShare {
-    /// Scenario index → prep slot index.
+    /// Scenario index → prep group.
     prep_of: Vec<usize>,
     preps: Vec<OnceLock<Prepared>>,
-    warm: CellWarmStart,
-}
-
-/// Star-topology cross-cell ILP warm starts: each prep group designates
-/// its *first* scenario (in input order) as the seed donor; every other
-/// cell of the group seeds its branch-and-bound from the donor's solved
-/// mapping. The donor itself always solves cold.
-///
-/// Determinism: the donor index is fixed by input order and its seed is
-/// a pure function of the donor scenario's contents (with the panic
-/// test hook stripped), computed on first demand under a `OnceLock` —
-/// so seeding decisions are identical for every thread schedule,
-/// keeping parallel sweeps bit-identical to sequential ones, and a
-/// masked-out (panicking) donor still yields the same seed its healthy
-/// twin would have.
-pub(crate) struct CellWarmStart {
-    /// Prep slot → index of the group's first scenario (the donor).
+    /// Prep group → index of its first scenario (the donor).
     donor_of: Vec<usize>,
-    /// Prep slot → the donor's exported seed. `None` when the donor's
+    /// Prep group → the donor's exported seed. `None` when the donor's
     /// prediction failed or panicked; siblings then solve cold.
     seeds: Vec<OnceLock<Option<IlpSeed>>>,
 }
 
 impl PrepShare {
     pub(crate) fn build(scenarios: &[SweepScenario<'_>]) -> Self {
-        let mut prep_ids: HashMap<PrepKey, usize> = HashMap::new();
-        let mut prep_of: Vec<usize> = Vec::with_capacity(scenarios.len());
-        let mut donor_of: Vec<usize> = Vec::new();
-        #[cfg(debug_assertions)]
-        let mut fingerprints: Vec<PrepFingerprint> = Vec::new();
+        let mut prep_ids: HashMap<(usize, usize, ClassKey), usize> = HashMap::new();
+        let mut prep_of = Vec::with_capacity(scenarios.len());
+        let mut donor_of = Vec::new();
         for (i, sc) in scenarios.iter().enumerate() {
+            let key = (
+                sc.module as *const CirModule as usize,
+                sc.params as *const NicParameters as usize,
+                ClassKey::of(&sc.workload),
+            );
             let n = prep_ids.len();
-            let id = *prep_ids.entry(PrepKey::of(sc)).or_insert(n);
+            let id = *prep_ids.entry(key).or_insert(n);
             if id == donor_of.len() {
                 donor_of.push(i);
             }
-            #[cfg(debug_assertions)]
-            {
-                let fp = PrepFingerprint::of(sc);
-                if id == fingerprints.len() {
-                    fingerprints.push(fp);
-                } else {
-                    debug_assert_eq!(
-                        fingerprints[id], fp,
-                        "PrepKey pointer-identity violated: two scenarios share \
-                         module/params addresses but describe different contents"
-                    );
-                }
-            }
             prep_of.push(id);
         }
-        let preps = (0..prep_ids.len()).map(|_| OnceLock::new()).collect();
-        let seeds = (0..prep_ids.len()).map(|_| OnceLock::new()).collect();
-        PrepShare { prep_of, preps, warm: CellWarmStart { donor_of, seeds } }
+        let groups = donor_of.len();
+        PrepShare {
+            prep_of,
+            preps: (0..groups).map(|_| OnceLock::new()).collect(),
+            donor_of,
+            seeds: (0..groups).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// The shared `Prepared` for scenario `i`, computing it on first use.
     ///
     /// A panic inside [`prepare`] leaves the `OnceLock` *empty* (not
     /// poisoned), so a retry of the same cell recomputes it cleanly.
-    pub(crate) fn prepared(&self, scenarios: &[SweepScenario<'_>], i: usize) -> &Prepared {
+    fn prepared(&self, scenarios: &[SweepScenario<'_>], i: usize) -> &Prepared {
         let sc = &scenarios[i];
         self.preps[self.prep_of[i]].get_or_init(|| prepare(sc.module, sc.params, &sc.workload))
     }
@@ -190,28 +117,24 @@ impl PrepShare {
     /// donor itself (it solves cold), otherwise the donor's exported
     /// seed, computing the donor's prediction on first demand.
     ///
-    /// The donor computation runs under its own `catch_unwind` and its
-    /// own options-derived deadline, so a panicking, failing, or
+    /// The donor computation is contained and runs under its own
+    /// options-derived deadline, so a panicking, failing, or
     /// deadline-bound donor costs the group its seed — every sibling
     /// then solves cold — but never a wrong or schedule-dependent
     /// result.
-    pub(crate) fn seed_for(
-        &self,
-        scenarios: &[SweepScenario<'_>],
-        i: usize,
-    ) -> Option<IlpSeed> {
-        let slot = self.prep_of[i];
-        let donor = self.warm.donor_of[slot];
+    fn seed_for(&self, scenarios: &[SweepScenario<'_>], i: usize) -> Option<IlpSeed> {
+        let group = self.prep_of[i];
+        let donor = self.donor_of[group];
         if donor == i {
             return None;
         }
-        self.warm.seeds[slot]
+        self.seeds[group]
             .get_or_init(|| {
                 let sc = &scenarios[donor];
                 let mut options = sc.options.clone();
                 options.inject_panic = false;
                 let deadline = RunDeadline::within_ms(options.deadline_ms);
-                catch_unwind(AssertUnwindSafe(|| {
+                contain(|| {
                     let prepared = self.prepared(scenarios, donor);
                     predict_prepared_seeded(
                         sc.module,
@@ -224,38 +147,24 @@ impl PrepShare {
                     )
                     .ok()
                     .and_then(|p| p.mapping.ilp_seed)
-                }))
+                })
                 .unwrap_or(None)
             })
             .clone()
     }
 }
 
-/// Run scenario `i` with panics contained to the cell, honoring the
-/// cell's own `deadline_ms` option (the plain sweep path).
-pub(crate) fn run_cell_isolated(
-    scenarios: &[SweepScenario<'_>],
-    share: &PrepShare,
-    i: usize,
-) -> Result<Prediction, PredictError> {
-    let deadline = RunDeadline::within_ms(scenarios[i].options.deadline_ms);
-    run_cell_supervised(scenarios, share, i, &deadline)
-}
-
-/// Run scenario `i` with panics contained to the cell, under an
-/// externally armed deadline/cancel token (the supervised path —
-/// [`crate::supervisor`] combines its run-wide deadline and cancel
-/// token with the cell's own options before calling this).
-pub(crate) fn run_cell_supervised(
+/// Run scenario `i` under `deadline` with panics contained to the cell.
+/// Plain and validation sweeps arm the deadline from the cell's own
+/// `deadline_ms`; [`crate::supervisor`] combines its run-wide deadline
+/// and cancel token with it.
+pub(crate) fn run_cell(
     scenarios: &[SweepScenario<'_>],
     share: &PrepShare,
     i: usize,
     deadline: &RunDeadline,
 ) -> Result<Prediction, PredictError> {
-    // AssertUnwindSafe: on panic every value touched by the closure is
-    // discarded except the shared `PrepShare`, and a panicking
-    // `get_or_init` leaves its `OnceLock` empty rather than torn.
-    catch_unwind(AssertUnwindSafe(|| {
+    contain(|| {
         let sc = &scenarios[i];
         let prepared = share.prepared(scenarios, i);
         let seed = share.seed_for(scenarios, i);
@@ -268,76 +177,31 @@ pub(crate) fn run_cell_supervised(
             deadline,
             seed.as_ref(),
         )
-    }))
-    .unwrap_or_else(|payload| {
-        let payload = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Err(PredictError::Panicked { cell: i, payload })
     })
+    .unwrap_or_else(|payload| Err(PredictError::Panicked { cell: i, payload }))
 }
 
 /// Run every scenario and return predictions in input order.
 ///
 /// The expensive rate-independent inputs (CIR interpreter class
-/// profiles, Zipf cache model) are computed once per *unique*
-/// `PrepKey` and shared — a 4×4×4 rate/payload/flows grid does the
-/// interpreter work 16 times, not 64. Because predictions are pure
-/// functions of those shared inputs, sharing never changes a result.
+/// profiles, Zipf cache model) are computed once per prep group and
+/// shared — a 4×4×4 rate/payload/flows grid does the interpreter work 16
+/// times, not 64. Because predictions are pure functions of those shared
+/// inputs, sharing never changes a result.
 ///
 /// `threads == 0` uses [`std::thread::available_parallelism`];
 /// `threads <= 1` runs inline on the caller's thread (no pool, same
-/// results). Worker threads pull scenarios from a shared counter, so an
-/// expensive cell never blocks the rest of its stripe; output order
-/// equals input order regardless of scheduling.
-///
-/// A cell that panics yields [`PredictError::Panicked`] for that cell
-/// only; siblings complete normally. A slot left unfilled by a dead
-/// worker (unreachable today) degrades to [`PredictError::Lost`] rather
-/// than aborting the process.
+/// results). A cell that panics yields [`PredictError::Panicked`] for
+/// that cell only; siblings complete normally.
 pub fn run_sweep<'a>(
     scenarios: &[SweepScenario<'a>],
     threads: usize,
 ) -> Vec<Result<Prediction, PredictError>> {
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    };
-
     let share = PrepShare::build(scenarios);
-    if threads <= 1 || scenarios.len() <= 1 {
-        return (0..scenarios.len())
-            .map(|i| run_cell_isolated(scenarios, &share, i))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Result<Prediction, PredictError>>> =
-        (0..scenarios.len()).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(scenarios.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    break;
-                }
-                // A slot is claimed by exactly one worker; set cannot fail.
-                let _ = slots[i].set(run_cell_isolated(scenarios, &share, i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or(Err(PredictError::Lost { cell: i }))
-        })
-        .collect()
+    fan_out(scenarios.len(), threads, || (), |i, _| {
+        let deadline = RunDeadline::within_ms(scenarios[i].options.deadline_ms);
+        run_cell(scenarios, &share, i, &deadline)
+    })
 }
 
 #[cfg(test)]

@@ -8,23 +8,28 @@
 //! generated trace, and reports the relative error between the two: the
 //! per-cell analogue of the paper's §4 accuracy tables.
 //!
-//! The fan-out mirrors [`crate::supervisor`]: a claim counter plus
-//! write-once slots under `std::thread::scope`, one cell per claim, with
-//! every cell panic-isolated so a bad (workload, program) pairing
-//! degrades to that cell's failure instead of killing the run. Each
-//! worker owns a single [`SimScratch`] reused across all the cells it
-//! claims, and feeds the simulator from
+//! A validation sweep is the prediction sweep plus a simulator: the grid
+//! becomes [`SweepScenario`]s, the predicted side runs through
+//! [`crate::sweep`]'s prep groups and cell runner (one `Prepared` and one
+//! ILP warm-start donor per workload class), and the cells run on
+//! the `fanout.rs` executor with every cell panic-isolated, so a bad
+//! (workload, program) pairing degrades to that cell's failure instead
+//! of killing the run. Each worker owns a single [`SimScratch`] reused
+//! across all the cells it claims, and feeds the simulator from
 //! [`WorkloadProfile::to_trace_stream`] — no trace is ever materialized,
 //! and steady-state simulation allocates O(1) per cell. Healthy-cell
-//! results are bit-identical between a sequential run (`threads: 1`) and
-//! any parallel schedule: cells are pure and scratch reuse never changes
-//! simulator output.
+//! results are bit-identical between a sequential run (`threads: 1`),
+//! any parallel schedule, and [`crate::run_sweep`] over the same
+//! scenarios: cells are pure and scratch reuse never changes simulator
+//! output.
 
-use crate::predictor::{predict_prepared_seeded, prepare, PredictOptions};
+use crate::fanout::{contain, fan_out};
+use crate::predictor::PredictOptions;
 use crate::supervisor::{CellOutcome, RunReport};
+use crate::sweep::{run_cell, PrepShare, SweepScenario};
 use clara_cir::CirModule;
 use clara_lnic::Lnic;
-use clara_map::{IlpSeed, RunDeadline};
+use clara_map::RunDeadline;
 use clara_microbench::NicParameters;
 use clara_nicsim::{
     simulate_streamed, simulate_streamed_instrumented, CostCache, FaultPlan, NicProgram, SimConfig,
@@ -32,9 +37,7 @@ use clara_nicsim::{
 };
 use clara_telemetry::{SimStats, SolveStats};
 use clara_workload::WorkloadProfile;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Policy knobs for one validation sweep.
 #[derive(Debug, Clone)]
@@ -270,73 +273,51 @@ pub fn run_validation_sweep(
     grid: &[WorkloadProfile],
     config: &ValidationConfig,
 ) -> ValidationSweep {
-    let threads = match config.threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    };
     let faults = FaultPlan::none();
-    let watchdog = config.watchdog.clone();
-    // One shared cost cache per sweep (donated like the ILP warm-start
-    // seed below): the first cell to cost a pure (stage, unit[, len])
-    // signature publishes it and every later cell — on any worker —
-    // replays it instead of recomputing.
+    // One shared cost cache per sweep: the first cell to cost a pure
+    // (stage, unit[, len]) signature publishes it and every later cell —
+    // on any worker — replays it instead of recomputing.
     let cost_cache: Arc<CostCache> =
         config.cost_cache.clone().unwrap_or_else(|| Arc::new(CostCache::new()));
-
-    // Star-topology cross-cell warm start, mirroring the prediction
-    // sweep: the first grid cell is the seed donor for every other
-    // cell's mapping solve. The donor's seed is computed on first demand
-    // (a pure function of `grid[0]`), so seeding decisions — and
-    // therefore results — are identical for every thread schedule.
-    let donor_seed: OnceLock<Option<IlpSeed>> = OnceLock::new();
-    let seed_for = |i: usize| -> Option<IlpSeed> {
-        if i == 0 {
-            return None;
-        }
-        donor_seed
-            .get_or_init(|| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    let wl = &grid[0];
-                    let prepared = prepare(module, params, wl);
-                    let deadline = RunDeadline::within_ms(config.options.deadline_ms);
-                    predict_prepared_seeded(
-                        module, params, wl, &config.options, &prepared, &deadline, None,
-                    )
-                    .ok()
-                    .and_then(|p| p.mapping.ilp_seed)
-                }))
-                .unwrap_or(None)
-            })
-            .clone()
+    let scenarios: Vec<SweepScenario<'_>> = grid
+        .iter()
+        .map(|wl| SweepScenario {
+            label: cell_label(wl),
+            module,
+            params,
+            workload: wl.clone(),
+            options: config.options.clone(),
+        })
+        .collect();
+    let share = PrepShare::build(&scenarios);
+    let new_scratch = || {
+        let mut scratch = SimScratch::new();
+        scratch.attach_cost_cache(Arc::clone(&cost_cache));
+        scratch
     };
 
-    let run_one = |i: usize, scratch: &mut SimScratch| -> ValidationResult {
-        let wl = &grid[i];
-        // AssertUnwindSafe: `run_sim` resets every scratch arena before
-        // use, so a panic mid-cell cannot leak torn state into the
-        // worker's next cell.
-        catch_unwind(AssertUnwindSafe(|| {
-            let seed = seed_for(i);
-            let prepared = prepare(module, params, wl);
-            let deadline = RunDeadline::within_ms(config.options.deadline_ms);
-            let p = match predict_prepared_seeded(
-                module, params, wl, &config.options, &prepared, &deadline, seed.as_ref(),
-            ) {
+    let cells = fan_out(scenarios.len(), config.threads, new_scratch, |i, scratch| {
+        contain(|| {
+            let sc = &scenarios[i];
+            let deadline = RunDeadline::within_ms(sc.options.deadline_ms);
+            let p = match run_cell(&scenarios, &share, i, &deadline) {
                 Ok(p) => p,
                 Err(e) => return ValidationResult::Failed(format!("predict: {e}")),
             };
+            let wl = &sc.workload;
             let stream = wl.to_trace_stream(config.packets, config.seed);
+            let watchdog = &config.watchdog;
             let (sim, sim_stats) = if config.telemetry {
                 let mut instr = SimInstruments::new();
                 match simulate_streamed_instrumented(
-                    nic, program, stream, &faults, &watchdog, &config.sim, scratch, &mut instr,
+                    nic, program, stream, &faults, watchdog, &config.sim, scratch, &mut instr,
                 ) {
                     Ok(r) => (r, Some(instr.stats)),
                     Err(e) => return ValidationResult::Failed(format!("simulate: {e}")),
                 }
             } else {
                 match simulate_streamed(
-                    nic, program, stream, &faults, &watchdog, &config.sim, scratch,
+                    nic, program, stream, &faults, watchdog, &config.sim, scratch,
                 ) {
                     Ok(r) => (r, None),
                     Err(e) => return ValidationResult::Failed(format!("simulate: {e}")),
@@ -348,7 +329,7 @@ pub fn run_validation_sweep(
             let tail = &lat[lat.len() / 2..];
             let actual = tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64;
             ValidationResult::Ok(ValidationCell {
-                label: cell_label(wl),
+                label: sc.label.clone(),
                 rate_pps: wl.rate_pps,
                 avg_payload: wl.avg_payload,
                 flows: wl.flows,
@@ -359,56 +340,12 @@ pub fn run_validation_sweep(
                 solve: p.mapping.stats.clone(),
                 sim_stats,
             })
-        }))
-        .unwrap_or_else(|payload| {
-            let payload = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            ValidationResult::Failed(format!("panicked: {payload}"))
         })
-    };
-
-    // Claim counter + write-once slots, exactly the supervised sweep's
-    // scheme; each worker reuses one scratch across all its cells.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<ValidationResult>> = (0..grid.len()).map(|_| OnceLock::new()).collect();
-    if threads <= 1 || grid.len() <= 1 {
-        let mut scratch = SimScratch::new();
-        scratch.attach_cost_cache(Arc::clone(&cost_cache));
-        for (i, slot) in slots.iter().enumerate() {
-            let _ = slot.set(run_one(i, &mut scratch));
-        }
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(grid.len()) {
-                s.spawn(|| {
-                    let mut scratch = SimScratch::new();
-                    scratch.attach_cost_cache(Arc::clone(&cost_cache));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= grid.len() {
-                            break;
-                        }
-                        let _ = slots[i].set(run_one(i, &mut scratch));
-                    }
-                });
-            }
-        });
-    }
-    let cells: Vec<ValidationResult> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or(ValidationResult::Failed("lost: worker died without reporting".into()))
-        })
-        .collect();
+        .unwrap_or_else(|payload| ValidationResult::Failed(format!("panicked: {payload}")))
+    });
 
     let mut report = RunReport::default();
-    for (wl, cell) in grid.iter().zip(&cells) {
+    for (sc, cell) in scenarios.iter().zip(&cells) {
         let (outcome, telemetry) = match cell {
             ValidationResult::Ok(c) => (
                 CellOutcome::Ok { quality: c.quality.clone(), retried: false },
@@ -421,7 +358,7 @@ pub fn run_validation_sweep(
                 (CellOutcome::Failed { error: e.clone(), retried: false }, None)
             }
         };
-        report.record_with_telemetry(&cell_label(wl), outcome, telemetry);
+        report.record_with_telemetry(&sc.label, outcome, telemetry);
     }
     ValidationSweep { cells, report }
 }
@@ -590,6 +527,43 @@ mod tests {
             assert_eq!(a.actual_cycles.to_bits(), b.actual_cycles.to_bits());
             assert_eq!(a.completed, b.completed);
             assert_eq!(a.label, b.label);
+        }
+    }
+
+    #[test]
+    fn predictions_match_the_plain_sweep_and_one_shot() {
+        let nic = profiles::netronome_agilio_cx40();
+        let params = extract_parameters(&nic);
+        let module = nat_module();
+        let program = nat_program();
+        let grid = validation_grid(2);
+        let scenarios: Vec<SweepScenario<'_>> = grid
+            .iter()
+            .map(|wl| SweepScenario {
+                label: cell_label(wl),
+                module: &module,
+                params: &params,
+                workload: wl.clone(),
+                options: PredictOptions::default(),
+            })
+            .collect();
+        for threads in [1, 4] {
+            let sweep = run_validation_sweep(
+                &module, &params, &nic, &program, &grid, &small_config(threads),
+            );
+            let plain = crate::run_sweep(&scenarios, threads);
+            for ((cell, plain), wl) in sweep.cells.iter().zip(&plain).zip(&grid) {
+                let ValidationResult::Ok(c) = cell else { panic!("expected Ok, got {cell:?}") };
+                let plain = plain.as_ref().unwrap();
+                let one_shot =
+                    crate::predict_with_options(&module, &params, wl, PredictOptions::default())
+                        .unwrap();
+                assert_eq!(c.predicted_cycles.to_bits(), plain.avg_latency_cycles.to_bits());
+                assert_eq!(c.predicted_cycles.to_bits(), one_shot.avg_latency_cycles.to_bits());
+            }
+            // Four classes of two rates each: every second-rate cell is
+            // seeded from its class's first cell, as in the plain sweep.
+            assert!(sweep.merged_stats().0.unwrap().cell_warm_hits > 0);
         }
     }
 

@@ -13,6 +13,7 @@
 //! so a prediction forwarded over the wire stays bit-identical to the
 //! in-process value (the chaos test depends on this).
 
+use clara_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -96,7 +97,7 @@ impl Value {
             Value::Num(n) => out.push_str(&num(*n)),
             Value::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                out.push_str(&json_escape(s));
                 out.push('"');
             }
             Value::Arr(items) => {
@@ -115,7 +116,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\":", escape(k));
+                    let _ = write!(out, "\"{}\":", json_escape(k));
                     v.write(out);
                 }
                 out.push('}');
@@ -132,25 +133,6 @@ pub fn num(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escape a string for embedding in JSON output.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -368,6 +350,7 @@ impl ObjBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clara_predict::{CellSummary, Checkpoint};
 
     #[test]
     fn parses_request_shapes() {
@@ -416,7 +399,25 @@ mod tests {
 
     #[test]
     fn escapes_control_and_quote_bytes() {
-        let v = Value::Str("a\"b\\c\nd\u{1}".to_string());
+        // Every control char, a quote and a backslash, through the one
+        // shared escaper, read back by both parsers in the workspace.
+        let nasty: String = (0u8..0x20).map(char::from).chain(['"', '\\']).collect();
+        let v = Value::Str(nasty.clone());
+        assert_eq!(v.to_json(), format!("\"{}\"", json_escape(&nasty)));
         assert_eq!(parse(&v.to_json()).unwrap(), v);
+
+        let mut ck = Checkpoint::new();
+        ck.insert(CellSummary {
+            hash: 7,
+            label: nasty.clone(),
+            avg_latency_cycles: 1.0,
+            avg_latency_ns: 1.0,
+            throughput_pps: 1.0,
+            energy_nj_per_packet: 1.0,
+            bottleneck: nasty.clone(),
+            quality: nasty.clone(),
+        });
+        let back = Checkpoint::parse(&ck.to_json());
+        assert_eq!(back.get(7), ck.get(7));
     }
 }

@@ -50,8 +50,8 @@ use clara_lnic::{profiles, Lnic};
 use clara_microbench::{extract_parameters, NicParameters};
 use clara_nicsim::Watchdog;
 use clara_predict::{
-    run_validation_sweep, NfSession, PredictError, PredictOptions, Prediction, RunClass,
-    RunDeadline, SessionBuildError, ValidationConfig, ValidationResult,
+    panic_text, run_validation_sweep, NfSession, PredictError, PredictOptions, Prediction,
+    RunClass, RunDeadline, SessionBuildError, ValidationConfig, ValidationResult,
 };
 use clara_workload::WorkloadProfile;
 
@@ -206,7 +206,10 @@ impl JobQueue {
         }
     }
 
-    fn try_push(&self, job: Job) -> Result<(), PushError> {
+    /// Queue `job` unless the queue is closed or full. `admitted` runs
+    /// with the new depth while the lock is still held, so whatever it
+    /// records happens before any worker can pop the job.
+    fn try_push(&self, job: Job, admitted: impl FnOnce(usize)) -> Result<(), PushError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.closed {
             return Err(PushError::Closed);
@@ -215,6 +218,7 @@ impl JobQueue {
             return Err(PushError::Full { capacity: self.capacity });
         }
         state.jobs.push_back(job);
+        admitted(state.jobs.len());
         self.ready.notify_one();
         Ok(())
     }
@@ -339,15 +343,22 @@ impl Server {
             sessions: Mutex::new(HashMap::new()),
             config,
         });
+        let (ready_tx, ready_rx) = mpsc::channel();
         let slots = (0..workers)
             .map(|slot| {
                 let shared = Arc::clone(&shared);
+                let ready = ready_tx.clone();
                 thread::Builder::new()
                     .name(format!("clara-serve-slot-{slot}"))
-                    .spawn(move || worker_slot(shared, slot))
+                    .spawn(move || worker_slot(shared, slot, ready))
                     .expect("spawn worker slot")
             })
             .collect();
+        // Each slot's first worker reports once it counts in
+        // `workers_live`, then drops its sender; the channel closes when
+        // all have, so the daemon never starts under-reporting its pool.
+        drop(ready_tx);
+        for () in ready_rx {}
         let acceptor = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -653,12 +664,15 @@ fn admit_and_wait(shared: &Shared, request: Request) -> Reply {
         deadline_at: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         cancel: Arc::clone(&shared.force_cancel),
     };
-    match shared.queue.try_push(job) {
+    // Counting the admission inside the push keeps it ahead of the
+    // worker's dequeue and completion, in the event sequence and in the
+    // `accepted` conservation invariant.
+    let admitted = |depth: usize| {
+        shared.stats.bump(&shared.stats.accepted);
+        shared.obs.event(EventKind::Admit, 0, id, depth as u64);
+    };
+    match shared.queue.try_push(job, admitted) {
         Ok(()) => {
-            shared.stats.bump(&shared.stats.accepted);
-            shared
-                .obs
-                .event(EventKind::Admit, 0, id, shared.queue.depth() as u64);
             match reply_rx.recv() {
                 Ok(reply) => reply,
                 // The worker died between popping the job and replying;
@@ -700,13 +714,16 @@ fn admit_and_wait(shared: &Shared, request: Request) -> Reply {
 
 /// A supervisor slot: spawn a worker, and if it dies by panic (chaos
 /// kill or an escape from the per-job catch), spawn a replacement. A
-/// clean return means the queue closed and drained.
-fn worker_slot(shared: Arc<Shared>, slot: usize) {
+/// clean return means the queue closed and drained. Only the slot's
+/// first worker reports start-up on `ready`; respawns do not.
+fn worker_slot(shared: Arc<Shared>, slot: usize, ready: mpsc::Sender<()>) {
+    let mut ready = Some(ready);
     loop {
         let worker_shared = Arc::clone(&shared);
+        let worker_ready = ready.clone();
         let handle = thread::Builder::new()
             .name(format!("clara-serve-worker-{slot}"))
-            .spawn(move || worker_loop(&worker_shared, slot));
+            .spawn(move || worker_loop(&worker_shared, slot, worker_ready));
         let handle = match handle {
             Ok(h) => h,
             Err(_) => {
@@ -714,6 +731,7 @@ fn worker_slot(shared: Arc<Shared>, slot: usize) {
                 continue;
             }
         };
+        ready = None;
         match handle.join() {
             Ok(()) => return,
             Err(_) => {
@@ -724,8 +742,11 @@ fn worker_slot(shared: Arc<Shared>, slot: usize) {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, slot: usize) {
+fn worker_loop(shared: &Arc<Shared>, slot: usize, ready: Option<mpsc::Sender<()>>) {
     let _live = GaugeGuard::enter(&shared.workers_live);
+    if let Some(ready) = ready {
+        let _ = ready.send(());
+    }
     while let Some(job) = shared.queue.pop() {
         let wait_us = job.enqueued_at.elapsed().as_micros() as u64;
         shared.obs.queue_wait_us.record(wait_us);
@@ -745,7 +766,6 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
         }
         let reply = process_job(shared, &job, job_chaos.panic_job);
         let code = reply.code;
-        let _ = job.reply_tx.send(reply);
         let service_us = started.elapsed().as_micros() as u64;
         // Every worker-run job lands in the service histogram — an
         // errored job occupies a worker just the same; only the legacy
@@ -775,6 +795,9 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
             }
         }
         drop(inflight);
+        // Reply last, so a client that has its reply also finds the job
+        // in the counters, gauges and event ring.
+        let _ = job.reply_tx.send(reply);
         if job_chaos.kill_worker {
             // Deliberately outside the per-job catch: the reply is
             // already sent; this exercises the supervisor respawn path.
@@ -1107,20 +1130,8 @@ fn predict_error_reply(e: &PredictError) -> Reply {
         PredictError::Cancelled => {
             Reply::err(reply_codes::SHUTTING_DOWN, "cancelled by shutdown")
         }
-        PredictError::Panicked { .. } | PredictError::Lost { .. } => {
-            Reply::err(reply_codes::PANICKED, &e.to_string())
-        }
+        PredictError::Panicked { .. } => Reply::err(reply_codes::PANICKED, &e.to_string()),
         other => Reply::err(reply_codes::PREDICT, &other.to_string()),
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -41,7 +41,9 @@ fn code_of(reply: &Value) -> u64 {
 
 #[test]
 fn ping_and_stats_round_trip() {
-    let server = Server::start(quick_config()).unwrap();
+    let server = Server::start(ServeConfig { workers: 2, ..quick_config() }).unwrap();
+    // `start` returns only once every worker has registered.
+    assert_eq!(server.stats().workers_live, 2);
     let mut client = Client::connect(server.addr()).unwrap();
 
     let pong = client.ping().unwrap();
@@ -52,7 +54,7 @@ fn ping_and_stats_round_trip() {
     assert_eq!(code_of(&stats), 0);
     assert_eq!(stats.get("requests").and_then(Value::as_u64), Some(2));
     assert_eq!(stats.get("queue_capacity").and_then(Value::as_u64), Some(1));
-    assert_eq!(stats.get("workers").and_then(Value::as_u64), Some(1));
+    assert_eq!(stats.get("workers").and_then(Value::as_u64), Some(2));
 
     server.shutdown();
     server.join();

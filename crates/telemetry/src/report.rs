@@ -137,6 +137,8 @@ impl TelemetryReport {
                 let _ = writeln!(out, "    \"warm_start_hits\": {},", s.warm_start_hits);
                 let _ = writeln!(out, "    \"warm_start_misses\": {},", s.warm_start_misses);
                 let _ = writeln!(out, "    \"memo_hits\": {},", s.memo_hits);
+                let _ = writeln!(out, "    \"cell_warm_hits\": {},", s.cell_warm_hits);
+                let _ = writeln!(out, "    \"cell_warm_misses\": {},", s.cell_warm_misses);
                 out.push_str("    \"incumbent_trajectory\": [");
                 for (i, (n, obj)) in s.incumbent_trajectory.iter().enumerate() {
                     let _ = write!(
@@ -340,6 +342,8 @@ mod tests {
         assert_valid_json(&json);
         for needle in [
             "\"nodes_explored\": 12",
+            "\"cell_warm_hits\": 3",
+            "\"cell_warm_misses\": 1",
             "\"incumbent_trajectory\": [[1, 1200.5], [7, 1100]]",
             "\"conserved\": true",
             "\"hit_rate\": 0.7",
