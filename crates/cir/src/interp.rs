@@ -5,8 +5,17 @@
 //! LNIC". This interpreter provides the traversal half: given a packet
 //! description and a state oracle it executes the lowered `handle`
 //! function and records a [`PathProfile`] — how many times each basic
-//! block ran and which vcalls executed with what operand sizes. The
-//! predictor multiplies those counts by mapped per-block costs.
+//! block ran and how many times each vcall executed. The predictor
+//! multiplies those counts by mapped per-block costs.
+//!
+//! Class profiling runs every representative packet through here, and the
+//! per-byte loops of scanning NFs make this the predictor's hottest loop,
+//! so it neither allocates nor hashes per instruction: vcall operands are
+//! read in place from the operand list and the register file, vcall counts
+//! are derived once on return from the block counts (a block runs all its
+//! instructions before its terminator), fuel is charged a block at a time,
+//! and `execute` is generic over the oracle so [`HashState`] calls
+//! dispatch statically.
 //!
 //! The same interpreter doubles as a differential-testing tool for the
 //! lowering pass (execute source-visible semantics, compare outcomes).
@@ -229,37 +238,29 @@ impl core::fmt::Display for InterpError {
 impl std::error::Error for InterpError {}
 
 /// Execute `handle` for one packet.
-pub fn execute(
+///
+/// `fuel` bounds the instructions executed. It is charged a block at a
+/// time; a block the remaining fuel does not cover runs exactly the
+/// instructions the fuel pays for, so their side effects on `oracle`
+/// stay, and then the call fails with [`InterpError::FuelExhausted`].
+pub fn execute<O: StateOracle + ?Sized>(
     f: &CirFunction,
     packet: &PacketInfo,
-    oracle: &mut dyn StateOracle,
+    oracle: &mut O,
     fuel: u64,
 ) -> Result<PathProfile, InterpError> {
     let mut regs = vec![0u64; f.num_regs as usize];
     let mut pkt = *packet;
-    let mut profile = PathProfile {
-        block_counts: vec![0; f.blocks.len()],
-        vcall_counts: HashMap::new(),
-        forward: false,
-        instrs: 0,
-        packet_out: pkt,
-    };
+    let mut block_counts = vec![0u64; f.blocks.len()];
+    let mut instrs = 0u64;
     let mut bb = BlockId(0);
-    let read = |regs: &[u64], op: Operand| -> u64 {
-        match op {
-            Operand::Reg(r) => regs[r.0 as usize],
-            Operand::Imm(v) => v,
-        }
-    };
 
     loop {
-        profile.block_counts[bb.0 as usize] += 1;
+        block_counts[bb.0 as usize] += 1;
         let block = f.block(bb);
-        for instr in &block.instrs {
-            profile.instrs += 1;
-            if profile.instrs > fuel {
-                return Err(InterpError::FuelExhausted);
-            }
+        // `instrs <= fuel` holds here: only whole, paid-for blocks add to it.
+        let paid = (fuel - instrs).min(block.instrs.len() as u64) as usize;
+        for instr in &block.instrs[..paid] {
             match instr {
                 Instr::Const { dst, value } => regs[dst.0 as usize] = *value,
                 Instr::Copy { dst, src } => regs[dst.0 as usize] = read(&regs, *src),
@@ -267,30 +268,60 @@ pub fn execute(
                     regs[dst.0 as usize] = op.eval(read(&regs, *lhs), read(&regs, *rhs));
                 }
                 Instr::VCall { dst, call, args } => {
-                    *profile.vcall_counts.entry(*call).or_insert(0) += 1;
-                    let a: Vec<u64> = args.iter().map(|&x| read(&regs, x)).collect();
-                    let result = eval_vcall(*call, &a, &mut pkt, oracle);
+                    let result = eval_vcall(*call, args, &regs, &mut pkt, oracle);
                     if let Some(d) = dst {
                         regs[d.0 as usize] = result;
                     }
                 }
             }
         }
+        if paid < block.instrs.len() {
+            return Err(InterpError::FuelExhausted);
+        }
+        instrs += paid as u64;
         match &block.term {
             Terminator::Jump(t) => bb = *t,
             Terminator::Branch { cond, then_bb, else_bb } => {
                 bb = if read(&regs, *cond) != 0 { *then_bb } else { *else_bb };
             }
             Terminator::Return(v) => {
-                profile.forward = read(&regs, *v) != 0;
-                profile.packet_out = pkt;
-                return Ok(profile);
+                // A block runs all its instructions before its terminator,
+                // so each vcall ran exactly as often as its block.
+                let mut vcall_counts = HashMap::new();
+                for (b, call) in f.vcalls() {
+                    let n = block_counts[b.0 as usize];
+                    if n > 0 {
+                        *vcall_counts.entry(*call).or_insert(0) += n;
+                    }
+                }
+                return Ok(PathProfile {
+                    block_counts,
+                    vcall_counts,
+                    forward: read(&regs, *v) != 0,
+                    instrs,
+                    packet_out: pkt,
+                });
             }
         }
     }
 }
 
-fn eval_vcall(call: VCall, args: &[u64], pkt: &mut PacketInfo, oracle: &mut dyn StateOracle) -> u64 {
+fn read(regs: &[u64], op: Operand) -> u64 {
+    match op {
+        Operand::Reg(r) => regs[r.0 as usize],
+        Operand::Imm(v) => v,
+    }
+}
+
+/// Evaluate one vcall, reading its operands in place.
+fn eval_vcall<O: StateOracle + ?Sized>(
+    call: VCall,
+    args: &[Operand],
+    regs: &[u64],
+    pkt: &mut PacketInfo,
+    oracle: &mut O,
+) -> u64 {
+    let arg = |i: usize, default: u64| args.get(i).map_or(default, |&op| read(regs, op));
     match call {
         VCall::ParseHeader => 0,
         // A deterministic stand-in value; NFs only compare/forward it.
@@ -301,64 +332,45 @@ fn eval_vcall(call: VCall, args: &[u64], pkt: &mut PacketInfo, oracle: &mut dyn 
         VCall::Crypto => 0,
         // Deterministic "did any signature match" result.
         VCall::PayloadScan => {
-            let sigset = args.first().copied().unwrap_or(0);
+            let sigset = arg(0, 0);
             mix(pkt.payload_seed as u64 ^ sigset).is_multiple_of(97) as u64
         }
-        VCall::Hash => {
-            let mut acc = 0xcbf2_9ce4_8422_2325u64;
-            for &a in args {
-                acc = mix(acc ^ a);
-            }
-            acc
-        }
-        VCall::TableLookup(s) => oracle.table_lookup(s, args.first().copied().unwrap_or(0)),
+        VCall::Hash => args
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |acc, &op| mix(acc ^ read(regs, op))),
+        VCall::TableLookup(s) => oracle.table_lookup(s, arg(0, 0)),
         VCall::TableWrite(s) => {
-            oracle.table_write(
-                s,
-                args.first().copied().unwrap_or(0),
-                args.get(1).copied().unwrap_or(0),
-            );
+            oracle.table_write(s, arg(0, 0), arg(1, 0));
             0
         }
-        VCall::LpmLookup(s) => oracle.lpm_lookup(s, args.first().copied().unwrap_or(0)),
+        VCall::LpmLookup(s) => oracle.lpm_lookup(s, arg(0, 0)),
         VCall::CounterAdd(s) => {
-            oracle.counter_add(
-                s,
-                args.first().copied().unwrap_or(0),
-                args.get(1).copied().unwrap_or(1),
-            );
+            oracle.counter_add(s, arg(0, 0), arg(1, 1));
             0
         }
-        VCall::CounterRead(s) => oracle.counter_read(s, args.first().copied().unwrap_or(0)),
-        VCall::ArrayRead(s) => oracle.array_read(s, args.first().copied().unwrap_or(0)),
+        VCall::CounterRead(s) => oracle.counter_read(s, arg(0, 0)),
+        VCall::ArrayRead(s) => oracle.array_read(s, arg(0, 0)),
         VCall::ArrayWrite(s) => {
-            oracle.array_write(
-                s,
-                args.first().copied().unwrap_or(0),
-                args.get(1).copied().unwrap_or(0),
-            );
+            oracle.array_write(s, arg(0, 0), arg(1, 0));
             0
         }
         VCall::MetadataRead(f) => pkt.field(f),
         VCall::MetadataWrite(f) => {
-            pkt.set_field(f, args.first().copied().unwrap_or(0));
+            pkt.set_field(f, arg(0, 0));
             0
         }
         VCall::PayloadByte => {
-            let i = args.first().copied().unwrap_or(0);
+            let i = arg(0, 0);
             if i < pkt.payload_len as u64 {
                 pkt.payload_seed.wrapping_add(i as u8) as u64
             } else {
                 0
             }
         }
-        VCall::Meter => {
-            oracle.meter(args.first().copied().unwrap_or(0), args.get(1).copied().unwrap_or(0))
-                as u64
-        }
+        VCall::Meter => oracle.meter(arg(0, 0), arg(1, 0)) as u64,
         VCall::FloatOp => {
-            let a = args.first().copied().unwrap_or(0);
-            let b = args.get(1).copied().unwrap_or(0);
+            let a = arg(0, 0);
+            let b = arg(1, 0);
             ((a as f64 * 0.875) + (b as f64 * 0.125)) as u64
         }
         VCall::Log => 0,
@@ -421,7 +433,9 @@ mod tests {
         let mut state = HashState::new();
         let pkt = PacketInfo::tcp(9, 9, 9, 9, 10);
         let first = execute(&m.handle, &pkt, &mut state, 10_000).unwrap();
-        let second = execute(&m.handle, &pkt, &mut state, 10_000).unwrap();
+        // Callers holding a trait object still compile and share the state.
+        let oracle: &mut dyn StateOracle = &mut state;
+        let second = execute(&m.handle, &pkt, oracle, 10_000).unwrap();
         assert!(!first.forward);
         assert!(second.forward);
         assert_eq!(state.table_entries(), 1);
@@ -475,6 +489,75 @@ mod tests {
         let err = execute(&m.handle, &PacketInfo::tcp(1, 2, 3, 4, 0), &mut state, 100)
             .unwrap_err();
         assert_eq!(err, InterpError::FuelExhausted);
+    }
+
+    #[test]
+    fn fuel_exhaustion_mid_block_keeps_earlier_side_effects() {
+        let src = "nf t { state m: map<u64, u64>[64];
+            fn handle(pkt: packet) -> action {
+                m.insert(1, 1);
+                m.insert(2, 2);
+                return forward; } }";
+        let m = lower(&frontend(src).unwrap()).unwrap();
+        assert_eq!(m.handle.blocks.len(), 1, "both inserts share one block");
+        let writes: Vec<usize> = m.handle.blocks[0]
+            .instrs
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i, Instr::VCall { call: VCall::TableWrite(_), .. }))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(writes.len(), 2);
+        let pkt = PacketInfo::tcp(1, 2, 3, 4, 0);
+        // Fuel that runs the first insert but not the second.
+        let mut state = HashState::new();
+        let err = execute(&m.handle, &pkt, &mut state, writes[1] as u64).unwrap_err();
+        assert_eq!(err, InterpError::FuelExhausted);
+        assert_eq!(state.table_entries(), 1);
+        // Fuel equal to the full instruction count runs to completion.
+        let mut state = HashState::new();
+        let full = m.handle.num_instrs() as u64;
+        let p = execute(&m.handle, &pkt, &mut state, full).unwrap();
+        assert_eq!(p.instrs, full);
+        assert_eq!(state.table_entries(), 2);
+    }
+
+    #[test]
+    fn hash_mixes_every_argument_in_order() {
+        let src = "nf t { state out: array<u64>[1];
+            fn handle(pkt: packet) -> action {
+                out.set(0, hash(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port));
+                return forward; } }";
+        let m = lower(&frontend(src).unwrap()).unwrap();
+        let sid = m.state_named("out").unwrap();
+        let mut state = HashState::new();
+        execute(&m.handle, &PacketInfo::tcp(11, 22, 33, 44, 0), &mut state, 10_000).unwrap();
+        let want = [11u64, 22, 33, 44].iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, &a| mix(acc ^ a));
+        assert_eq!(state.array_read(sid, 0), want);
+    }
+
+    #[test]
+    fn dpi_loop_vcall_counts() {
+        // The corpus DPI scan: parse, then one automaton step per byte.
+        let src = "nf dpi { state automaton: array<u64>[65536];
+            fn handle(pkt: packet) -> action {
+                click.network_header(pkt);
+                let st: u64 = 0;
+                let i: u64 = 0;
+                while (i < pkt.payload_len) {
+                    let b: u8 = pkt.payload_byte(i);
+                    st = automaton.get((st ^ b) % 65536);
+                    i = i + 1;
+                }
+                if (st == 0xdead) { return drop; }
+                return forward; } }";
+        let n = 53u64;
+        let p = run(src, PacketInfo::tcp(1, 2, 3, 4, n as u16));
+        let count = |call: VCall| p.vcall_counts.get(&call).copied().unwrap_or(0);
+        assert_eq!(count(VCall::PayloadByte), n);
+        assert_eq!(count(VCall::ArrayRead(StateId(0))), n);
+        assert_eq!(count(VCall::MetadataRead(PacketField::PayloadLen)), n + 1);
+        assert_eq!(count(VCall::ParseHeader), 1);
     }
 
     #[test]

@@ -538,6 +538,8 @@ mod tests {
             (br#"{"op":"launch-missiles"}"#, reply_codes::USAGE),
             (br#"{"op":"predict"}"#, reply_codes::USAGE),
             (br#"{"op":"predict","nf":"nat","tcp":1.5}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","flows":1000000000000,"zipf":0.5}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","payload":65496}"#, reply_codes::WORKLOAD),
             (br#"{"op":"sweep","nf":"nat","rates":[]}"#, reply_codes::USAGE),
             (br#"{"op":"validate","rates":[1.0]}"#, reply_codes::USAGE),
             (br#"{"op":"validate","nf":"nat","packets":0}"#, reply_codes::USAGE),

@@ -115,6 +115,26 @@ fn unknown_op_and_unknown_nic_map_to_usage() {
 }
 
 #[test]
+fn hostile_flow_count_is_a_workload_error_and_the_daemon_keeps_serving() {
+    let server = Server::start(quick_config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // A skewed cache model over 10^12 flows would need an 8 TB table; a
+    // failed allocation aborts the process, so it must be refused first.
+    let reply = client
+        .request(r#"{"op":"predict","nf":"nat","flows":1000000000000,"zipf":0.5}"#)
+        .unwrap();
+    assert_eq!(code_of(&reply), u64::from(clara_serve::reply_codes::WORKLOAD));
+    let detail = reply.get("detail").and_then(Value::as_str).unwrap();
+    assert!(detail.contains("flows"), "{detail}");
+
+    assert_eq!(code_of(&client.ping().unwrap()), 0);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn expired_deadline_is_reported_without_running_the_job() {
     let server = Server::start(quick_config()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();

@@ -15,6 +15,8 @@ pub enum WorkloadError {
     BadRate(f64),
     /// `flows` is zero.
     NoFlows,
+    /// `flows` exceeds [`WorkloadProfile::MAX_FLOWS`].
+    TooManyFlows(usize),
     /// A share field (`tcp_share` / `syn_share`) is NaN or outside [0, 1].
     BadShare {
         /// Which field.
@@ -22,7 +24,8 @@ pub enum WorkloadError {
         /// The offending value.
         value: f64,
     },
-    /// `avg_payload` is NaN, negative, or exceeds `max_payload`.
+    /// `avg_payload` is NaN, negative, or exceeds `max_payload` or
+    /// [`WorkloadProfile::MAX_PAYLOAD`].
     BadPayload(f64),
     /// `zipf_alpha` is NaN or negative.
     BadZipf(f64),
@@ -35,12 +38,18 @@ impl std::fmt::Display for WorkloadError {
                 write!(f, "rate_pps must be a positive finite number, got {v}")
             }
             WorkloadError::NoFlows => write!(f, "a workload needs at least one flow"),
+            WorkloadError::TooManyFlows(n) => write!(
+                f,
+                "flows must be at most {}, got {n}",
+                WorkloadProfile::MAX_FLOWS
+            ),
             WorkloadError::BadShare { field, value } => {
                 write!(f, "{field} must be within [0, 1], got {value}")
             }
             WorkloadError::BadPayload(v) => write!(
                 f,
-                "avg_payload must be finite, non-negative, and at most max_payload, got {v}"
+                "avg_payload must be finite, non-negative, and at most max_payload and {}, got {v}",
+                WorkloadProfile::MAX_PAYLOAD
             ),
             WorkloadError::BadZipf(v) => {
                 write!(f, "zipf_alpha must be finite and non-negative, got {v}")
@@ -71,10 +80,21 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
+    /// Largest flow count a profile may name. The skewed cache model
+    /// builds a table of 8 bytes per flow, and a failed allocation aborts
+    /// the process, so the bound is checked before any model runs: 2^24
+    /// flows is a 128 MiB table.
+    pub const MAX_FLOWS: usize = 1 << 24;
+
+    /// Largest mean payload, bytes: an IPv4 datagram less 40 header
+    /// bytes. Class profiling holds a payload length in a `u16`.
+    pub const MAX_PAYLOAD: f64 = 65_495.0;
+
     /// Build a validated profile. Prefer this over a struct literal for
     /// untrusted inputs (CLI flags, config files): it rejects NaN or
-    /// negative rates, zero flows, and out-of-range shares up front, so
-    /// garbage never reaches the predictor's arithmetic.
+    /// negative rates, zero or too many flows, out-of-range shares and
+    /// payloads up front, so garbage never reaches the predictor's
+    /// arithmetic or its allocations.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         flows: usize,
@@ -107,6 +127,9 @@ impl WorkloadProfile {
         if self.flows == 0 {
             return Err(WorkloadError::NoFlows);
         }
+        if self.flows > Self::MAX_FLOWS {
+            return Err(WorkloadError::TooManyFlows(self.flows));
+        }
         for (field, value) in [("tcp_share", self.tcp_share), ("syn_share", self.syn_share)] {
             if !value.is_finite() || !(0.0..=1.0).contains(&value) {
                 return Err(WorkloadError::BadShare { field, value });
@@ -115,6 +138,7 @@ impl WorkloadProfile {
         if !self.avg_payload.is_finite()
             || self.avg_payload < 0.0
             || self.avg_payload > self.max_payload as f64
+            || self.avg_payload > Self::MAX_PAYLOAD
         {
             return Err(WorkloadError::BadPayload(self.avg_payload));
         }
@@ -280,6 +304,29 @@ mod tests {
         let mut p = WorkloadProfile::paper_default();
         p.flows = 0;
         assert_eq!(p.validate(), Err(WorkloadError::NoFlows));
+    }
+
+    #[test]
+    fn flows_bounded_at_max_flows() {
+        let max = WorkloadProfile::MAX_FLOWS;
+        let mut p = WorkloadProfile::paper_default();
+        p.flows = max;
+        assert_eq!(p.validate(), Ok(()));
+        p.flows = max + 1;
+        assert_eq!(p.validate(), Err(WorkloadError::TooManyFlows(max + 1)));
+        p.flows = 1_000_000_000_000;
+        assert_eq!(p.validate(), Err(WorkloadError::TooManyFlows(1_000_000_000_000)));
+    }
+
+    #[test]
+    fn payload_bounded_at_max_payload() {
+        let max = WorkloadProfile::MAX_PAYLOAD;
+        let mut p = WorkloadProfile::paper_default();
+        p.avg_payload = max;
+        p.max_payload = 70_000;
+        assert_eq!(p.validate(), Ok(()));
+        p.avg_payload = max + 1.0;
+        assert_eq!(p.validate(), Err(WorkloadError::BadPayload(max + 1.0)));
     }
 
     #[test]
