@@ -1,10 +1,10 @@
 //! Criterion benchmarks of the batched stage-cost kernel: the same
 //! 64-cell DPI simulation grid the `pipeline_bench` emitter times,
 //! measured per configuration so the speedup decomposes — exact
-//! per-packet costing, scalar memoization, the batched struct-of-arrays
-//! kernel, and the batched kernel fed by the rate-independent trace
-//! cache. Every variant is bit-identical to exact (pinned by the
-//! identity corpus and property tests); only the time differs.
+//! per-packet costing, the batched struct-of-arrays kernel, and the
+//! batched kernel fed by the rate-independent trace cache. Every
+//! variant is bit-identical to exact (pinned by the identity corpus and
+//! property tests); only the time differs.
 
 use clara_core::sim::{
     simulate_configured, simulate_streamed, FaultPlan, SimConfig, SimScratch, Watchdog,
@@ -32,25 +32,7 @@ fn batch_kernel(c: &mut Criterion) {
         })
     });
 
-    let scalar = SimConfig { batch: false, ..SimConfig::default() };
     let mut scratch = SimScratch::new();
-    group.bench_function("scalar_memoized", |b| {
-        b.iter(|| {
-            for wl in &grid {
-                simulate_streamed(
-                    nic,
-                    &program,
-                    wl.to_trace_stream(packets, 42),
-                    &faults,
-                    &wd,
-                    &scalar,
-                    &mut scratch,
-                )
-                .unwrap();
-            }
-        })
-    });
-
     group.bench_function("batched", |b| {
         b.iter(|| {
             for wl in &grid {

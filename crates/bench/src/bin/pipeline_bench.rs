@@ -18,9 +18,8 @@
 //!    curves: DPI's per-byte automaton scan (uncached IMEM). Baseline is
 //!    the seed simulator path — materialize each cell's trace, fresh
 //!    allocations, exact per-packet stage costs. Optimized is the
-//!    streamed + signature-memoized + scratch-reusing path, checked
-//!    bit-identical to exact on every cell (emitted as
-//!    `BENCH_nicsim.json`).
+//!    streamed + batched + scratch-reusing path, checked bit-identical
+//!    to exact on every cell (emitted as `BENCH_nicsim.json`).
 //!
 //! ```text
 //! pipeline_bench [--quick] [-o BENCH_pipeline.json] [--sim-o BENCH_nicsim.json]
@@ -193,7 +192,7 @@ fn main() {
                 .expect("baseline cell simulates");
         }
     });
-    // Optimized: streamed traces, batched+memoized stage costs, one
+    // Optimized: streamed traces, batched stage costs, one
     // scratch reused across all 64 cells, rate-independent trace
     // bodies shared across the rate axis (the grid's 64 cells generate
     // only 16 distinct bodies; the other 48 replay with new timestamps),
@@ -252,7 +251,7 @@ fn main() {
             &SimConfig::default(),
             &mut scratch,
         )
-        .expect("memoized cell simulates");
+        .expect("batched cell simulates");
         sim_identical &= scratch.latencies() == exact.latencies.as_slice()
             && fast.completed == exact.completed
             && fast.dropped == exact.dropped
@@ -262,8 +261,8 @@ fn main() {
             && fast.achieved_pps.to_bits() == exact.achieved_pps.to_bits()
             && fast.p99_latency_cycles.to_bits() == exact.p99_latency_cycles.to_bits();
     }
-    assert!(sim_identical, "memoized/streamed simulation diverged from the exact path");
-    eprintln!("  memoized+streamed output bit-identical to exact: yes");
+    assert!(sim_identical, "batched/streamed simulation diverged from the exact path");
+    eprintln!("  batched+streamed output bit-identical to exact: yes");
 
     // Telemetry: rerun the grid with full simulator instrumentation and
     // assert observation changed nothing — every counter conserved,

@@ -67,13 +67,13 @@ VALIDATE FLAGS (predicted-vs-simulated error per grid cell):
   --threads <n>       worker threads; 0 = all cores, 1 = sequential (default 0)
   --packets <n>       simulated packets per cell (default 4000)
   --seed <n>          trace-generation seed (default 42)
-  --exact             run the simulator's unmemoized seed path (fidelity audit)
+  --exact             run the simulator's exact oracle path (fidelity audit)
   -o <file>           write the per-cell JSON report here (`-` = stdout)
 
 PROFILE FLAGS (one-cell predict + instrumented simulate of a corpus NF):
   --packets <n>       simulated packets (default 2000)
   --seed <n>          trace-generation seed (default 42)
-  --exact             run the simulator's unmemoized seed path
+  --exact             run the simulator's exact oracle path
   --trace-packets <n> packets recorded in the stage timeline (default 32)
   --trace <file>      write a Chrome trace-event JSON of the first packets
                       (open in Perfetto or chrome://tracing)
@@ -624,7 +624,7 @@ fn validation_json(
         json_escape(nic),
         config.packets,
         config.seed,
-        if config.sim.memoize { "memoized" } else { "exact" },
+        if config.sim.batch { "batched" } else { "exact" },
         opt(sweep.mean_error()),
     )
 }
@@ -708,7 +708,7 @@ fn validate(args: &[String]) -> Result<(), CliError> {
         nic.name,
         grid.len(),
         config.packets,
-        if config.sim.memoize { "memoized" } else { "exact" },
+        if config.sim.batch { "batched" } else { "exact" },
     );
     println!(
         "{:>8} {:>7} {:>7} | {:>12} {:>12} {:>7}",
@@ -868,11 +868,7 @@ fn profile(args: &[String]) -> Result<(), CliError> {
     println!(
         "profile of `{nf_name}` on {} ({packets} packets, {} path)",
         nic.name,
-        match (sim_config.batch, sim_config.memoize) {
-            (true, _) => "batched+memoized",
-            (false, true) => "memoized",
-            (false, false) => "exact",
-        },
+        if sim_config.batch { "batched" } else { "exact" },
     );
     println!("workload: {}", wl.summary());
 
@@ -930,14 +926,11 @@ fn profile(args: &[String]) -> Result<(), CliError> {
         stats.batch_packets,
         stats.injected,
         if stats.batch_packets == 0 {
-            " (stateful stages or timeline tracing force the scalar path)"
+            " (stateful stages, timeline tracing or --exact force the scalar path)"
         } else {
             ""
         },
     );
-    if stats.island_packets > 0 {
-        println!("  island-parallel DES: {} packets", stats.island_packets);
-    }
     println!(
         "\npredicted {:.0} cycles vs simulated {:.0} (rel. error {:.1}%)",
         p.avg_latency_cycles,

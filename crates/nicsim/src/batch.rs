@@ -1,29 +1,25 @@
 //! Batched struct-of-arrays evaluation of signature-pure runs.
 //!
 //! The scalar engine walks packets one at a time, paying per packet for
-//! dispatch hashing, memo lookups, and the stage loop even when every
-//! stage's cost is a pure function of (executing unit, payload length).
-//! This module evaluates such runs columnwise instead:
+//! dispatch hashing and the stage loop even when every stage's cost is
+//! a pure function of (executing unit, payload length). This module
+//! evaluates such runs columnwise instead:
 //!
-//! 1. **Ingest** — the trace is materialized into row + column arenas
-//!    (arrival cycles with the monotonicity clamp, dispatch thread,
-//!    effective payload length after truncation faults).
+//! 1. **Ingest** — the trace lands in a row arena (kept for a scalar
+//!    replay), and each packet's arrival cycle (with the monotonicity
+//!    clamp), dispatch thread, and effective payload length (after
+//!    truncation faults) are derived once.
 //! 2. **Classify** — threads are grouped into *cost-equivalence unit
 //!    groups* (units whose cost model, FPU, residence CTM latency, and
 //!    per-table-region latencies agree produce identical stage costs),
 //!    and each packet maps to a `(group, payload length)` class. Each
 //!    class's per-stage costs are computed once, by the exact
-//!    [`stage_cost`] the scalar path uses — the memo is consulted per
-//!    unique length, not per packet.
+//!    [`stage_cost`] the scalar path uses, when the class first appears.
 //! 3. **Merge** — a tight sequential recurrence replays the ingress
 //!    queue, per-thread `free_at` chains, and both watchdog limits in
-//!    packet order, emitting completions and latencies.
-//!
-//! With [`crate::SimConfig::islands`], step 3's per-thread start/finish
-//! chains are computed island-parallel first: threads only interact
-//! through the ingress queue and the run-total watchdog, and both are
-//! verified in the sequential merge afterwards, so the parallel phase
-//! is exact whenever the merge accepts it.
+//!    packet order, emitting completions and latencies. In [`run_batched`]
+//!    the merge runs inline in the ingest pass, so each packet is touched
+//!    once.
 //!
 //! **Partial-run batching** ([`run_partial`]) extends the same idea to
 //! runs where some stages are `Live`: stages are *planned*
@@ -42,18 +38,22 @@
 //! **Fidelity contract**: every result this module produces is
 //! bit-identical to the scalar loop. Saturating per-packet sums of
 //! non-negative costs equal `min(true_sum, u64::MAX)` independent of
-//! association, so per-class totals replayed per packet are exact; any
-//! condition that breaks the full kernel's closed form — an
-//! ingress-queue overflow drop (which skips a thread's `free_at`
-//! update), or cycle counts near the `u64` saturation region — makes
-//! [`run_batched`] return `Ok(None)` and the engine replays the scalar
-//! loop from the same rows. Falling back is always safe; completing the
-//! batch is only done when it is provably exact.
+//! association, so per-class totals replayed per packet are exact.
+//! Which runs reach a kernel is decided by the engine before either
+//! runs: Live stages (all of them, or any for [`run_batched`]), a stage
+//! timeline, and for [`run_batched`] the cache-thrash fault are gates.
+//! Both kernels replay ingress-overflow drops in the scalar loop's
+//! order. [`run_batched`] refuses a run in only two cases, a
+//! saturation-risk class and a finish time at or past `SAFE_CYCLES`,
+//! where the closed form would leave the region in which plain and
+//! saturating adds agree; it returns `Ok(None)` and the engine replays
+//! the scalar loop from the same rows. Falling back is always safe;
+//! completing the batch is only done when it is provably exact.
 //!
 //! Both kernels consult the engine's shared [`CostView`] (when one is
 //! attached) before computing a class's pure stage cost, and publish
-//! what they compute — the same keys, under the same post-fault run
-//! fingerprint, that the scalar memo path uses.
+//! what they compute under the run's post-fault fingerprint, so later
+//! runs with an equal fingerprint replay it.
 
 use crate::costcache::CostView;
 use crate::engine::{
@@ -82,11 +82,13 @@ const SAFE_CYCLES: u128 = 1 << 63;
 /// [`crate::SimScratch`].
 #[derive(Default)]
 pub(crate) struct BatchScratch {
-    /// Arrival cycle per row (monotonicity clamp already applied).
+    /// Arrival cycle per row (partial kernel; monotonicity clamp already
+    /// applied).
     arrivals: Vec<u64>,
-    /// Dispatch thread per row (valid only for classed rows).
+    /// Dispatch thread per row (partial kernel; valid only for classed
+    /// rows).
     tids: Vec<u32>,
-    /// Class id per row, or a `CLASS_*` drop sentinel.
+    /// Class id per row, or a `CLASS_*` drop sentinel (partial kernel).
     class_of: Vec<u32>,
     /// Unique effective payload lengths, in first-encounter order.
     lens: Vec<u64>,
@@ -101,11 +103,6 @@ pub(crate) struct BatchScratch {
     classes: Vec<ClassCost>,
     /// Completed packets per class, for the stage-total closed form.
     class_count: Vec<u64>,
-    /// Island id per thread (islands mode).
-    tid_island: Vec<u32>,
-    /// Per-row start/finish columns (islands mode).
-    starts: Vec<u64>,
-    fins: Vec<u64>,
     /// Per-stage evaluation plan (partial kernel).
     plan: Vec<StagePlan>,
     /// Flow-cache miss-path constants, indexed `group * n_tables + table`
@@ -236,7 +233,6 @@ pub(crate) struct BatchRun<'a> {
     pub freq: f64,
     pub pkt_limit: u64,
     pub total_limit: u64,
-    pub use_islands: bool,
     /// Per-stage memoization classes, decided by the engine post-fault.
     pub classes: &'a [StageClass],
     /// Shared cost-cache view for this run's fingerprint, if attached.
@@ -275,7 +271,6 @@ pub(crate) struct BatchTally {
     pub truncated: usize,
     pub busy_cycles: u64,
     pub batch_packets: u64,
-    pub island_packets: u64,
     pub partial_packets: u64,
 }
 
@@ -358,8 +353,8 @@ fn group_units(
 /// Resolve one pure class stage cost: shared view first, computing (and
 /// publishing) through the exact scalar path on a shared miss. The keys
 /// — `(stage, unit)` for `Fixed`, `(stage, unit, len)` for
-/// `PayloadPure` — are the ones the scalar memo path uses, under the
-/// same post-fault run fingerprint, so replaying a shared value is
+/// `PayloadPure` — are the same in both kernels, under the same
+/// post-fault run fingerprint, so replaying a shared value is
 /// bit-identical by construction.
 #[allow(clippy::too_many_arguments)]
 fn resolve_pure_stage(
@@ -396,15 +391,15 @@ fn resolve_pure_stage(
 }
 
 /// Run the batched kernel over a packet stream. Ingestion is fused with
-/// column building: one pass fills the row arena (kept for a potential
-/// scalar replay) and, in the common single-island shape, drives the
-/// merge inline — ingress-queue overflow drops included, replayed in
-/// the scalar loop's exact order. `Ok(Some(tally))` means the arenas
-/// hold a completed, exact run; `Ok(None)` means the kernel refused (a
-/// risk class, cycle counts near saturation, or — staged islands only —
-/// an overflow the precomputed chains did not model) and the caller
-/// must replay the scalar loop over the (fully ingested) rows; `Err` is
-/// the same error the scalar loop would have returned.
+/// the merge: one pass fills the row arena (kept for a potential scalar
+/// replay), costs each class on first sight, and replays the ingress
+/// queue and per-thread chains inline — ingress-queue overflow drops
+/// included, in the scalar loop's exact order. `Ok(Some(tally))` means
+/// the arenas hold a completed, exact run; `Ok(None)` means the kernel
+/// refused (a saturation-risk class, or a finish time at or past
+/// `SAFE_CYCLES`) and the caller must replay the scalar loop over the
+/// (fully ingested) rows; `Err` is the same error the scalar loop would
+/// have returned.
 pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
     run: BatchRun<'_>,
     packets: I,
@@ -425,7 +420,6 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
         freq,
         pkt_limit,
         total_limit,
-        use_islands,
         classes,
         shared,
         memo_hits,
@@ -450,35 +444,14 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
     // ---- Phase 0: cost-equivalence unit groups --------------------------
     let group_count = group_units(scratch, nic, mem, tables, threads, emem);
 
-    // Islands staging is decided before ingest: with more than one
-    // populated island the merge needs every row classed first (the
-    // per-island chains of phase 2 run whole-column), so the loop fills
-    // the tid/class columns and the merge runs as a separate pass.
-    // Otherwise — the common sweep shape — the merge happens inline in
-    // the same pass, and each packet is touched exactly once.
-    let n_islands = if use_islands {
-        scratch.tid_island.clear();
-        for t in threads.iter() {
-            scratch.tid_island.push(nic.unit(t.unit).island.unwrap_or(0) as u32);
-        }
-        scratch.tid_island.iter().copied().max().map_or(0, |m| m + 1)
-    } else {
-        0
-    };
-    let staged = n_islands > 1;
-
-    // ---- Phase 1: fused ingest + columns + per-class costs --------------
+    // ---- Phase 1: fused ingest + per-class costs + merge ----------------
     // One pass over the stream: each packet lands in the row arena (so a
-    // refusal can replay the scalar loop over complete rows) and in the
-    // column arenas (staged) or straight through the merge (unstaged). A
-    // refusal discovered mid-stream — a risk class, cycle counts near
-    // saturation — stops batch work but keeps ingesting rows until the
-    // stream is drained; the engine resets every piece of state a
-    // refused attempt touched before it replays the scalar loop.
+    // refusal can replay the scalar loop over complete rows) and straight
+    // through the merge. A refusal discovered mid-stream — a risk class,
+    // cycle counts near saturation — stops batch work but keeps ingesting
+    // rows until the stream is drained; the engine resets every piece of
+    // state a refused attempt touched before it replays the scalar loop.
     rows.clear();
-    scratch.arrivals.clear();
-    scratch.tids.clear();
-    scratch.class_of.clear();
     scratch.lens.clear();
     scratch.classes.clear();
     scratch.class_count.clear();
@@ -501,45 +474,27 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
         // Same conversion and monotonicity clamp as the scalar loop.
         let arrival = ((tp.ts_ns as f64 * freq).round() as u64).max(last_arrival);
         last_arrival = arrival;
-        if staged {
-            scratch.arrivals.push(arrival);
-        }
         if faults.corrupt_every > 0 && (idx as u64 + 1).is_multiple_of(faults.corrupt_every) {
-            if staged {
-                scratch.tids.push(0);
-                scratch.class_of.push(CLASS_CORRUPT);
-            } else {
-                tally.corrupt_drops += 1;
-            }
+            tally.corrupt_drops += 1;
             continue;
         }
         if offline_required {
-            if staged {
-                scratch.tids.push(0);
-                scratch.class_of.push(CLASS_OFFLINE);
-            } else {
-                tally.accel_drops += 1;
-            }
+            tally.accel_drops += 1;
             continue;
         }
-        if !staged {
-            // Ingress queue, in the scalar loop's exact order: drain
-            // started packets, then the capacity check — an overflow
-            // drop happens before dispatch, truncation, and class work,
-            // and skips them all (including their tallies).
-            while pending.peek().is_some_and(|&Reverse(s)| s <= arrival) {
-                pending.pop();
-            }
-            if pending.len() >= ingress_capacity {
-                tally.overflow_drops += 1;
-                continue;
-            }
+        // Ingress queue, in the scalar loop's exact order: drain started
+        // packets, then the capacity check — an overflow drop happens
+        // before dispatch, truncation, and class work, and skips them all
+        // (including their tallies).
+        while pending.peek().is_some_and(|&Reverse(s)| s <= arrival) {
+            pending.pop();
+        }
+        if pending.len() >= ingress_capacity {
+            tally.overflow_drops += 1;
+            continue;
         }
         let (flow_hash, tid) = scratch.flow_hash_tid(&tp.spec.flow, n_threads);
         let tid = tid as usize;
-        if staged {
-            scratch.tids.push(tid as u32);
-        }
         let mut len = tp.spec.payload_len as u64;
         if faults.truncate_every > 0 && (idx as u64 + 1).is_multiple_of(faults.truncate_every) {
             tally.truncated += 1;
@@ -624,13 +579,9 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
             refused = true;
             continue;
         }
-        if staged {
-            scratch.class_of.push(cid as u32);
-            continue;
-        }
 
-        // Inline merge (single island): the scalar loop's dispatch and
-        // accounting, with the per-stage chain replayed from the class.
+        // Inline merge: the scalar loop's dispatch and accounting, with
+        // the per-stage chain replayed from the class.
         let cls = &scratch.classes[cid];
         if let Some((si, cycles)) = cls.trip {
             return Err(SimError::Watchdog {
@@ -653,7 +604,8 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
         threads[tid].free_at = fin;
         let service = fin - start;
         if instrumented {
-            island_busy[thread_island[tid]] += service;
+            let busy = &mut island_busy[thread_island[tid]];
+            *busy = busy.saturating_add(service);
         }
         busy_cycles = busy_cycles.saturating_add(service);
         if busy_cycles > total_limit {
@@ -672,126 +624,6 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
         return Ok(None);
     }
     tally.offered = rows.len();
-
-    // ---- Phase 2 (islands mode): parallel per-thread chains -------------
-    // Threads only interact through the ingress queue (verified in the
-    // sequential merge; any overflow forces the scalar fallback) and the
-    // watchdogs (replayed in the merge), so per-thread start/finish
-    // recurrences are island-independent and exact.
-    if staged {
-        {
-            scratch.starts.clear();
-            scratch.starts.resize(rows.len(), 0);
-            scratch.fins.clear();
-            scratch.fins.resize(rows.len(), 0);
-            let arrivals = &scratch.arrivals;
-            let tids = &scratch.tids;
-            let class_of = &scratch.class_of;
-            let classes = &scratch.classes;
-            let tid_island = &scratch.tid_island;
-            let parts = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..n_islands)
-                    .map(|isl| {
-                        s.spawn(move || {
-                            let mut free_at = vec![0u64; tid_island.len()];
-                            let mut out: Vec<(u32, u64, u64)> = Vec::new();
-                            let mut overflow = false;
-                            for idx in 0..class_of.len() {
-                                if class_of[idx] >= CLASS_OFFLINE {
-                                    continue;
-                                }
-                                let tid = tids[idx] as usize;
-                                if tid_island[tid] != isl {
-                                    continue;
-                                }
-                                let start = arrivals[idx].max(free_at[tid]);
-                                let fin =
-                                    start as u128 + classes[class_of[idx] as usize].total;
-                                if fin >= SAFE_CYCLES {
-                                    overflow = true;
-                                    break;
-                                }
-                                free_at[tid] = fin as u64;
-                                out.push((idx as u32, start, fin as u64));
-                            }
-                            (out, overflow)
-                        })
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join()).collect::<Vec<_>>()
-            });
-            for part in parts {
-                let Ok((out, overflow)) = part else {
-                    return Ok(None); // a worker panicked: replay scalar
-                };
-                if overflow {
-                    return Ok(None);
-                }
-                for (idx, start, fin) in out {
-                    scratch.starts[idx as usize] = start;
-                    scratch.fins[idx as usize] = fin;
-                }
-            }
-        }
-
-        // ---- Phase 3 (staged only): sequential merge --------------------
-        for idx in 0..rows.len() {
-            if idx % DEADLINE_STRIDE == 0 && watchdog.expired() {
-                return Err(SimError::TimedOut);
-            }
-            let cid = scratch.class_of[idx];
-            if cid == CLASS_CORRUPT {
-                tally.corrupt_drops += 1;
-                continue;
-            }
-            if cid == CLASS_OFFLINE {
-                tally.accel_drops += 1;
-                continue;
-            }
-            let arrival = scratch.arrivals[idx];
-            while pending.peek().is_some_and(|&Reverse(s)| s <= arrival) {
-                pending.pop();
-            }
-            if pending.len() >= ingress_capacity {
-                // An overflow drop skips the thread's `free_at` update,
-                // which the island chains did not model: replay the
-                // scalar loop instead.
-                return Ok(None);
-            }
-            let tid = scratch.tids[idx] as usize;
-            let cls = &scratch.classes[cid as usize];
-            if let Some((si, cycles)) = cls.trip {
-                return Err(SimError::Watchdog {
-                    packet: idx,
-                    stage: prog.stages[si as usize].name.clone(),
-                    cycles,
-                    limit: pkt_limit,
-                });
-            }
-            let (start, fin) = (scratch.starts[idx], scratch.fins[idx]);
-            if start > arrival {
-                pending.push(Reverse(start));
-            }
-            threads[tid].free_at = fin;
-            let service = fin - start;
-            if instrumented {
-                island_busy[thread_island[tid]] += service;
-            }
-            busy_cycles = busy_cycles.saturating_add(service);
-            if busy_cycles > total_limit {
-                return Err(SimError::Watchdog {
-                    packet: idx,
-                    stage: "<run total>".into(),
-                    cycles: busy_cycles,
-                    limit: total_limit,
-                });
-            }
-            scratch.class_count[cid as usize] += 1;
-            completions.push(fin);
-            latencies.push(fin - arrival);
-        }
-        tally.island_packets = latencies.len() as u64;
-    }
 
     // Stage totals via the per-class closed form: a saturating chain of
     // non-negative u64 adds equals min(true sum, u64::MAX) regardless of
@@ -838,7 +670,6 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
         freq,
         pkt_limit,
         total_limit,
-        use_islands: _,
         classes,
         shared,
         memo_hits,
@@ -1081,7 +912,7 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
         if start > arrival {
             pending.push(Reverse(start));
         }
-        let mut cur = start + ingress_lat;
+        let mut cur = start.saturating_add(ingress_lat);
         let mut pkt_cycles = 0u64;
         for (si, stage) in prog.stages.iter().enumerate() {
             let cost = match scratch.plan[si] {
@@ -1151,10 +982,11 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
             stage_totals[si] = stage_totals[si].saturating_add(cost);
             cur = cur.saturating_add(cost);
         }
-        cur += egress_lat;
+        cur = cur.saturating_add(egress_lat);
         threads[tid].free_at = cur;
         if instrumented {
-            island_busy[thread_island[tid]] += cur - start;
+            let busy = &mut island_busy[thread_island[tid]];
+            *busy = busy.saturating_add(cur - start);
         }
         busy_cycles = busy_cycles.saturating_add(cur - start);
         if busy_cycles > total_limit {

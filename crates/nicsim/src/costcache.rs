@@ -1,11 +1,11 @@
 //! Shared, concurrency-safe stage-cost caches.
 //!
-//! The per-run memo tables in [`crate::SimScratch`] capture one run's
-//! pure stage costs and are cleared on the next run: every sweep cell,
-//! every validate worker, and every `clara serve` request re-pays the
-//! cost of the expensive signatures (a 1400-byte DFA payload walk is
-//! ~1400 memory-model accesses *per payload length*). This module hoists
-//! that memo into a [`CostCache`] that outlives runs and is safe to
+//! The batch kernels cost each (unit group, payload length) class once
+//! per run, in a class table the next run clears: without sharing, every
+//! sweep cell, every validate worker, and every `clara serve` request
+//! re-pays the expensive classes (a 1400-byte DFA payload walk is ~1400
+//! memory-model accesses *per payload length*). This module hoists those
+//! class costs into a [`CostCache`] that outlives runs and is safe to
 //! share across threads:
 //!
 //! - The cache is keyed by a **run fingerprint** — a compact token
@@ -32,9 +32,9 @@
 //!
 //! Nothing here weakens the fidelity contract. The shared path only
 //! *replays* costs that the exact `stage_cost` produced under the same
-//! fingerprint, exactly as the per-run memo does; the per-run tables
-//! remain the escape hatch when no cache is attached, and
-//! [`crate::SimConfig::exact`] bypasses both.
+//! fingerprint. Without a cache, each run's class table is its only
+//! reuse, and [`crate::SimConfig::exact`] (the scalar loop) reads
+//! neither.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -49,7 +49,8 @@ const SHARDS: usize = 8;
 /// One fingerprint's cost tables.
 ///
 /// Obtained from `CostCache::view`; the engine resolves a view once
-/// per run and then consults it only when the run-local memo misses.
+/// per batched run, and the kernels consult it when a class first
+/// appears.
 pub struct CostView {
     shards: Vec<RwLock<ViewShard>>,
 }
@@ -164,9 +165,9 @@ impl CostCache {
         }
     }
 
-    /// Shared-layer hits since creation (a hit is a run-local memo miss
-    /// answered by the cache — per-packet replays within one run are not
-    /// counted, so this measures *cross-run* reuse).
+    /// Shared-layer hits since creation: class stage costs a batch
+    /// kernel found here instead of computing. A run resolves each class
+    /// once, so this measures *cross-run* reuse.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }

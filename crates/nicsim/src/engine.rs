@@ -9,7 +9,7 @@
 //! and packet rate all shape the measured latencies, exactly the factors
 //! §2.1 lists as making offloaded performance hard to predict.
 
-use crate::costcache::{CostCache, CostView};
+use crate::costcache::CostCache;
 use crate::fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 use crate::memory::{Cache, MemorySim};
 use crate::program::{BytesSpec, MicroOp, NicProgram, Stage, StageUnit};
@@ -18,7 +18,7 @@ use clara_lnic::{AccelCost, AccelKind, ComputeClass, Lnic, MemId, MemKind, UnitI
 use clara_telemetry::{AccelStats, IslandStats, MemLevelStats, SimStats, StageTimeline};
 use clara_workload::{Trace, TracePacket};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Packets larger than this have their payload tail spilled to EMEM
@@ -141,49 +141,34 @@ pub(crate) struct AccelRt {
     free_at: u64,
 }
 
-/// Engine tuning knobs, mirroring `SolverConfig` on the solve side: the
-/// default is the fast path, and the seed-exact path stays one call away.
+/// The engine's one knob, mirroring `SolverConfig` on the solve side:
+/// the default is the fast path, and the exact oracle is one call away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Memoize stage costs by signature (stage, placement, payload
-    /// length). Stages whose cost can depend on shared mutable state —
-    /// caches, the flow cache, accelerator queues — are never memoized,
-    /// so results are bit-identical to the exact path either way.
-    pub memoize: bool,
-    /// Evaluate signature-pure runs through the batched struct-of-arrays
-    /// kernel (the `batch` module): stage costs are computed once per
-    /// (cost-equivalent unit, payload length) class over column arenas
-    /// instead of per packet. Only engaged when *every* stage classifies
-    /// Fixed/PayloadPure; any condition the kernel cannot replay exactly
-    /// (live stages, cache-thrash faults, a stage timeline, queue
-    /// overflow) falls back to the scalar loop, so results are
-    /// bit-identical either way.
+    /// Cost signature-pure stages through the batch kernels (the `batch`
+    /// module): once per (cost-equivalent unit, payload length) class
+    /// over column arenas instead of once per packet. Three gates are
+    /// checked before any kernel runs and send the run to the scalar
+    /// loop: every stage is Live, a stage timeline is recorded, or the
+    /// cache-thrash fault hits an all-pure program. Once running, the
+    /// whole-run kernel refuses only a saturation-risk class or a finish
+    /// time at or past `SAFE_CYCLES`, and the engine then replays the
+    /// scalar loop; the partial kernel never refuses. Results are
+    /// bit-identical to [`SimConfig::exact`] either way.
     pub batch: bool,
-    /// Within a batched run, compute the per-thread start/finish
-    /// recurrences island-parallel (threads only interact through the
-    /// ingress queue and run-total watchdog, both replayed in a
-    /// sequential merge). Off by default until a sweep opts in; the
-    /// identity corpus pins islands-on == islands-off == exact.
-    pub islands: bool,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig { memoize: true, batch: true, islands: false }
+        SimConfig { batch: true }
     }
 }
 
 impl SimConfig {
-    /// The seed-equivalent configuration: every stage cost recomputed
-    /// from scratch for every packet. Kept as the fidelity baseline
-    /// (the bench's identity check runs memoized vs. exact).
+    /// The exact oracle: the scalar loop, every stage cost recomputed
+    /// for every packet. Every fast path is checked against it.
     pub fn exact() -> Self {
-        SimConfig { memoize: false, batch: false, islands: false }
-    }
-
-    /// The default fast path with island-parallel DES enabled on top.
-    pub fn islands() -> Self {
-        SimConfig { islands: true, ..SimConfig::default() }
+        SimConfig { batch: false }
     }
 }
 
@@ -191,9 +176,10 @@ impl SimConfig {
 ///
 /// A sweep of N runs performs O(1) heap allocations per run instead of
 /// O(packets): latencies, completions, percentile scratch, per-thread
-/// state, the pending-start heap, and the memo tables all retain their
-/// capacity across [`simulate_streamed`] calls. A fresh `SimScratch` is
-/// equivalent to a reused one — reuse never changes results.
+/// state, the pending-start heap, and the batch kernels' columns and
+/// class tables all retain their capacity across [`simulate_streamed`]
+/// calls. A fresh `SimScratch` is equivalent to a reused one — reuse
+/// never changes results.
 #[derive(Default)]
 pub struct SimScratch {
     latencies: Vec<u64>,
@@ -203,16 +189,13 @@ pub struct SimScratch {
     pending: BinaryHeap<Reverse<u64>>,
     threads: Vec<ThreadRt>,
     classes: Vec<StageClass>,
-    fixed_memo: HashMap<(u32, u32), u64>,
-    payload_memo: HashMap<(u32, u32, u64), u64>,
     /// Ingested trace rows for the batched path (also the replay source
     /// when the batch kernel falls back to the scalar loop).
     rows: Vec<TracePacket>,
     /// Column arenas and class tables for [`crate::batch`].
     batch: crate::batch::BatchScratch,
-    /// Shared stage-cost cache, consulted when the run-local memo
-    /// misses. `None` (the default) keeps the per-run memo as the only
-    /// layer — the escape hatch for callers that must not share.
+    /// Stage-cost cache shared across runs by the batch kernels. `None`
+    /// (the default) leaves each run's class table as the only reuse.
     shared_costs: Option<Arc<CostCache>>,
 }
 
@@ -229,9 +212,9 @@ impl SimScratch {
         &self.latencies
     }
 
-    /// Attach a shared [`CostCache`]: subsequent runs resolve pure stage
-    /// costs through it (keyed by the run's post-fault fingerprint)
-    /// whenever the run-local memo misses, and publish what they compute.
+    /// Attach a shared [`CostCache`]: subsequent batched runs resolve
+    /// each class's pure stage costs through it (keyed by the run's
+    /// post-fault fingerprint) and publish what they compute.
     /// Sharing one cache across sweep cells, fan-out workers, and serve
     /// sessions is bit-identical to running without it — the cache only
     /// replays values the exact path produced under an equal fingerprint.
@@ -287,10 +270,10 @@ pub(crate) struct AccelProbe {
 /// tables signature-pure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum StageClass {
-    /// Cost depends only on the executing unit: memo key (stage, unit).
+    /// Cost depends only on the executing unit: cost key (stage, unit).
     Fixed,
     /// Cost additionally depends on the (possibly truncated) payload
-    /// length: memo key (stage, unit, payload_len).
+    /// length: cost key (stage, unit, payload_len).
     PayloadPure,
     /// Cost can read or write shared mutable state (a cache, the flow
     /// cache, an accelerator queue): recomputed for every packet.
@@ -360,8 +343,8 @@ pub(crate) fn classify_op(op: &MicroOp, tables: &[TableRt], mem: &MemorySim) -> 
     }
 }
 
-/// Classify a stage for memoization. A stage is memoized only if *every*
-/// op in it is signature-pure; a single live op (flow-cache accesses
+/// Classify a stage for the batch kernels. A stage is pure only if
+/// *every* op in it is signature-pure; a single live op (flow-cache accesses
 /// included — their hit/miss state is shared) makes the whole stage
 /// live. Accesses to uncached regions cost `raw + bulk·(bytes − 64)`
 /// regardless of address or history, so table ops are pure exactly when
@@ -544,8 +527,8 @@ pub fn simulate_supervised(
 }
 
 /// [`simulate_supervised`] with an explicit [`SimConfig`]: the entry
-/// point that chooses between the memoized default and
-/// [`SimConfig::exact`], the seed-equivalent recompute-everything path.
+/// point that chooses between the batched default and
+/// [`SimConfig::exact`], the recompute-everything oracle.
 pub fn simulate_configured(
     nic: &Lnic,
     prog: &NicProgram,
@@ -658,8 +641,6 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         pending,
         threads,
         classes,
-        fixed_memo,
-        payload_memo,
         rows,
         batch: batch_scratch,
         shared_costs,
@@ -823,31 +804,14 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     let stage_stalls: Vec<u64> =
         prog.stages.iter().map(|s| faults.accel_stall_for(&s.unit)).collect();
 
-    // Memoization classes are decided once per run, after faults have
-    // been applied to the memory system (a disabled EMEM cache makes its
-    // tables signature-pure). Memo tables are cleared — signatures are
-    // only valid within one (nic, program, faults) combination — but keep
-    // their capacity.
+    // Stage classes are decided once per run, after faults have been
+    // applied to the memory system (a disabled EMEM cache makes its
+    // tables signature-pure). Only the batch kernels read them.
     classes.clear();
-    if config.memoize {
-        classes.extend(prog.stages.iter().map(|s| classify_stage(s, &tables, &mem)));
-    } else {
-        classes.extend(prog.stages.iter().map(|_| StageClass::Live));
-    }
-    fixed_memo.clear();
-    payload_memo.clear();
-
-    // Shared cost-cache view: resolved once per run from the post-fault
-    // fingerprint, consulted only when the run-local memo misses. The
-    // counters tally *shared-layer* resolutions (a hit is a local miss
-    // answered by the cache; a miss had to be computed), so they measure
-    // cross-run reuse, not per-packet replays.
-    let shared_view: Option<Arc<CostView>> = match shared_costs {
-        Some(cache) if classes.iter().any(|c| *c != StageClass::Live) => Some(cache.view(
-            &run_fingerprint(nic, prog, &mem, &tables, emem, &stage_stalls, fc_engine_cycles),
-        )),
-        _ => None,
-    };
+    classes.extend(prog.stages.iter().map(|s| classify_stage(s, &tables, &mem)));
+    // Class-cost resolutions by the batch kernels: a hit was answered by
+    // the shared cache, a miss was computed (and published, when a cache
+    // is attached). They count class work, not per-packet replays.
     let mut memo_hits = 0u64;
     let mut memo_misses = 0u64;
 
@@ -872,10 +836,10 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     // and nothing per-packet needs the scalar replay (no stage timeline,
     // no per-packet cache thrash), the whole trace is ingested into
     // column arenas and evaluated per (unit-group, payload-length) class
-    // instead of per packet. Any run the kernel cannot reproduce exactly
-    // falls back to the scalar loop below, replayed over the same rows.
+    // instead of per packet. A run the kernel refuses (a saturation-risk
+    // class, a finish time near `u64` saturation) falls back to the
+    // scalar loop below, replayed over the same rows.
     let mut batch_packets = 0u64;
-    let mut island_packets = 0u64;
     let mut partial_packets = 0u64;
     let all_pure = classes.iter().all(|c| *c != StageClass::Live);
     let any_pure = classes.iter().any(|c| *c != StageClass::Live);
@@ -902,6 +866,19 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     }
     let source;
     if batchable || partially_batchable {
+        // The shared cost-cache view, resolved once per batched run from
+        // the post-fault fingerprint.
+        let shared_view = shared_costs.as_ref().map(|cache| {
+            cache.view(&run_fingerprint(
+                nic,
+                prog,
+                &mem,
+                &tables,
+                emem,
+                &stage_stalls,
+                fc_engine_cycles,
+            ))
+        });
         if partially_batchable {
             // The partial kernel replays per-packet state, so it wants
             // the rows materialized up front. The full kernel ingests
@@ -931,7 +908,6 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             freq,
             pkt_limit,
             total_limit,
-            use_islands: config.islands,
             classes: &classes[..],
             shared: shared_view.as_deref(),
             memo_hits: &mut memo_hits,
@@ -959,6 +935,11 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             // never refuses a run the way the full kernel can.
             Some(crate::batch::run_partial(run)?)
         };
+        // Fold this run's class-cost tallies into the cache-wide atomics
+        // (once per run, not per lookup — the kernels stay atomics-free).
+        if let Some(cache) = shared_costs.as_ref() {
+            cache.record(memo_hits, memo_misses);
+        }
         match outcome {
             Some(tally) => {
                 offered = tally.offered;
@@ -968,18 +949,19 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
                 truncated = tally.truncated;
                 busy_cycles = tally.busy_cycles;
                 batch_packets = tally.batch_packets;
-                island_packets = tally.island_packets;
                 partial_packets = tally.partial_packets;
                 // Outputs are already in the arenas; the scalar loop
                 // below sees an empty source and falls through.
                 source = Source::Rows(std::slice::Iter::default());
             }
             None => {
-                // Fallback: the kernel refused the run (ingress-queue
-                // overflow, cycle counts near saturation). Reset every
-                // piece of state the attempt touched and replay the
+                // Fallback: the kernel refused the run (a saturation-risk
+                // class, a finish time near `u64` saturation). Reset
+                // every piece of state the attempt touched and replay the
                 // exact scalar loop over the ingested rows. Rare by
-                // construction; fidelity beats speed here.
+                // construction; fidelity beats speed here. The class
+                // costs the attempt resolved stay counted and published:
+                // pure costs are fingerprint-determined.
                 mem = MemorySim::new(nic);
                 if faults.disable_emem_cache {
                     if let Some(e) = emem {
@@ -1003,11 +985,6 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
                 pending.clear();
                 fc_hits = 0;
                 fc_misses = 0;
-                // Shared-layer tallies restart with the replay; values the
-                // refused attempt already published stay valid (pure costs
-                // are fingerprint-determined) and will be re-resolved.
-                memo_hits = 0;
-                memo_misses = 0;
                 source = Source::Rows(rows.iter());
             }
         }
@@ -1088,93 +1065,29 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             }
         }
 
-        let mut cur = start + ingress.map(|h| h.latency).unwrap_or(0);
+        let mut cur = start.saturating_add(ingress.map(|h| h.latency).unwrap_or(0));
         let mut pkt_cycles = 0u64;
         for (si, stage) in prog.stages.iter().enumerate() {
-            // Signature memoization: a pure stage's cost is computed once
-            // per (stage, unit[, payload]) signature by the exact code
-            // path below, then replayed — bit-identical by construction.
-            let memo_hit = match classes[si] {
-                StageClass::Fixed => fixed_memo.get(&(si as u32, unit.0 as u32)).copied(),
-                StageClass::PayloadPure => {
-                    payload_memo.get(&(si as u32, unit.0 as u32, payload_len)).copied()
-                }
-                StageClass::Live => None,
-            };
-            let cost = match memo_hit {
-                Some(c) => c,
-                None => {
-                    // Run-local miss: resolve against the shared cache
-                    // (when attached) before computing. Shared values were
-                    // produced by this exact path under an equal
-                    // fingerprint, so replaying them is bit-identical.
-                    let pure = classes[si] != StageClass::Live;
-                    let shared_hit = if pure {
-                        shared_view.as_deref().and_then(|v| match classes[si] {
-                            StageClass::Fixed => v.get_fixed(si as u32, unit.0 as u32),
-                            StageClass::PayloadPure => {
-                                v.get_payload(si as u32, unit.0 as u32, payload_len)
-                            }
-                            StageClass::Live => None,
-                        })
-                    } else {
-                        None
-                    };
-                    let c = match shared_hit {
-                        Some(c) => {
-                            memo_hits += 1;
-                            c
-                        }
-                        None => {
-                            let c = stage_cost(
-                                nic,
-                                &mut mem,
-                                &mut tables,
-                                &mut accels,
-                                stage,
-                                unit,
-                                ctm,
-                                cur,
-                                payload_len,
-                                wire_len,
-                                flow_hash,
-                                payload_seed,
-                                emem,
-                                &mut fc_hits,
-                                &mut fc_misses,
-                                fc_engine_cycles,
-                                stage_stalls[si],
-                                probes.as_mut(),
-                            )?;
-                            if pure {
-                                memo_misses += 1;
-                                if let Some(v) = shared_view.as_deref() {
-                                    match classes[si] {
-                                        StageClass::Fixed => {
-                                            v.put_fixed(si as u32, unit.0 as u32, c)
-                                        }
-                                        StageClass::PayloadPure => {
-                                            v.put_payload(si as u32, unit.0 as u32, payload_len, c)
-                                        }
-                                        StageClass::Live => {}
-                                    }
-                                }
-                            }
-                            c
-                        }
-                    };
-                    match classes[si] {
-                        StageClass::Fixed => {
-                            fixed_memo.insert((si as u32, unit.0 as u32), c);
-                        }
-                        StageClass::PayloadPure => {
-                            payload_memo.insert((si as u32, unit.0 as u32, payload_len), c);
-                        }
-                        StageClass::Live => {}
-                    }
-                    c
-                }
-            };
+            let cost = stage_cost(
+                nic,
+                &mut mem,
+                &mut tables,
+                &mut accels,
+                stage,
+                unit,
+                ctm,
+                cur,
+                payload_len,
+                wire_len,
+                flow_hash,
+                payload_seed,
+                emem,
+                &mut fc_hits,
+                &mut fc_misses,
+                fc_engine_cycles,
+                stage_stalls[si],
+                probes.as_mut(),
+            )?;
             // Saturating accumulation: an adversarial stage can produce
             // costs near u64::MAX; the watchdog must see "huge", not a
             // wrapped-around small number.
@@ -1189,8 +1102,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             }
             stage_totals[si] = stage_totals[si].saturating_add(cost);
             // Timeline: `cur` is the stage's start on the packet's
-            // critical path, `cost` its duration — valid for memoized
-            // stages too, whose replayed cost is bit-identical.
+            // critical path, `cost` its duration.
             if let Some(i) = instruments.as_deref_mut() {
                 if let Some(tl) = i.timeline.as_mut() {
                     if tl.wants(pkt_idx as u64) {
@@ -1207,11 +1119,12 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             }
             cur = cur.saturating_add(cost);
         }
-        cur += egress.map(|h| h.latency).unwrap_or(0);
+        cur = cur.saturating_add(egress.map(|h| h.latency).unwrap_or(0));
 
         threads[tid].free_at = cur;
         if instruments.is_some() {
-            island_busy[thread_island[tid]] += cur - start;
+            let busy = &mut island_busy[thread_island[tid]];
+            *busy = busy.saturating_add(cur - start);
         }
         busy_cycles = busy_cycles.saturating_add(cur - start);
         if busy_cycles > total_limit {
@@ -1226,12 +1139,6 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         latencies.push(cur - arrival);
     }
 
-    // Fold this run's shared-layer tallies into the cache-wide atomics
-    // (once per run, not per lookup — the hot loop stays atomics-free).
-    if let Some(cache) = shared_costs.as_ref() {
-        cache.record(memo_hits, memo_misses);
-    }
-
     // Order statistics via selection instead of a full sort: `latencies`
     // stays in arrival order, so the borrowed `select` scratch is
     // partitioned for p50/p99 and then reused for the completion
@@ -1243,7 +1150,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     let (avg, p50, p99, max_lat) = if completed == 0 {
         (0.0, 0.0, 0.0, 0.0)
     } else {
-        let avg = latencies.iter().sum::<u64>() as f64 / completed as f64;
+        // A `u128` sum cannot wrap; below `u64::MAX` it is the same value.
+        let avg = latencies.iter().map(|&l| u128::from(l)).sum::<u128>() as f64 / completed as f64;
         let idx = |p: f64| ((completed - 1) as f64 * p) as usize;
         let (i50, i99) = (idx(0.5), idx(0.99));
         let (below, v99, _) = select.select_nth_unstable(i99);
@@ -1318,7 +1226,6 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             fault_accel_drops: accel_drops as u64,
             watchdog_trips: trips,
             batch_packets,
-            island_packets,
             batch_partial_packets: partial_packets,
             memo_hits,
             memo_misses,
@@ -2399,7 +2306,7 @@ mod tests {
     }
 
     /// Every observable field must match bit-for-bit (floats compared by
-    /// bits: memoization and streaming are exact rewrites, not
+    /// bits: batching and streaming are exact rewrites, not
     /// approximations).
     fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
         assert_eq!(a.packets, b.packets, "{what}: packets");
@@ -2427,7 +2334,7 @@ mod tests {
         }
     }
 
-    /// A corpus of programs spanning every memoization class: pure
+    /// A corpus of programs spanning every stage class: pure
     /// payload streaming over an uncached automaton, flow-cache-fronted
     /// lookups, cached-EMEM counters, linear scans, an accelerator stage.
     fn fidelity_corpus() -> Vec<NicProgram> {
@@ -2613,7 +2520,7 @@ mod tests {
     #[test]
     fn watchdog_trips_identically_with_memoization() {
         // The per-packet cap must see the same saturating totals on the
-        // memoized path, including the stage attribution.
+        // batched path, including the stage attribution.
         let nic = nic();
         let prog = npu_stage(vec![MicroOp::StreamPayload {
             table: None,
@@ -2628,5 +2535,41 @@ mod tests {
         let fast = simulate_configured(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::default());
         let exact = simulate_configured(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::exact());
         assert_eq!(fast.unwrap_err(), exact.unwrap_err());
+    }
+
+    #[test]
+    fn saturated_costs_under_disabled_caps_finish_identically() {
+        // With both watchdog caps disabled, a saturating stage cost pins
+        // finish times at `u64::MAX`: the hub adds and the island
+        // occupancy sums must saturate rather than overflow. The default
+        // configuration reaches the same scalar loop through the whole-run
+        // kernel's refusal, so it must agree with the exact oracle.
+        let nic = nic();
+        let prog = npu_stage(vec![MicroOp::StreamPayload {
+            table: None,
+            loop_overhead: u64::MAX / 2,
+        }]);
+        let t = TraceGenerator::new(23)
+            .packets(10)
+            .sizes(SizeDist::Fixed(1400))
+            .syn_on_first(false)
+            .generate();
+        let wd = Watchdog {
+            max_cycles_per_packet: Some(u64::MAX),
+            max_total_cycles: Some(u64::MAX),
+            ..Watchdog::new()
+        };
+        let fp = FaultPlan::none();
+        let exact = simulate_configured(&nic, &prog, &t, &fp, &wd, &SimConfig::exact()).unwrap();
+        let fast = simulate_configured(&nic, &prog, &t, &fp, &wd, &SimConfig::default()).unwrap();
+        assert_bit_identical(&fast, &exact, "saturated");
+        assert_eq!(fast.latencies, exact.latencies);
+        let mut instr = SimInstruments::new();
+        let seen =
+            simulate_instrumented(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), &mut instr)
+                .unwrap();
+        assert_bit_identical(&seen, &exact, "saturated, instrumented");
+        assert_eq!(instr.stats.batch_packets, 0, "the kernel refuses a saturating run");
+        assert!(instr.stats.conserved());
     }
 }

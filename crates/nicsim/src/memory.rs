@@ -211,8 +211,8 @@ impl MemorySim {
     }
 
     /// Accesses issued against `region` so far. Counts *computed*
-    /// accesses: stage-cost memoization in the engine replays costs
-    /// without re-touching the memory model, so memoized runs report
+    /// accesses: the batch kernels cost each class once and replay it
+    /// without re-touching the memory model, so batched runs report
     /// fewer accesses than [`crate::SimConfig::exact`] runs.
     pub fn access_count(&self, region: MemId) -> u64 {
         self.accesses[region.0]
@@ -220,8 +220,8 @@ impl MemorySim {
 
     /// Whether `region` currently has a cache in front of it. Accesses to
     /// uncached regions are history- and address-independent (raw latency
-    /// plus the bulk rate), which is what makes them memoizable by
-    /// signature in the engine.
+    /// plus the bulk rate), which is what lets the batch kernels cost
+    /// them once per class.
     #[inline]
     pub fn has_cache(&self, region: MemId) -> bool {
         self.caches[region.0].is_some()

@@ -16,7 +16,7 @@ fn prog(ops: Vec<MicroOp>, tables: Vec<TableCfg>) -> NicProgram {
     }
 }
 
-/// Three tables spanning the memoization classes: uncached IMEM,
+/// Three tables spanning the stage classes: uncached IMEM,
 /// cached EMEM, and flow-cache-fronted EMEM.
 fn prop_tables() -> Vec<TableCfg> {
     vec![
@@ -246,10 +246,11 @@ proptest! {
         prop_assert!(with - without >= 250.0 - 1e-9, "marginal lookup {}", with - without);
     }
 
-    /// Signature memoization is an exact rewrite: random (program, trace,
-    /// fault-plan, watchdog) quadruples must simulate bit-identically with
-    /// memoization on vs. off — same latencies, same counters, same energy
-    /// bits, and the same error when a tight cycle cap trips.
+    /// The default configuration is an exact rewrite: random (program,
+    /// trace, fault-plan, watchdog) quadruples must simulate
+    /// bit-identically under the default and the exact oracle — same
+    /// latencies, same counters, same energy bits, and the same error when
+    /// a tight cycle cap trips.
     #[test]
     fn memoization_is_bit_exact(
         stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
@@ -321,11 +322,12 @@ proptest! {
         }
     }
 
-    /// The batched SoA kernel, the scalar memoized loop, and the exact
-    /// per-packet path are one simulator three ways: on random (program,
-    /// trace, fault-plan) triples all three configurations must agree
-    /// bit-for-bit — including when the kernel refuses a run (live
-    /// stages, cache thrash, queue overflow) and falls back to scalar.
+    /// The batched default and the exact per-packet oracle are one
+    /// simulator: on random (program, trace, fault-plan) triples both
+    /// must agree bit-for-bit on every observable — whether the run takes
+    /// the whole-run kernel (ingress-overflow drops included), the
+    /// partial kernel (Live stages, cache thrash), or the scalar loop
+    /// (every stage Live, or a kernel refusal).
     #[test]
     fn batch_scalar_and_exact_agree(
         stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
@@ -351,52 +353,15 @@ proptest! {
             build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
         let nic = profiles::netronome_agilio_cx40();
         let batched = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
-        let scalar = simulate_configured(
-            &nic, &prog, &trace, &faults, &wd,
-            &SimConfig { batch: false, ..SimConfig::default() },
-        );
         let exact = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact());
-        prop_assert!(identical(&batched, &scalar), "batched != scalar memoized");
-        prop_assert!(identical(&scalar, &exact), "scalar memoized != exact");
-    }
-
-    /// Island-parallel DES is an execution strategy, not a semantics:
-    /// random triples simulate bit-identically with islands on vs. off,
-    /// fault plans and watchdog caps included.
-    #[test]
-    fn islands_identical_to_sequential(
-        stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
-        seed in any::<u64>(),
-        packets in 50usize..250,
-        flows in 1usize..300,
-        payload in 0usize..1500,
-        rate in 10_000.0f64..2_000_000.0,
-        fault_knobs in (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            0u64..5,
-            0u64..5,
-            0usize..500,
-        ),
-        caps in (
-            prop_oneof![Just(None), (1usize..32).prop_map(Some)],
-            prop_oneof![Just(None), (10_000u64..500_000).prop_map(Some)],
-        ),
-    ) {
-        let (prog, trace, faults, wd) =
-            build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
-        let nic = profiles::netronome_agilio_cx40();
-        let seq = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
-        let par = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::islands());
-        prop_assert!(identical(&par, &seq), "islands != sequential");
+        prop_assert!(identical(&batched, &exact), "batched != exact");
     }
 
     /// The shared cost cache is invisible in results: workers racing on
     /// one [`CostCache`] while simulating the same random (program,
     /// trace, fault-plan, watchdog) case agree bit-for-bit with the
-    /// per-run-memo path and the exact path — and a warm-cache rerun
-    /// (pure cross-run reuse, local memo empty) agrees too.
+    /// cacheless batched path and the exact path — and a warm-cache rerun
+    /// (pure cross-run reuse) agrees too.
     #[test]
     fn shared_cost_cache_bit_exact(
         stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
@@ -421,9 +386,9 @@ proptest! {
         let (prog, trace, faults, wd) =
             build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
         let nic = profiles::netronome_agilio_cx40();
-        let memo = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
+        let batched = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
         let exact = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact());
-        prop_assert!(identical(&memo, &exact), "per-run memo != exact");
+        prop_assert!(identical(&batched, &exact), "cacheless batched != exact");
 
         let cache = std::sync::Arc::new(CostCache::new());
         let run_shared = |cache: &std::sync::Arc<CostCache>| {
@@ -443,12 +408,12 @@ proptest! {
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
         });
         for r in &results {
-            prop_assert!(identical(r, &memo), "shared-cache worker != per-run memo");
+            prop_assert!(identical(r, &batched), "shared-cache worker != cacheless batched");
         }
-        // Rerun against the warm cache: every pure signature resolves
-        // from the shared layer while the run-local memo starts empty.
+        // Rerun against the warm cache: every pure class cost resolves
+        // from the shared layer.
         let warm = run_shared(&cache);
-        prop_assert!(identical(&warm, &memo), "warm shared-cache rerun != per-run memo");
+        prop_assert!(identical(&warm, &batched), "warm shared-cache rerun != cacheless batched");
     }
 
     /// Determinism: identical runs produce identical results.

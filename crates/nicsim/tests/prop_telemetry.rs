@@ -9,7 +9,7 @@ use clara_nicsim::{
 use clara_workload::{SizeDist, TraceGenerator};
 use proptest::prelude::*;
 
-/// Three tables spanning the memoization classes: uncached IMEM,
+/// Three tables spanning the stage classes: uncached IMEM,
 /// cached EMEM, and flow-cache-fronted EMEM.
 fn prop_tables() -> Vec<TableCfg> {
     vec![
@@ -86,7 +86,7 @@ proptest! {
         ),
         ingress_capacity in prop_oneof![Just(None), (1usize..32).prop_map(Some)],
     ) {
-        let (with_accel, memoize, timeline) = engine_knobs;
+        let (with_accel, batch, timeline) = engine_knobs;
         let (packets, flows, payload, rate) = shape;
         let (disable_emem, thrash_emem, fc_outage, corrupt_every, truncate_every, dead_threads) =
             fault_knobs;
@@ -121,7 +121,7 @@ proptest! {
             ..FaultPlan::none()
         };
         let wd = Watchdog::default();
-        let cfg = SimConfig { memoize, ..SimConfig::default() };
+        let cfg = SimConfig { batch };
         let plain = simulate_configured(&nic, &prog, &trace, &faults, &wd, &cfg);
         let mut instr = match timeline {
             Some(n) => SimInstruments::with_timeline(n),

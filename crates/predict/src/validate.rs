@@ -49,8 +49,8 @@ pub struct ValidationConfig {
     pub packets: usize,
     /// Trace-generation seed, shared by every cell.
     pub seed: u64,
-    /// Simulator configuration; [`SimConfig::exact`] forces the
-    /// unmemoized seed path for fidelity audits.
+    /// Simulator configuration; [`SimConfig::exact`] forces the exact
+    /// oracle path for fidelity audits.
     pub sim: SimConfig,
     /// Prediction options applied to every cell.
     pub options: PredictOptions,

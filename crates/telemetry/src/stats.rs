@@ -92,11 +92,11 @@ impl IslandStats {
 
 /// Access count of one memory level.
 ///
-/// Counts *computed* accesses: stages collapsed by signature memoization
-/// reuse a previously computed cost and do not re-touch the memory
-/// model, so memoized runs legitimately report fewer accesses than
-/// exact runs. EMEM *cache* statistics are exact in both modes (cached
-/// regions are always simulated live).
+/// Counts *computed* accesses: the simulator's batch kernels cost each
+/// class of packets once and replay that cost without re-touching the
+/// memory model, so batched runs legitimately report fewer accesses
+/// than exact runs. EMEM *cache* statistics are exact in both modes
+/// (cached regions are always simulated live).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemLevelStats {
     /// Region name (`lmem`, `ctm0`, `imem`, `emem`, ...).
@@ -144,19 +144,16 @@ pub struct SimStats {
     /// kernel (equals `completed` when the batch path ran, 0 when the
     /// scalar loop did — a silent fallback is visible here).
     pub batch_packets: u64,
-    /// Packets whose per-thread schedule was computed island-parallel
-    /// (subset of `batch_packets`; 0 unless islands mode engaged).
-    pub island_packets: u64,
     /// Packets completed by the partial-run batch kernel (Live stages
     /// present; pure stages columnized, live ones replayed). Disjoint
     /// from `batch_packets` — a run takes one kernel or the other.
     pub batch_partial_packets: u64,
-    /// Pure stage costs resolved from a shared cross-run cost cache
-    /// (`clara-nicsim`'s `CostCache`): run-local memo misses answered
-    /// without recomputation. Zero when no cache is attached.
+    /// Class stage costs the batch kernels resolved from a shared
+    /// cross-run cost cache (`clara-nicsim`'s `CostCache`) without
+    /// recomputation. Zero when no cache is attached or no kernel ran.
     pub memo_hits: u64,
-    /// Pure stage costs that had to be computed by the exact path this
-    /// run (then published when a shared cache was attached).
+    /// Class stage costs the batch kernels had to compute by the exact
+    /// path this run (then published when a shared cache was attached).
     pub memo_misses: u64,
     /// Per-island thread occupancy.
     pub islands: Vec<IslandStats>,
@@ -182,13 +179,12 @@ impl SimStats {
     }
 
     /// Packet conservation: every injected packet either completed or
-    /// is accounted to exactly one drop cause, and fast-path counters
-    /// never claim more packets than actually completed (the batch
-    /// kernel covers whole runs, islands mode a subset of batched ones).
+    /// is accounted to exactly one drop cause, and the batch kernels
+    /// never claim more packets than actually completed (each covers
+    /// whole runs, and a run takes at most one of them).
     pub fn conserved(&self) -> bool {
         self.injected == self.completed + self.dropped_total()
             && self.batch_packets + self.batch_partial_packets <= self.completed
-            && self.island_packets <= self.batch_packets
     }
 
     /// EMEM cache hit rate, or `None` when the cache saw no traffic.
@@ -214,7 +210,6 @@ impl SimStats {
         self.fault_accel_drops += other.fault_accel_drops;
         self.watchdog_trips += other.watchdog_trips;
         self.batch_packets += other.batch_packets;
-        self.island_packets += other.island_packets;
         self.batch_partial_packets += other.batch_partial_packets;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
@@ -268,9 +263,6 @@ impl SimStats {
         };
         if self.batch_packets > 0 {
             s += &format!(" batch={}", self.batch_packets);
-        }
-        if self.island_packets > 0 {
-            s += &format!(" islands={}", self.island_packets);
         }
         if self.batch_partial_packets > 0 {
             s += &format!(" partial={}", self.batch_partial_packets);

@@ -1,16 +1,18 @@
-//! Identity corpus for the batched + island-parallel simulator paths.
+//! Identity corpus for the simulator's fast paths.
 //!
 //! Every hand-ported corpus program — across memory placements that
 //! exercise the batchable (signature-pure) and non-batchable (live
 //! cache) classifications — is simulated under a corpus of fault plans
-//! in four configurations: exact, scalar memoized, batched, and batched
-//! with island-parallel DES. All four must agree bit-for-bit on every
-//! observable. This pins the contract the `SimConfig` escape hatches
-//! promise: a faster configuration is never a different simulator.
+//! by the exact oracle and by two fast routes: the batched default, and
+//! the batched default with a stage timeline attached (the route
+//! `clara profile --trace` takes, which sends the run through the scalar
+//! loop). Each must agree with the oracle bit-for-bit on every
+//! observable: a faster configuration is never a different simulator.
 
 use clara_core::nfs;
 use clara_core::sim::{
-    simulate_configured, AccelKind, FaultPlan, NicProgram, SimConfig, SimResult, Watchdog,
+    simulate_configured, simulate_instrumented, AccelKind, FaultPlan, NicProgram, SimConfig,
+    SimInstruments, SimResult, Watchdog,
 };
 use clara_core::TraceGenerator;
 
@@ -84,21 +86,23 @@ fn every_configuration_is_the_same_simulator() {
     let nic = clara_core::profiles::netronome_agilio_cx40();
     let wd = Watchdog::new();
     let trace = TraceGenerator::new(42).packets(600).flows(128).rate_pps(80_000.0).generate();
-    let configs = [
-        ("scalar", SimConfig { batch: false, ..SimConfig::default() }),
-        ("batched", SimConfig::default()),
-        ("islands", SimConfig::islands()),
-    ];
+    let batched = SimConfig::default();
     for prog in corpus() {
         for (fi, faults) in fault_corpus().iter().enumerate() {
             let exact = simulate_configured(&nic, &prog, &trace, faults, &wd, &SimConfig::exact())
                 .unwrap_or_else(|e| panic!("{} fault#{fi}: exact path failed: {e}", prog.name));
-            for (cname, config) in &configs {
-                let label = format!("{} fault#{fi} {cname}", prog.name);
-                let got = simulate_configured(&nic, &prog, &trace, faults, &wd, config)
-                    .unwrap_or_else(|e| panic!("{label}: failed: {e}"));
-                assert_identical(&label, &got, &exact);
-            }
+            let label = format!("{} fault#{fi} batched", prog.name);
+            let got = simulate_configured(&nic, &prog, &trace, faults, &wd, &batched)
+                .unwrap_or_else(|e| panic!("{label}: failed: {e}"));
+            assert_identical(&label, &got, &exact);
+
+            let label = format!("{} fault#{fi} timeline", prog.name);
+            let mut instr = SimInstruments::with_timeline(64);
+            let got = simulate_instrumented(&nic, &prog, &trace, faults, &wd, &batched, &mut instr)
+                .unwrap_or_else(|e| panic!("{label}: failed: {e}"));
+            assert_identical(&label, &got, &exact);
+            let st = &instr.stats;
+            assert_eq!(st.batch_packets + st.batch_partial_packets, 0, "{label}: batched");
         }
     }
 }
