@@ -26,6 +26,30 @@ fn dataflow_extraction(c: &mut Criterion) {
     });
 }
 
+fn class_profiling(c: &mut Criterion) {
+    // Two scanning NFs, whose per-byte loops dominate class profiling,
+    // and one small NF, a few dozen instructions per packet.
+    let mut group = c.benchmark_group("class_profiling");
+    for nf in ["dpi", "vnf", "nat"] {
+        let (src, _) = clara_core::nfs::by_name(nf).expect("corpus NF");
+        let module = clara_cir::lower(&clara_lang::frontend(&src).unwrap()).unwrap();
+        for payload in [300usize, 1500] {
+            let wl = clara_core::WorkloadProfile {
+                flows: 1_000,
+                tcp_share: 0.8,
+                syn_share: 0.1,
+                avg_payload: payload as f64,
+                max_payload: payload,
+                ..clara_core::WorkloadProfile::paper_default()
+            };
+            group.bench_function(&format!("enumerate_classes {nf} {payload} B"), |b| {
+                b.iter(|| clara_predict::enumerate_classes(black_box(&module), black_box(&wl)))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn ilp_solver(c: &mut Criterion) {
     // A representative 0/1 assignment problem: 12 tasks x 6 units with a
     // capacity side constraint.
@@ -105,6 +129,7 @@ criterion_group!(
     benches,
     frontend,
     dataflow_extraction,
+    class_profiling,
     ilp_solver,
     simulator,
     prediction,

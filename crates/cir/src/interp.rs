@@ -9,13 +9,17 @@
 //! multiplies those counts by mapped per-block costs.
 //!
 //! Class profiling runs every representative packet through here, and the
-//! per-byte loops of scanning NFs make this the predictor's hottest loop,
-//! so it neither allocates nor hashes per instruction: vcall operands are
-//! read in place from the operand list and the register file, vcall counts
-//! are derived once on return from the block counts (a block runs all its
-//! instructions before its terminator), fuel is charged a block at a time,
-//! and `execute` is generic over the oracle so [`HashState`] calls
-//! dispatch statically.
+//! per-byte loops of scanning NFs make this the predictor's hottest loop.
+//! A function is therefore decoded once into a [`DecodedFunction`]: one
+//! decoded step per IR instruction, operands resolved to register indices
+//! or immediates, the shapes the scan loops run specialized, operations on
+//! two immediates folded to constants and branches on immediates resolved
+//! to jumps. [`DecodedFunction::run`] neither allocates nor hashes: it
+//! writes block counts into caller-owned [`RunBuffers`], charges fuel a
+//! block at a time, and returns the verdict. [`execute`] decodes, runs,
+//! and derives per-vcall counts from the block counts (a block runs all
+//! its instructions before its terminator). Both are generic over the
+//! oracle, so [`HashState`] calls dispatch statically.
 //!
 //! The same interpreter doubles as a differential-testing tool for the
 //! lowering pass (execute source-visible semantics, compare outcomes).
@@ -136,13 +140,15 @@ pub trait StateOracle {
     }
 }
 
-/// A straightforward hash-map-backed state store.
-#[derive(Debug, Default, Clone)]
+/// A straightforward hash-map-backed state store. Two stores compare
+/// equal when their contents and their [`HashState::writes`] counts do.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct HashState {
     maps: HashMap<(StateId, u64), u64>,
     counters: HashMap<(StateId, u64), u64>,
     arrays: HashMap<(StateId, u64), u64>,
     lpm_rules: HashMap<StateId, Vec<(u32, u8, u64)>>, // (prefix, len, next hop)
+    writes: u64,
 }
 
 impl HashState {
@@ -160,6 +166,13 @@ impl HashState {
     pub fn table_entries(&self) -> usize {
         self.maps.len()
     }
+
+    /// Table, counter and array writes made through [`StateOracle`] so
+    /// far. Every other oracle call only reads, so a run that leaves this
+    /// unchanged leaves the state as it found it.
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
 }
 
 impl StateOracle for HashState {
@@ -168,6 +181,7 @@ impl StateOracle for HashState {
     }
 
     fn table_write(&mut self, state: StateId, key: u64, value: u64) {
+        self.writes += 1;
         self.maps.insert((state, key), value);
     }
 
@@ -189,7 +203,11 @@ impl StateOracle for HashState {
     }
 
     fn counter_add(&mut self, state: StateId, idx: u64, delta: u64) {
-        *self.counters.entry((state, idx)).or_insert(0) += delta;
+        self.writes += 1;
+        // Counters wrap like every other CIR integer; a plain add would
+        // panic in debug builds on a source-chosen delta.
+        let c = self.counters.entry((state, idx)).or_insert(0);
+        *c = c.wrapping_add(delta);
     }
 
     fn counter_read(&mut self, state: StateId, idx: u64) -> u64 {
@@ -201,6 +219,7 @@ impl StateOracle for HashState {
     }
 
     fn array_write(&mut self, state: StateId, idx: u64, value: u64) {
+        self.writes += 1;
         self.arrays.insert((state, idx), value);
     }
 }
@@ -243,66 +262,262 @@ impl std::error::Error for InterpError {}
 /// time; a block the remaining fuel does not cover runs exactly the
 /// instructions the fuel pays for, so their side effects on `oracle`
 /// stay, and then the call fails with [`InterpError::FuelExhausted`].
+///
+/// This decodes `f` on every call; a caller running many packets through
+/// one function decodes it once with [`DecodedFunction::new`].
 pub fn execute<O: StateOracle + ?Sized>(
     f: &CirFunction,
     packet: &PacketInfo,
     oracle: &mut O,
     fuel: u64,
 ) -> Result<PathProfile, InterpError> {
-    let mut regs = vec![0u64; f.num_regs as usize];
-    let mut pkt = *packet;
-    let mut block_counts = vec![0u64; f.blocks.len()];
-    let mut instrs = 0u64;
-    let mut bb = BlockId(0);
+    let mut buffers = RunBuffers::default();
+    let out = DecodedFunction::new(f).run(packet, oracle, fuel, &mut buffers)?;
+    let block_counts = buffers.block_counts;
+    // A block runs all its instructions before its terminator, so each
+    // vcall ran exactly as often as its block.
+    let mut vcall_counts = HashMap::new();
+    for (b, call) in f.vcalls() {
+        let n = block_counts[b.0 as usize];
+        if n > 0 {
+            *vcall_counts.entry(*call).or_insert(0) += n;
+        }
+    }
+    Ok(PathProfile {
+        block_counts,
+        vcall_counts,
+        forward: out.forward,
+        instrs: out.instrs,
+        packet_out: out.packet_out,
+    })
+}
 
-    loop {
-        block_counts[bb.0 as usize] += 1;
-        let block = f.block(bb);
-        // `instrs <= fuel` holds here: only whole, paid-for blocks add to it.
-        let paid = (fuel - instrs).min(block.instrs.len() as u64) as usize;
-        for instr in &block.instrs[..paid] {
-            match instr {
-                Instr::Const { dst, value } => regs[dst.0 as usize] = *value,
-                Instr::Copy { dst, src } => regs[dst.0 as usize] = read(&regs, *src),
-                Instr::Binary { dst, op, lhs, rhs } => {
-                    regs[dst.0 as usize] = op.eval(read(&regs, *lhs), read(&regs, *rhs));
+/// A [`CirFunction`] decoded once for repeated execution.
+///
+/// Each IR instruction becomes exactly one decoded step, so fuel charges
+/// the same counts as on the IR. Register operands become register
+/// indices; the shapes the per-byte scan loops run (register–immediate
+/// add, and and eq; register–register xor and lt; metadata read; payload
+/// byte and array read at a register index) get their own steps; an
+/// operation on two immediates becomes a constant; and a branch on an
+/// immediate becomes a jump.
+#[derive(Debug, Clone)]
+pub struct DecodedFunction {
+    steps: Vec<Step>,
+    /// Operands of the vcalls without a specialized step.
+    args: Vec<Operand>,
+    blocks: Vec<DecodedBlock>,
+    num_regs: usize,
+}
+
+/// The caller-owned buffers a [`DecodedFunction::run`] writes. Reusing
+/// one across runs keeps repeated runs free of allocation.
+#[derive(Debug, Clone, Default)]
+pub struct RunBuffers {
+    regs: Vec<u64>,
+    /// Times each basic block executed in the last run.
+    pub block_counts: Vec<u64>,
+}
+
+/// What a completed [`DecodedFunction::run`] returns besides its block
+/// counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOutcome {
+    /// Final verdict: true = forward.
+    pub forward: bool,
+    /// Total instructions executed.
+    pub instrs: u64,
+    /// Final packet state (header rewrites applied).
+    pub packet_out: PacketInfo,
+}
+
+#[derive(Debug, Clone)]
+struct DecodedBlock {
+    /// The block's steps are `steps[start..end]`.
+    start: u32,
+    end: u32,
+    exit: Exit,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    Jump(u32),
+    Branch { cond: u32, then_bb: u32, else_bb: u32 },
+    Return(Operand),
+}
+
+/// One decoded instruction. Register fields are register indices.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// A constant, a copied immediate or an operation on two immediates.
+    Const { dst: u32, value: u64 },
+    Copy { dst: u32, src: u32 },
+    AddRI { dst: u32, lhs: u32, imm: u64 },
+    AndRI { dst: u32, lhs: u32, imm: u64 },
+    EqRI { dst: u32, lhs: u32, imm: u64 },
+    XorRR { dst: u32, lhs: u32, rhs: u32 },
+    LtRR { dst: u32, lhs: u32, rhs: u32 },
+    BinaryRR { dst: u32, op: Op, lhs: u32, rhs: u32 },
+    BinaryRI { dst: u32, op: Op, lhs: u32, imm: u64 },
+    BinaryIR { dst: u32, op: Op, imm: u64, rhs: u32 },
+    MetadataRead { dst: u32, field: PacketField },
+    PayloadByte { dst: u32, index: u32 },
+    ArrayRead { dst: u32, state: StateId, index: u32 },
+    /// Any other vcall, with its operands at `args[start..end]`.
+    VCall { dst: Option<u32>, call: VCall, start: u32, end: u32 },
+}
+
+impl DecodedFunction {
+    /// Decode `f`.
+    pub fn new(f: &CirFunction) -> Self {
+        let mut steps = Vec::with_capacity(f.num_instrs());
+        let mut args = Vec::new();
+        let blocks = f
+            .blocks
+            .iter()
+            .map(|b| {
+                let start = steps.len() as u32;
+                steps.extend(b.instrs.iter().map(|i| decode(i, &mut args)));
+                DecodedBlock { start, end: steps.len() as u32, exit: decode_exit(&b.term) }
+            })
+            .collect();
+        DecodedFunction { steps, args, blocks, num_regs: f.num_regs as usize }
+    }
+
+    /// Number of basic blocks, the length of
+    /// [`RunBuffers::block_counts`] after a run.
+    pub fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Run one packet, leaving per-block execution counts in
+    /// `buffers.block_counts`. Fuel works as in [`execute`]; on
+    /// [`InterpError::FuelExhausted`] the counts are partial.
+    pub fn run<O: StateOracle + ?Sized>(
+        &self,
+        packet: &PacketInfo,
+        oracle: &mut O,
+        fuel: u64,
+        buffers: &mut RunBuffers,
+    ) -> Result<RunOutcome, InterpError> {
+        let RunBuffers { regs, block_counts } = buffers;
+        regs.clear();
+        regs.resize(self.num_regs, 0);
+        block_counts.clear();
+        block_counts.resize(self.blocks.len(), 0);
+        let mut pkt = *packet;
+        let mut instrs = 0u64;
+        let mut bb = 0usize;
+        loop {
+            block_counts[bb] += 1;
+            let block = &self.blocks[bb];
+            let steps = &self.steps[block.start as usize..block.end as usize];
+            // `instrs <= fuel` holds here: only whole, paid-for blocks add to it.
+            let paid = (fuel - instrs).min(steps.len() as u64) as usize;
+            for &step in &steps[..paid] {
+                self.step(step, regs, &mut pkt, oracle);
+            }
+            if paid < steps.len() {
+                return Err(InterpError::FuelExhausted);
+            }
+            instrs += paid as u64;
+            bb = match block.exit {
+                Exit::Jump(t) => t as usize,
+                Exit::Branch { cond, then_bb, else_bb } => {
+                    (if regs[cond as usize] != 0 { then_bb } else { else_bb }) as usize
                 }
-                Instr::VCall { dst, call, args } => {
-                    let result = eval_vcall(*call, args, &regs, &mut pkt, oracle);
-                    if let Some(d) = dst {
-                        regs[d.0 as usize] = result;
-                    }
+                Exit::Return(v) => {
+                    return Ok(RunOutcome { forward: read(regs, v) != 0, instrs, packet_out: pkt });
+                }
+            };
+        }
+    }
+
+    #[inline(always)]
+    fn step<O: StateOracle + ?Sized>(
+        &self,
+        step: Step,
+        regs: &mut [u64],
+        pkt: &mut PacketInfo,
+        oracle: &mut O,
+    ) {
+        let r = |i: u32| i as usize;
+        match step {
+            Step::Const { dst, value } => regs[r(dst)] = value,
+            Step::Copy { dst, src } => regs[r(dst)] = regs[r(src)],
+            Step::AddRI { dst, lhs, imm } => regs[r(dst)] = regs[r(lhs)].wrapping_add(imm),
+            Step::AndRI { dst, lhs, imm } => regs[r(dst)] = regs[r(lhs)] & imm,
+            Step::EqRI { dst, lhs, imm } => regs[r(dst)] = (regs[r(lhs)] == imm) as u64,
+            Step::XorRR { dst, lhs, rhs } => regs[r(dst)] = regs[r(lhs)] ^ regs[r(rhs)],
+            Step::LtRR { dst, lhs, rhs } => regs[r(dst)] = (regs[r(lhs)] < regs[r(rhs)]) as u64,
+            Step::BinaryRR { dst, op, lhs, rhs } => {
+                regs[r(dst)] = op.eval(regs[r(lhs)], regs[r(rhs)]);
+            }
+            Step::BinaryRI { dst, op, lhs, imm } => regs[r(dst)] = op.eval(regs[r(lhs)], imm),
+            Step::BinaryIR { dst, op, imm, rhs } => regs[r(dst)] = op.eval(imm, regs[r(rhs)]),
+            Step::MetadataRead { dst, field } => regs[r(dst)] = pkt.field(field),
+            Step::PayloadByte { dst, index } => regs[r(dst)] = payload_byte(pkt, regs[r(index)]),
+            Step::ArrayRead { dst, state, index } => {
+                regs[r(dst)] = oracle.array_read(state, regs[r(index)]);
+            }
+            Step::VCall { dst, call, start, end } => {
+                let args = &self.args[start as usize..end as usize];
+                let result = eval_vcall(call, args, regs, pkt, oracle);
+                if let Some(d) = dst {
+                    regs[r(d)] = result;
                 }
             }
         }
-        if paid < block.instrs.len() {
-            return Err(InterpError::FuelExhausted);
-        }
-        instrs += paid as u64;
-        match &block.term {
-            Terminator::Jump(t) => bb = *t,
-            Terminator::Branch { cond, then_bb, else_bb } => {
-                bb = if read(&regs, *cond) != 0 { *then_bb } else { *else_bb };
-            }
-            Terminator::Return(v) => {
-                // A block runs all its instructions before its terminator,
-                // so each vcall ran exactly as often as its block.
-                let mut vcall_counts = HashMap::new();
-                for (b, call) in f.vcalls() {
-                    let n = block_counts[b.0 as usize];
-                    if n > 0 {
-                        *vcall_counts.entry(*call).or_insert(0) += n;
-                    }
-                }
-                return Ok(PathProfile {
-                    block_counts,
-                    vcall_counts,
-                    forward: read(&regs, *v) != 0,
-                    instrs,
-                    packet_out: pkt,
-                });
+    }
+}
+
+fn decode(instr: &Instr, args: &mut Vec<Operand>) -> Step {
+    use Operand::{Imm, Reg as R};
+    match instr {
+        &Instr::Const { dst, value } => Step::Const { dst: dst.0, value },
+        &Instr::Copy { dst, src: R(src) } => Step::Copy { dst: dst.0, src: src.0 },
+        &Instr::Copy { dst, src: Imm(value) } => Step::Const { dst: dst.0, value },
+        &Instr::Binary { dst, op, lhs, rhs } => {
+            let dst = dst.0;
+            match (op, lhs, rhs) {
+                (_, Imm(a), Imm(b)) => Step::Const { dst, value: op.eval(a, b) },
+                (Op::Add, R(a), Imm(imm)) => Step::AddRI { dst, lhs: a.0, imm },
+                (Op::And, R(a), Imm(imm)) => Step::AndRI { dst, lhs: a.0, imm },
+                (Op::Eq, R(a), Imm(imm)) => Step::EqRI { dst, lhs: a.0, imm },
+                (Op::Xor, R(a), R(b)) => Step::XorRR { dst, lhs: a.0, rhs: b.0 },
+                (Op::Lt, R(a), R(b)) => Step::LtRR { dst, lhs: a.0, rhs: b.0 },
+                (_, R(a), R(b)) => Step::BinaryRR { dst, op, lhs: a.0, rhs: b.0 },
+                (_, R(a), Imm(imm)) => Step::BinaryRI { dst, op, lhs: a.0, imm },
+                (_, Imm(imm), R(b)) => Step::BinaryIR { dst, op, imm, rhs: b.0 },
             }
         }
+        Instr::VCall { dst, call, args: ops } => match (*dst, *call, ops.first()) {
+            (Some(d), VCall::MetadataRead(field), _) => Step::MetadataRead { dst: d.0, field },
+            (Some(d), VCall::PayloadByte, Some(&R(i))) => {
+                Step::PayloadByte { dst: d.0, index: i.0 }
+            }
+            (Some(d), VCall::ArrayRead(state), Some(&R(i))) => {
+                Step::ArrayRead { dst: d.0, state, index: i.0 }
+            }
+            (dst, call, _) => {
+                let start = args.len() as u32;
+                args.extend_from_slice(ops);
+                Step::VCall { dst: dst.map(|d| d.0), call, start, end: args.len() as u32 }
+            }
+        },
+    }
+}
+
+fn decode_exit(term: &Terminator) -> Exit {
+    match *term {
+        Terminator::Jump(t) => Exit::Jump(t.0),
+        Terminator::Branch { cond: Operand::Reg(c), then_bb, else_bb } => {
+            Exit::Branch { cond: c.0, then_bb: then_bb.0, else_bb: else_bb.0 }
+        }
+        Terminator::Branch { cond: Operand::Imm(v), then_bb, else_bb } => {
+            Exit::Jump(if v != 0 { then_bb.0 } else { else_bb.0 })
+        }
+        Terminator::Return(v) => Exit::Return(v),
     }
 }
 
@@ -359,14 +574,7 @@ fn eval_vcall<O: StateOracle + ?Sized>(
             pkt.set_field(f, arg(0, 0));
             0
         }
-        VCall::PayloadByte => {
-            let i = arg(0, 0);
-            if i < pkt.payload_len as u64 {
-                pkt.payload_seed.wrapping_add(i as u8) as u64
-            } else {
-                0
-            }
-        }
+        VCall::PayloadByte => payload_byte(pkt, arg(0, 0)),
         VCall::Meter => oracle.meter(arg(0, 0), arg(1, 0)) as u64,
         VCall::FloatOp => {
             let a = arg(0, 0);
@@ -374,6 +582,15 @@ fn eval_vcall<O: StateOracle + ?Sized>(
             ((a as f64 * 0.875) + (b as f64 * 0.125)) as u64
         }
         VCall::Log => 0,
+    }
+}
+
+/// Payload byte `i`, or 0 past the end of the payload.
+fn payload_byte(pkt: &PacketInfo, i: u64) -> u64 {
+    if i < pkt.payload_len as u64 {
+        pkt.payload_seed.wrapping_add(i as u8) as u64
+    } else {
+        0
     }
 }
 
@@ -389,6 +606,428 @@ mod tests {
     use super::*;
     use crate::lower::lower;
     use clara_lang::frontend;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The IR walk that preceded decoding, kept as the oracle the decoded
+    /// interpreter is tested against.
+    fn execute_ir<O: StateOracle + ?Sized>(
+        f: &CirFunction,
+        packet: &PacketInfo,
+        oracle: &mut O,
+        fuel: u64,
+    ) -> Result<PathProfile, InterpError> {
+        let mut regs = vec![0u64; f.num_regs as usize];
+        let mut pkt = *packet;
+        let mut block_counts = vec![0u64; f.blocks.len()];
+        let mut instrs = 0u64;
+        let mut bb = BlockId(0);
+
+        loop {
+            block_counts[bb.0 as usize] += 1;
+            let block = f.block(bb);
+            let paid = (fuel - instrs).min(block.instrs.len() as u64) as usize;
+            for instr in &block.instrs[..paid] {
+                match instr {
+                    Instr::Const { dst, value } => regs[dst.0 as usize] = *value,
+                    Instr::Copy { dst, src } => regs[dst.0 as usize] = read(&regs, *src),
+                    Instr::Binary { dst, op, lhs, rhs } => {
+                        regs[dst.0 as usize] = op.eval(read(&regs, *lhs), read(&regs, *rhs));
+                    }
+                    Instr::VCall { dst, call, args } => {
+                        let result = eval_vcall(*call, args, &regs, &mut pkt, oracle);
+                        if let Some(d) = dst {
+                            regs[d.0 as usize] = result;
+                        }
+                    }
+                }
+            }
+            if paid < block.instrs.len() {
+                return Err(InterpError::FuelExhausted);
+            }
+            instrs += paid as u64;
+            match &block.term {
+                Terminator::Jump(t) => bb = *t,
+                Terminator::Branch { cond, then_bb, else_bb } => {
+                    bb = if read(&regs, *cond) != 0 { *then_bb } else { *else_bb };
+                }
+                Terminator::Return(v) => {
+                    let mut vcall_counts = HashMap::new();
+                    for (b, call) in f.vcalls() {
+                        let n = block_counts[b.0 as usize];
+                        if n > 0 {
+                            *vcall_counts.entry(*call).or_insert(0) += n;
+                        }
+                    }
+                    return Ok(PathProfile {
+                        block_counts,
+                        vcall_counts,
+                        forward: read(&regs, *v) != 0,
+                        instrs,
+                        packet_out: pkt,
+                    });
+                }
+            }
+        }
+    }
+
+    // Random functions for the differential test. Generated instructions
+    // write registers 0..6 only; register 6 counts the iterations of
+    // every counted loop and register 7 holds their condition, so each
+    // loop ends. Forward jumps and branches cannot loop.
+    const FREE_REGS: u32 = 6;
+    const LOOP_REG: Reg = Reg(6);
+    const COND_REG: Reg = Reg(7);
+    const NUM_REGS: u32 = 8;
+    /// Return blocks write every register into this array, so a wrong
+    /// register value shows in the final state even when nothing reads it.
+    const DUMP: StateId = StateId(3);
+
+    const OPS: [Op; 16] = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::Rem,
+        Op::And,
+        Op::Or,
+        Op::Xor,
+        Op::Shl,
+        Op::Shr,
+        Op::Eq,
+        Op::Ne,
+        Op::Lt,
+        Op::Le,
+        Op::Gt,
+        Op::Ge,
+    ];
+
+    const FIELDS: [PacketField; 12] = [
+        PacketField::SrcIp,
+        PacketField::DstIp,
+        PacketField::SrcPort,
+        PacketField::DstPort,
+        PacketField::Proto,
+        PacketField::Ttl,
+        PacketField::TcpFlags,
+        PacketField::PayloadLen,
+        PacketField::TotalLen,
+        PacketField::IsTcp,
+        PacketField::IsUdp,
+        PacketField::IsSyn,
+    ];
+
+    /// Small values (table keys that collide, shift amounts, payload
+    /// indexes) more often than arbitrary ones.
+    fn arb_imm() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4, 0u64..80, any::<u64>()]
+    }
+
+    fn arb_reg() -> impl Strategy<Value = Reg> {
+        (0..NUM_REGS).prop_map(Reg)
+    }
+
+    fn arb_dst() -> impl Strategy<Value = Reg> {
+        (0..FREE_REGS).prop_map(Reg)
+    }
+
+    fn arb_operand() -> impl Strategy<Value = Operand> {
+        prop_oneof![arb_reg().prop_map(Operand::Reg), arb_imm().prop_map(Operand::Imm)]
+    }
+
+    fn arb_vcall() -> impl Strategy<Value = VCall> {
+        (0usize..19, 0u32..4, 0usize..FIELDS.len()).prop_map(|(kind, s, f)| {
+            let s = StateId(s);
+            match kind {
+                0 => VCall::ParseHeader,
+                1 => VCall::ChecksumFull,
+                2 => VCall::ChecksumIncr,
+                3 => VCall::Crypto,
+                4 => VCall::PayloadScan,
+                5 => VCall::Hash,
+                6 => VCall::TableLookup(s),
+                7 => VCall::TableWrite(s),
+                8 => VCall::LpmLookup(s),
+                9 => VCall::CounterAdd(s),
+                10 => VCall::CounterRead(s),
+                11 => VCall::ArrayRead(s),
+                12 => VCall::ArrayWrite(s),
+                13 => VCall::MetadataRead(FIELDS[f]),
+                14 => VCall::MetadataWrite(FIELDS[f]),
+                15 => VCall::PayloadByte,
+                16 => VCall::Meter,
+                17 => VCall::FloatOp,
+                _ => VCall::Log,
+            }
+        })
+    }
+
+    fn arb_instr() -> impl Strategy<Value = Instr> {
+        prop_oneof![
+            (arb_dst(), arb_imm()).prop_map(|(dst, value)| Instr::Const { dst, value }),
+            (arb_dst(), arb_operand()).prop_map(|(dst, src)| Instr::Copy { dst, src }),
+            // Every operation with every operand shape.
+            (arb_dst(), 0..OPS.len(), arb_operand(), arb_operand())
+                .prop_map(|(dst, op, lhs, rhs)| Instr::Binary { dst, op: OPS[op], lhs, rhs }),
+            // The specialized shapes of the scan loops, drawn often.
+            (arb_dst(), 0usize..5, arb_reg(), arb_reg(), arb_imm()).prop_map(
+                |(dst, shape, lhs, rhs, imm)| {
+                    let (op, rhs) = [
+                        (Op::Add, Operand::Imm(imm)),
+                        (Op::And, Operand::Imm(imm)),
+                        (Op::Eq, Operand::Imm(imm)),
+                        (Op::Xor, Operand::Reg(rhs)),
+                        (Op::Lt, Operand::Reg(rhs)),
+                    ][shape];
+                    Instr::Binary { dst, op, lhs: Operand::Reg(lhs), rhs }
+                }
+            ),
+            (arb_dst(), 0usize..3, arb_reg(), 0u32..4, 0..FIELDS.len()).prop_map(
+                |(dst, shape, index, s, f)| {
+                    let call = [
+                        VCall::PayloadByte,
+                        VCall::ArrayRead(StateId(s)),
+                        VCall::MetadataRead(FIELDS[f]),
+                    ][shape];
+                    Instr::VCall { dst: Some(dst), call, args: vec![Operand::Reg(index)] }
+                }
+            ),
+            // Any vcall, with or without a result, over 0..=4 operands.
+            (any::<bool>(), arb_dst(), arb_vcall(), vec(arb_operand(), 0..=4)).prop_map(
+                |(keep, dst, call, args)| Instr::VCall { dst: keep.then_some(dst), call, args }
+            ),
+        ]
+    }
+
+    /// A block's raw parts: instructions, how it ends (0 return, 1 jump,
+    /// 2 branch on a register, 3 branch on an immediate, 4 counted loop),
+    /// a condition register, an immediate, two target picks and a loop
+    /// bound.
+    type RawBlock = (Vec<Instr>, u8, Reg, u64, u32, u32, u64);
+
+    fn arb_function() -> impl Strategy<Value = CirFunction> {
+        let block = (
+            vec(arb_instr(), 0..=6),
+            0u8..5,
+            arb_reg(),
+            arb_imm(),
+            any::<u32>(),
+            any::<u32>(),
+            1u64..6,
+        );
+        (vec(block, 1..=6), arb_operand(), arb_operand()).prop_map(build_function)
+    }
+
+    fn build_function(
+        (raw, write_key, write_value): (Vec<RawBlock>, Operand, Operand),
+    ) -> CirFunction {
+        let n = raw.len() as u32;
+        let mut blocks: Vec<BasicBlock> = raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut instrs, kind, cond, imm, t, e, bound))| {
+                let i = i as u32;
+                let forward = |pick: u32| BlockId(i + 1 + pick % (n - i - 1));
+                let term = match kind {
+                    _ if i + 1 == n => None,
+                    1 => Some(Terminator::Jump(forward(t))),
+                    2 => Some(Terminator::Branch {
+                        cond: Operand::Reg(cond),
+                        then_bb: forward(t),
+                        else_bb: forward(e),
+                    }),
+                    3 => Some(Terminator::Branch {
+                        cond: Operand::Imm(imm),
+                        then_bb: forward(t),
+                        else_bb: forward(e),
+                    }),
+                    4 => {
+                        instrs.push(Instr::Binary {
+                            dst: LOOP_REG,
+                            op: Op::Add,
+                            lhs: Operand::Reg(LOOP_REG),
+                            rhs: Operand::Imm(1),
+                        });
+                        instrs.push(Instr::Binary {
+                            dst: COND_REG,
+                            op: Op::Lt,
+                            lhs: Operand::Reg(LOOP_REG),
+                            rhs: Operand::Imm(bound),
+                        });
+                        Some(Terminator::Branch {
+                            cond: Operand::Reg(COND_REG),
+                            then_bb: BlockId(t % (i + 1)),
+                            else_bb: forward(e),
+                        })
+                    }
+                    _ => None,
+                };
+                let term = term.unwrap_or_else(|| {
+                    for r in 0..NUM_REGS {
+                        instrs.push(Instr::VCall {
+                            dst: None,
+                            call: VCall::ArrayWrite(DUMP),
+                            args: vec![Operand::Imm(r as u64), Operand::Reg(Reg(r))],
+                        });
+                    }
+                    let verdict = if e % 2 == 0 { Operand::Reg(cond) } else { Operand::Imm(imm) };
+                    Terminator::Return(verdict)
+                });
+                BasicBlock { instrs, term }
+            })
+            .collect();
+        // The entry block opens with a state write and one more
+        // instruction, so a fuel of 1 runs out mid-block after the write.
+        blocks[0].instrs.splice(
+            0..0,
+            [
+                Instr::VCall {
+                    dst: None,
+                    call: VCall::TableWrite(StateId(0)),
+                    args: vec![write_key, write_value],
+                },
+                Instr::Const { dst: Reg(0), value: 7 },
+            ],
+        );
+        CirFunction { blocks, num_regs: NUM_REGS }
+    }
+
+    fn arb_packet() -> impl Strategy<Value = PacketInfo> {
+        let proto = prop_oneof![Just(6u8), Just(17u8), any::<u8>()];
+        (
+            (any::<u32>(), 0u32..4, any::<u16>(), 0u16..3),
+            (proto, any::<u8>(), any::<u8>(), 0u16..80, any::<u8>()),
+        )
+            .prop_map(
+                |((src_ip, dst_ip, src_port, dst_port), (proto, ttl, flags, len, seed))| {
+                    PacketInfo {
+                        src_ip,
+                        dst_ip,
+                        src_port,
+                        dst_port,
+                        proto,
+                        ttl,
+                        tcp_flags: flags,
+                        payload_len: len,
+                        payload_seed: seed,
+                    }
+                },
+            )
+    }
+
+    /// State every generated function starts from: routes, table entries
+    /// and array cells at the small keys generated operands favour.
+    fn seeded_state() -> HashState {
+        let mut state = HashState::new();
+        for s in 0..4 {
+            let sid = StateId(s);
+            state.add_lpm_rule(sid, 0, 0, 1);
+            state.add_lpm_rule(sid, 2, 31, 5 + s as u64);
+            state.table_write(sid, 1, 10 + s as u64);
+            state.array_write(sid, 2, 20 + s as u64);
+            state.counter_add(sid, 3, 1);
+        }
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `execute` and the lean `DecodedFunction::run` agree with the
+        /// IR walk on every profile, error and final state, for packets
+        /// run in sequence through one decoded function and one set of
+        /// buffers, under fuels that run out mid-block, run out later, and
+        /// suffice.
+        #[test]
+        fn decoded_interpreter_matches_the_ir_walk(
+            f in arb_function(),
+            packets in vec(arb_packet(), 1..=3),
+            fuel in 0u64..120,
+        ) {
+            let decoded = DecodedFunction::new(&f);
+            let mut buffers = RunBuffers::default();
+            let mut walked = seeded_state();
+            let mut executed = seeded_state();
+            let mut ran = seeded_state();
+            for pkt in &packets {
+                for fuel in [1, fuel, 1_000_000] {
+                    let want = execute_ir(&f, pkt, &mut walked, fuel);
+                    let got = execute(&f, pkt, &mut executed, fuel);
+                    prop_assert_eq!(&got, &want, "execute, fuel {fuel}: {got:?}\n{want:?}\n{f:?}");
+                    prop_assert_eq!(&executed, &walked, "execute state, fuel {fuel}\n{f:?}");
+                    let lean = decoded.run(pkt, &mut ran, fuel, &mut buffers);
+                    let want_lean = want.as_ref().map(|p| RunOutcome {
+                        forward: p.forward,
+                        instrs: p.instrs,
+                        packet_out: p.packet_out,
+                    });
+                    let want_lean = want_lean.map_err(Clone::clone);
+                    prop_assert_eq!(&lean, &want_lean, "run, fuel {fuel}\n{f:?}");
+                    if let Ok(p) = &want {
+                        let counts = &buffers.block_counts;
+                        prop_assert_eq!(counts, &p.block_counts, "run counts, fuel {fuel}");
+                    }
+                    prop_assert_eq!(&ran, &walked, "run state, fuel {fuel}\n{f:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_folds_immediates_and_specializes_scan_shapes() {
+        let f = CirFunction {
+            blocks: vec![
+                BasicBlock {
+                    instrs: vec![
+                        Instr::Binary {
+                            dst: Reg(0),
+                            op: Op::Mul,
+                            lhs: Operand::Imm(6),
+                            rhs: Operand::Imm(7),
+                        },
+                        Instr::Binary {
+                            dst: Reg(1),
+                            op: Op::Add,
+                            lhs: Operand::Reg(Reg(0)),
+                            rhs: Operand::Imm(1),
+                        },
+                        Instr::Copy { dst: Reg(2), src: Operand::Imm(9) },
+                    ],
+                    term: Terminator::Branch {
+                        cond: Operand::Imm(0),
+                        then_bb: BlockId(0),
+                        else_bb: BlockId(1),
+                    },
+                },
+                BasicBlock { instrs: vec![], term: Terminator::Return(Operand::Reg(Reg(1))) },
+            ],
+            num_regs: 3,
+        };
+        let d = DecodedFunction::new(&f);
+        assert!(matches!(d.steps[0], Step::Const { dst: 0, value: 42 }));
+        assert!(matches!(d.steps[1], Step::AddRI { dst: 1, lhs: 0, imm: 1 }));
+        assert!(matches!(d.steps[2], Step::Const { dst: 2, value: 9 }));
+        assert!(matches!(d.blocks[0].exit, Exit::Jump(1)));
+        let p = execute(&f, &PacketInfo::tcp(1, 2, 3, 4, 0), &mut HashState::new(), 100).unwrap();
+        assert_eq!(p.block_counts, vec![1, 1]);
+        assert_eq!(p.instrs, 3);
+        assert!(p.forward);
+    }
+
+    #[test]
+    fn hash_state_counts_only_writes() {
+        let mut state = HashState::new();
+        state.add_lpm_rule(StateId(0), 0, 0, 1);
+        state.table_lookup(StateId(0), 1);
+        state.lpm_lookup(StateId(0), 1);
+        state.counter_read(StateId(0), 1);
+        state.array_read(StateId(0), 1);
+        state.meter(1, 1);
+        assert_eq!(state.writes(), 0);
+        state.table_write(StateId(0), 1, 1);
+        state.counter_add(StateId(0), 1, 0);
+        state.array_write(StateId(0), 1, 1);
+        assert_eq!(state.writes(), 3);
+    }
 
     fn run(src: &str, pkt: PacketInfo) -> PathProfile {
         let m = lower(&frontend(src).unwrap()).unwrap();

@@ -15,7 +15,9 @@
 //! * [`interp`] — a CIR interpreter that executes a function against a
 //!   packet description and a state oracle, recording a *path profile*
 //!   (block execution counts, vcall byte counts). This is Clara's
-//!   "simulate the execution for the set of packets" path (§3.5).
+//!   "simulate the execution for the set of packets" path (§3.5). A
+//!   function is decoded once into a [`DecodedFunction`] for repeated
+//!   runs.
 //!
 //! # Example
 //!
@@ -42,7 +44,10 @@ pub mod interp;
 pub mod ir;
 pub mod lower;
 
-pub use interp::{execute, HashState, InterpError, PacketInfo, PathProfile, StateOracle};
+pub use interp::{
+    execute, DecodedFunction, HashState, InterpError, PacketInfo, PathProfile, RunBuffers,
+    RunOutcome, StateOracle,
+};
 pub use ir::{
     BasicBlock, BlockId, CirFunction, CirModule, Instr, Op, Operand, PacketField, Reg, StateId,
     StateInfo, Terminator, VCall,

@@ -351,9 +351,9 @@ fn predict(args: &[String], hints: bool) -> Result<(), CliError> {
     // nothing; the enabled path never perturbs the prediction.
     let telemetry_path = flag_value(args, "--telemetry");
     let mut sink = if telemetry_path.is_some() { Sink::memory() } else { Sink::disabled() };
-    let analysis = sink.span("frontend+lower", || clara_core::analyze_source(&source))?;
+    let module = sink.span("frontend+lower", || clara_core::lower_source(&source))?;
     let p = predict_with_sink(
-        &analysis.module,
+        &module,
         clara.params(),
         &wl,
         PredictOptions::default(),
@@ -386,7 +386,7 @@ fn predict(args: &[String], hints: bool) -> Result<(), CliError> {
             ..TelemetryReport::from_sink(&sink)
         }
         .with_context("command", "predict")
-        .with_context("nf", &analysis.module.name)
+        .with_context("nf", &module.name)
         .with_context("nic", &clara.params().nic_name)
         .with_context("workload", &wl.summary());
         write_telemetry(path, &report)?;
@@ -458,7 +458,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
     let clara = build_clara(args)?;
     let telemetry_path = flag_value(args, "--telemetry");
     let mut sink = if telemetry_path.is_some() { Sink::memory() } else { Sink::disabled() };
-    let analysis = sink.span("frontend+lower", || clara_core::analyze_source(&source))?;
+    let module = sink.span("frontend+lower", || clara_core::lower_source(&source))?;
     let scenarios: Vec<SweepScenario<'_>> = grid
         .into_iter()
         .map(|wl| SweepScenario {
@@ -466,7 +466,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
                 "{:>8} {:>7} {:>7}",
                 wl.rate_pps as u64, wl.avg_payload as u64, wl.flows
             ),
-            module: &analysis.module,
+            module: &module,
             params: clara.params(),
             workload: wl,
             options: PredictOptions::default(),
@@ -479,7 +479,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
 
     println!(
         "sweep of `{}` on {} ({} cells):",
-        analysis.module.name,
+        module.name,
         clara.params().nic_name,
         scenarios.len()
     );
@@ -541,7 +541,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         sink.count("cells_failed", report.failed_count() as u64);
         let telemetry = TelemetryReport { solver, ..TelemetryReport::from_sink(&sink) }
             .with_context("command", "sweep")
-            .with_context("nf", &analysis.module.name)
+            .with_context("nf", &module.name)
             .with_context("nic", &clara.params().nic_name)
             .with_context("cells", &scenarios.len().to_string());
         write_telemetry(path, &telemetry)?;
@@ -694,13 +694,13 @@ fn validate(args: &[String]) -> Result<(), CliError> {
         Clara::new(&nic)
     };
     let mut sink = if telemetry_path.is_some() { Sink::memory() } else { Sink::disabled() };
-    let analysis = sink.span("frontend+lower", || clara_core::analyze_source(&source))?;
+    let module = sink.span("frontend+lower", || clara_core::lower_source(&source))?;
     program
         .validate()
         .map_err(|e| CliError::Io(format!("corpus program `{nf_name}` invalid: {e}")))?;
 
     let sweep = sink.span("validation-sweep", || {
-        run_validation_sweep(&analysis.module, clara.params(), &nic, &program, &grid, &config)
+        run_validation_sweep(&module, clara.params(), &nic, &program, &grid, &config)
     });
 
     println!(
@@ -830,12 +830,12 @@ fn profile(args: &[String]) -> Result<(), CliError> {
 
     // Profiling exists to observe, so the sink is always on here.
     let mut sink = Sink::memory();
-    let analysis = sink.span("frontend+lower", || clara_core::analyze_source(&source))?;
+    let module = sink.span("frontend+lower", || clara_core::lower_source(&source))?;
     program
         .validate()
         .map_err(|e| CliError::Io(format!("corpus program `{nf_name}` invalid: {e}")))?;
     let p = predict_with_sink(
-        &analysis.module,
+        &module,
         clara.params(),
         &wl,
         PredictOptions::default(),

@@ -192,10 +192,16 @@ pub struct Analysis {
 /// extract the dataflow graph). Prediction additionally needs
 /// [`NicParameters`]; use [`Clara`] for that.
 pub fn analyze_source(source: &str) -> Result<Analysis, ClaraError> {
-    let ast = clara_lang::frontend(source)?;
-    let module = clara_cir::lower(&ast)?;
+    let module = lower_source(source)?;
     let graph = clara_dataflow::extract(&module);
     Ok(Analysis { module, graph })
+}
+
+/// Parse, check and lower an NF source without extracting its dataflow
+/// graph: all a prediction needs, since it extracts and weights its own.
+pub fn lower_source(source: &str) -> Result<CirModule, ClaraError> {
+    let ast = clara_lang::frontend(source)?;
+    Ok(clara_cir::lower(&ast)?)
 }
 
 /// The Clara tool: NIC parameters plus the analysis/prediction pipeline.
@@ -234,8 +240,8 @@ impl Clara {
         workload: &WorkloadProfile,
     ) -> Result<Prediction, ClaraError> {
         workload.validate()?;
-        let analysis = self.analyze(source)?;
-        Ok(clara_predict::predict(&analysis.module, &self.params, workload)?)
+        let module = lower_source(source)?;
+        Ok(clara_predict::predict(&module, &self.params, workload)?)
     }
 
     /// Predict from an existing analysis (avoids re-parsing).
@@ -257,12 +263,12 @@ impl Clara {
         workload: &WorkloadProfile,
     ) -> Result<String, ClaraError> {
         workload.validate()?;
-        let analysis = self.analyze(source)?;
-        let prediction = clara_predict::predict(&analysis.module, &self.params, workload)?;
+        let module = lower_source(source)?;
+        let prediction = clara_predict::predict(&module, &self.params, workload)?;
         let mut out = String::new();
         out.push_str(&format!(
             "Porting plan for `{}` on {} ({} kpps, {}B avg payload, {} flows):\n",
-            analysis.module.name,
+            module.name,
             self.params.nic_name,
             (workload.rate_pps / 1000.0).round(),
             workload.avg_payload.round(),
@@ -277,7 +283,7 @@ impl Clara {
                 );
             }
         }
-        for (state, &m) in analysis.module.states.iter().zip(&prediction.mapping.state_mem) {
+        for (state, &m) in module.states.iter().zip(&prediction.mapping.state_mem) {
             out.push_str(&format!(
                 "  • state `{}` ({} B) → {}\n",
                 state.name, state.size_bytes, self.params.mems[m].name

@@ -40,8 +40,10 @@
 //! non-negative costs equal `min(true_sum, u64::MAX)` independent of
 //! association, so per-class totals replayed per packet are exact.
 //! Which runs reach a kernel is decided by the engine before either
-//! runs: Live stages (all of them, or any for [`run_batched`]), a stage
-//! timeline, and for [`run_batched`] the cache-thrash fault are gates.
+//! runs: Live stages (all of them, or any for [`run_batched`]) and a
+//! stage timeline are gates. The cache-thrash fault is not: pure stages
+//! touch no cached region, so [`run_batched`] ignores it and the partial
+//! kernel flushes inline for its Live stages.
 //! Both kernels replay ingress-overflow drops in the scalar loop's
 //! order. [`run_batched`] refuses a run in only two cases, a
 //! saturation-risk class and a finish time at or past `SAFE_CYCLES`,

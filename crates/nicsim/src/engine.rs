@@ -147,14 +147,16 @@ pub(crate) struct AccelRt {
 pub struct SimConfig {
     /// Cost signature-pure stages through the batch kernels (the `batch`
     /// module): once per (cost-equivalent unit, payload length) class
-    /// over column arenas instead of once per packet. Three gates are
+    /// over column arenas instead of once per packet. Two gates are
     /// checked before any kernel runs and send the run to the scalar
-    /// loop: every stage is Live, a stage timeline is recorded, or the
-    /// cache-thrash fault hits an all-pure program. Once running, the
-    /// whole-run kernel refuses only a saturation-risk class or a finish
-    /// time at or past `SAFE_CYCLES`, and the engine then replays the
-    /// scalar loop; the partial kernel never refuses. Results are
-    /// bit-identical to [`SimConfig::exact`] either way.
+    /// loop: every stage is Live, or a stage timeline is recorded. The
+    /// cache-thrash fault is no gate: a pure stage touches no cached
+    /// region, so a flush cannot change its cost, and the partial kernel
+    /// flushes inline for its Live stages. Once running, the whole-run
+    /// kernel refuses only a saturation-risk class or a finish time at or
+    /// past `SAFE_CYCLES`, and the engine then replays the scalar loop;
+    /// the partial kernel never refuses. Results are bit-identical to
+    /// [`SimConfig::exact`] either way.
     pub batch: bool,
 }
 
@@ -833,10 +835,11 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     let total_limit = watchdog.total_limit();
 
     // Batched struct-of-arrays path: when every stage is signature-pure
-    // and nothing per-packet needs the scalar replay (no stage timeline,
-    // no per-packet cache thrash), the whole trace is ingested into
-    // column arenas and evaluated per (unit-group, payload-length) class
-    // instead of per packet. A run the kernel refuses (a saturation-risk
+    // and no stage timeline needs the scalar replay, the whole trace is
+    // ingested into column arenas and evaluated per (unit-group,
+    // payload-length) class instead of per packet. The cache-thrash fault
+    // needs no replay here: a pure stage touches no cached region, and a
+    // flush keeps the cache's hit/miss counters. A run the kernel refuses (a saturation-risk
     // class, a finish time near `u64` saturation) falls back to the
     // scalar loop below, replayed over the same rows.
     let mut batch_packets = 0u64;
@@ -844,12 +847,12 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     let all_pure = classes.iter().all(|c| *c != StageClass::Live);
     let any_pure = classes.iter().any(|c| *c != StageClass::Live);
     let no_timeline = instruments.as_ref().is_none_or(|i| i.timeline.is_none());
-    let batchable = config.batch && all_pure && !faults.thrash_emem_cache && no_timeline;
+    let batchable = config.batch && all_pure && no_timeline;
     // Partial-run batching: Live stages no longer poison the whole run.
     // Pure stages are costed once per (unit-group, payload-length) class
     // and the genuinely history-coupled stages are replayed per packet in
-    // an exact sequential merge — so the partial kernel, unlike the full
-    // one, tolerates cache-thrash faults and never needs a fallback.
+    // an exact sequential merge — so the partial kernel flushes the cache
+    // inline under the thrash fault and never needs a fallback.
     let partially_batchable = config.batch && any_pure && !all_pure && no_timeline;
     enum Source<'r, I> {
         Live(I),
@@ -2535,6 +2538,44 @@ mod tests {
         let fast = simulate_configured(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::default());
         let exact = simulate_configured(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::exact());
         assert_eq!(fast.unwrap_err(), exact.unwrap_err());
+    }
+
+    #[test]
+    fn thrash_fault_keeps_pure_programs_batched() {
+        // dpi-imem's one stage is pure (its automaton sits in uncached
+        // IMEM), so flushing the EMEM cache before every packet can change
+        // neither a cost nor a cache counter: the whole-run kernel keeps
+        // the run and agrees with the exact oracle.
+        let nic = nic();
+        let prog = NicProgram {
+            name: "dpi".into(),
+            tables: vec![TableCfg {
+                name: "automaton".into(),
+                mem: "imem".into(),
+                entry_bytes: 8,
+                entries: 65_536,
+                use_flow_cache: false,
+            }],
+            stages: vec![Stage {
+                name: "scan".into(),
+                unit: StageUnit::Npu,
+                ops: vec![
+                    MicroOp::ParseHeader,
+                    MicroOp::StreamPayload { table: Some(0), loop_overhead: 10 },
+                ],
+            }],
+        };
+        let t = TraceGenerator::new(5).packets(2_000).flows(500).sizes(SizeDist::imix()).generate();
+        let fp = FaultPlan { thrash_emem_cache: true, ..FaultPlan::none() };
+        let wd = Watchdog::new();
+        let exact = simulate_configured(&nic, &prog, &t, &fp, &wd, &SimConfig::exact()).unwrap();
+        let mut instr = SimInstruments::new();
+        let fast =
+            simulate_instrumented(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), &mut instr)
+                .unwrap();
+        assert_eq!(instr.stats.batch_packets, t.len() as u64, "the whole run is batched");
+        assert_bit_identical(&fast, &exact, "dpi-imem under the thrash fault");
+        assert_eq!(fast.latencies, exact.latencies);
     }
 
     #[test]

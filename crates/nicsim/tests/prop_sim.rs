@@ -325,8 +325,8 @@ proptest! {
     /// The batched default and the exact per-packet oracle are one
     /// simulator: on random (program, trace, fault-plan) triples both
     /// must agree bit-for-bit on every observable — whether the run takes
-    /// the whole-run kernel (ingress-overflow drops included), the
-    /// partial kernel (Live stages, cache thrash), or the scalar loop
+    /// the whole-run kernel (ingress-overflow drops and cache thrash
+    /// included), the partial kernel (Live stages), or the scalar loop
     /// (every stage Live, or a kernel refusal).
     #[test]
     fn batch_scalar_and_exact_agree(

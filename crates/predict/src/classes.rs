@@ -6,7 +6,9 @@
 //! learn each class's path — per-block execution counts that become
 //! dataflow-node weights.
 
-use clara_cir::{execute, CirModule, HashState, PacketInfo, StateId};
+use clara_cir::{
+    CirFunction, CirModule, DecodedFunction, HashState, PacketInfo, RunBuffers, StateId, VCall,
+};
 use clara_lang::StateKind;
 use clara_workload::WorkloadProfile;
 
@@ -38,34 +40,33 @@ pub struct PacketClass {
 /// rule spread, and for non-SYN classes each representative packet is run
 /// twice with profile taken from the second run (steady state: the flow's
 /// entries exist). SYN packets profile the first (setup) run.
+///
+/// The handler is decoded once per call, and every run reuses one set of
+/// interpreter buffers. A warm run that wrote nothing the handler reads
+/// leaves the steady-state run the same function, packet, fuel and state
+/// reads, so that run is skipped and the warm run's profile taken: the
+/// result is the same bit for bit.
 pub fn enumerate_classes(module: &CirModule, workload: &WorkloadProfile) -> Vec<PacketClass> {
     let syn_share = workload.syn_share.clamp(0.0, 1.0) * workload.tcp_share;
     let tcp_share = (workload.tcp_share - syn_share).max(0.0);
     let udp_share = (1.0 - workload.tcp_share).max(0.0);
 
+    let mut profiler = Profiler {
+        module,
+        handle: DecodedFunction::new(&module.handle),
+        buffers: RunBuffers::default(),
+        workload,
+        reads_own_writes: reads_own_writes(&module.handle),
+    };
     let mut classes = Vec::new();
     if syn_share > 0.0 {
-        classes.push(profile_class(module, workload, "tcp-syn", syn_share, 0.0, true));
+        classes.push(profiler.profile_class("tcp-syn", syn_share, 0.0, true));
     }
     if tcp_share > 0.0 {
-        classes.push(profile_class(
-            module,
-            workload,
-            "tcp",
-            tcp_share,
-            workload.avg_payload,
-            false,
-        ));
+        classes.push(profiler.profile_class("tcp", tcp_share, workload.avg_payload, false));
     }
     if udp_share > 0.0 {
-        classes.push(profile_class(
-            module,
-            workload,
-            "udp",
-            udp_share,
-            workload.avg_payload,
-            false,
-        ));
+        classes.push(profiler.profile_class("udp", udp_share, workload.avg_payload, false));
     }
     // Renormalize shares in case of clamping.
     let total: f64 = classes.iter().map(|c| c.share).sum();
@@ -77,48 +78,72 @@ pub fn enumerate_classes(module: &CirModule, workload: &WorkloadProfile) -> Vec<
     classes
 }
 
-fn profile_class(
-    module: &CirModule,
-    workload: &WorkloadProfile,
-    name: &str,
-    share: f64,
-    payload: f64,
-    is_syn: bool,
-) -> PacketClass {
-    let n_blocks = module.handle.blocks.len();
-    let mut totals = vec![0.0f64; n_blocks];
-    let mut forwards = 0usize;
-    let mut state = HashState::new();
-    seed_state(module, &mut state);
+/// What the classes of one [`enumerate_classes`] call share: the decoded
+/// handler and the interpreter's buffers.
+struct Profiler<'a> {
+    module: &'a CirModule,
+    handle: DecodedFunction,
+    buffers: RunBuffers,
+    workload: &'a WorkloadProfile,
+    /// Whether a write can reach a later read (see [`reads_own_writes`]).
+    reads_own_writes: bool,
+}
 
-    let udp = name == "udp";
-    for i in 0..REPS {
-        let pkt = representative_packet(i, payload as u16, udp, is_syn, workload);
-        if is_syn {
-            // Setup path: fresh flow.
-            let prof = execute(&module.handle, &pkt, &mut state, FUEL)
-                .expect("profiling within fuel");
-            add(&mut totals, &prof.block_counts);
-            forwards += prof.forward as usize;
-        } else {
-            // Warm the flow, then profile the steady-state run.
-            let _ = execute(&module.handle, &pkt, &mut state, FUEL);
-            let prof = execute(&module.handle, &pkt, &mut state, FUEL)
-                .expect("profiling within fuel");
-            add(&mut totals, &prof.block_counts);
-            forwards += prof.forward as usize;
+impl Profiler<'_> {
+    fn profile_class(&mut self, name: &str, share: f64, payload: f64, is_syn: bool) -> PacketClass {
+        let mut totals = vec![0.0f64; self.handle.num_blocks()];
+        let mut forwards = 0usize;
+        let mut state = HashState::new();
+        seed_state(self.module, &mut state);
+
+        let udp = name == "udp";
+        for i in 0..REPS {
+            let pkt = representative_packet(i, payload as u16, udp, is_syn, self.workload);
+            // SYN: the setup path of a fresh flow. Otherwise warm the flow,
+            // then profile the steady-state run. That run repeats the warm
+            // run exactly, and no later packet can read what it writes,
+            // unless the warm run wrote state the handler reads.
+            let writes = state.writes();
+            let mut run = self.handle.run(&pkt, &mut state, FUEL, &mut self.buffers);
+            if !is_syn && self.reads_own_writes && state.writes() != writes {
+                run = self.handle.run(&pkt, &mut state, FUEL, &mut self.buffers);
+            }
+            let run = run.expect("profiling within fuel");
+            add(&mut totals, &self.buffers.block_counts);
+            forwards += run.forward as usize;
+        }
+        for t in &mut totals {
+            *t /= REPS as f64;
+        }
+        PacketClass {
+            name: name.into(),
+            share,
+            payload,
+            block_weights: totals,
+            forward_share: forwards as f64 / REPS as f64,
         }
     }
-    for t in &mut totals {
-        *t /= REPS as f64;
-    }
-    PacketClass {
-        name: name.into(),
-        share,
-        payload,
-        block_weights: totals,
-        forward_share: forwards as f64 / REPS as f64,
-    }
+}
+
+/// Whether `f` reads some state it also writes. Only then can one run's
+/// writes change what a later run reads: every other vcall is a pure
+/// function of the packet and its operands (`HashState` meters keep no
+/// state).
+fn reads_own_writes(f: &CirFunction) -> bool {
+    let written: Vec<StateId> = f
+        .vcalls()
+        .filter_map(|(_, call)| match *call {
+            VCall::TableWrite(s) | VCall::CounterAdd(s) | VCall::ArrayWrite(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    f.vcalls().any(|(_, call)| match *call {
+        VCall::TableLookup(s)
+        | VCall::LpmLookup(s)
+        | VCall::CounterRead(s)
+        | VCall::ArrayRead(s) => written.contains(&s),
+        _ => false,
+    })
 }
 
 fn add(acc: &mut [f64], counts: &[u64]) {
@@ -262,6 +287,48 @@ mod tests {
         );
         assert_eq!(est.block_weights[insert_block], 0.0);
         assert_eq!(syn.payload, 0.0);
+    }
+
+    #[test]
+    fn only_state_read_back_needs_a_steady_state_run() {
+        // A counter the handler only adds to (vnf's statistics) cannot
+        // change a later run; a table it also looks up (nat's flows) can.
+        let write_only = module(
+            "nf t { state c: counter[8]; state a: array<u64>[8];
+              fn handle(pkt: packet) -> action {
+                c.add(pkt.src_ip % 8, 1);
+                if (a.get(pkt.src_ip % 8) == 0) { return forward; }
+                return drop; } }",
+        );
+        assert!(!reads_own_writes(&write_only.handle));
+        let read_back = module(
+            "nf t { state flows: map<u64, u64>[64];
+              fn handle(pkt: packet) -> action {
+                let k: u64 = hash(pkt.src_ip);
+                if (flows.lookup(k) == 0) { flows.insert(k, 1); }
+                return forward; } }",
+        );
+        assert!(reads_own_writes(&read_back.handle));
+    }
+
+    #[test]
+    fn steady_state_runs_read_back_the_warm_runs_writes() {
+        // The warm run writes a counter or an array cell the steady-state
+        // run reads, so only the second run forwards.
+        for body in [
+            "c.add(pkt.src_ip % 64, 1);
+             if (c.read(pkt.src_ip % 64) >= 2) { return forward; }",
+            "let v: u64 = a.get(pkt.src_ip % 64);
+             a.set(pkt.src_ip % 64, 1);
+             if (v == 1) { return forward; }",
+        ] {
+            let m = module(&format!(
+                "nf t {{ state c: counter[64]; state a: array<u64>[64];
+                  fn handle(pkt: packet) -> action {{ {body} return drop; }} }}"
+            ));
+            let classes = enumerate_classes(&m, &wl(1.0, 0.0, 300.0));
+            assert_eq!(classes[0].forward_share, 1.0, "{body}");
+        }
     }
 
     #[test]
