@@ -178,6 +178,14 @@ impl From<ClaraError> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A reader that closes stdout early (`clara hints … | head`) ends the
+    // process by SIGPIPE, as it ends any Unix filter, instead of panicking
+    // in `println!`. The daemon keeps the runtime's ignored SIGPIPE, so a
+    // client that goes away is an error on its connection, not the end
+    // of the server.
+    if args.first().map(String::as_str) != Some("serve") {
+        restore_default_sigpipe();
+    }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -189,6 +197,26 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Put `SIGPIPE` back to its default action (terminate), which the Rust
+/// runtime sets to ignored before `main`. Declared against libc's
+/// `signal` directly, as `clara-serve` does for SIGTERM, so the CLI stays
+/// dependency-free.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: installs the default disposition, with no handler code.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {

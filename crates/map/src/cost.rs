@@ -193,6 +193,14 @@ pub fn state_access_cost(
     }
 }
 
+/// Whether `node` may be placed on the flow-cache or LPM engine: the
+/// only placements whose cost reads [`CostCtx::fc_hit`].
+pub fn reaches_table_engine(node: &DfNode, params: &NicParameters) -> bool {
+    eligible_units(node, params)
+        .iter()
+        .any(|u| matches!(u, UnitChoice::Accel(AccelKind::FlowCache | AccelKind::Lpm)))
+}
+
 /// Eligible unit options for a node on this NIC.
 pub fn eligible_units(node: &DfNode, params: &NicParameters) -> Vec<UnitChoice> {
     let mut units = Vec::new();

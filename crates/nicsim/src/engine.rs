@@ -177,13 +177,19 @@ impl SimConfig {
 /// Reusable arenas for repeated simulation runs.
 ///
 /// A sweep of N runs performs O(1) heap allocations per run instead of
-/// O(packets): latencies, completions, percentile scratch, per-thread
-/// state, the pending-start heap, and the batch kernels' columns and
-/// class tables all retain their capacity across [`simulate_streamed`]
-/// calls. A fresh `SimScratch` is equivalent to a reused one — reuse
-/// never changes results.
+/// O(packets) or O(flows): latencies, completions, percentile scratch,
+/// per-thread state, the pending-start heap, the memory model (its
+/// caches included) and the tables' flow-cache fronts, and the batch
+/// kernels' columns and class tables all retain their capacity across
+/// [`simulate_streamed`] calls. A fresh `SimScratch` is equivalent to a
+/// reused one — reuse never changes results.
 #[derive(Default)]
 pub struct SimScratch {
+    /// The memory model, re-initialised from the LNIC at each run.
+    mem: MemorySim,
+    /// Per-table runtime state, re-initialised from the program at each
+    /// run; a table keeps its flow-cache storage while it has one.
+    tables: Vec<TableRt>,
     latencies: Vec<u64>,
     completions: Vec<u64>,
     select: Vec<u64>,
@@ -636,6 +642,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
 ) -> Result<SimResult, SimError> {
     prog.validate().map_err(SimError::BadProgram)?;
     let SimScratch {
+        mem,
+        tables,
         latencies,
         completions,
         select,
@@ -648,7 +656,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         shared_costs,
     } = scratch;
 
-    let mut mem = MemorySim::new(nic);
+    mem.reset(nic);
 
     let emem = nic.memory_named("emem").or_else(|| {
         nic.memories()
@@ -689,13 +697,13 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     let fc_region_capacity = nic
         .memory_named("flowcache-sram")
         .map(|m| nic.memory(m).capacity as u64);
-    let mut tables: Vec<TableRt> = Vec::with_capacity(prog.tables.len());
-    for cfg in &prog.tables {
+    tables.truncate(prog.tables.len());
+    for (ti, cfg) in prog.tables.iter().enumerate() {
         let mem_id = nic
             .memory_named(&cfg.mem)
             .ok_or_else(|| SimError::UnknownRegion(cfg.mem.clone()))?;
         let base = mem.alloc(mem_id, cfg.size_bytes() as u64);
-        let fc = if cfg.use_flow_cache && faults.is_offline(AccelKind::FlowCache) {
+        let fc_capacity = if cfg.use_flow_cache && faults.is_offline(AccelKind::FlowCache) {
             // Outage: lookups fall back to the backing memory (degraded
             // latency, not an error).
             None
@@ -707,18 +715,31 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
                 .map(|c| (c / cfg.entry_bytes.max(1) as u64).max(64))
                 .unwrap_or(32_768)
                 .min(1 << 20);
-            // Entry-granular cache: line = 1 "byte" = 1 entry.
-            Some(Cache::new(cap as usize, 1, 4))
+            Some(cap as usize)
         } else {
             None
         };
-        tables.push(TableRt {
+        // Entry-granular cache: line = 1 "byte" = 1 entry. A flow cache
+        // left in this slot by an earlier run is re-initialised in place.
+        let fc = match (fc_capacity, tables.get_mut(ti).and_then(|t| t.fc.take())) {
+            (Some(cap), Some(mut fc)) => {
+                fc.reset(cap, 1, 4);
+                Some(fc)
+            }
+            (Some(cap), None) => Some(Cache::new(cap, 1, 4)),
+            (None, _) => None,
+        };
+        let rt = TableRt {
             mem: mem_id,
             base,
             entry_bytes: cfg.entry_bytes.max(1) as u64,
             entries: cfg.entries.max(1),
             fc,
-        });
+        };
+        match tables.get_mut(ti) {
+            Some(t) => *t = rt,
+            None => tables.push(rt),
+        }
     }
 
     // Threads. Packet residence is the thread's own-island CTM, falling
@@ -810,7 +831,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     // applied to the memory system (a disabled EMEM cache makes its
     // tables signature-pure). Only the batch kernels read them.
     classes.clear();
-    classes.extend(prog.stages.iter().map(|s| classify_stage(s, &tables, &mem)));
+    classes.extend(prog.stages.iter().map(|s| classify_stage(s, tables, mem)));
     // Class-cost resolutions by the batch kernels: a hit was answered by
     // the shared cache, a miss was computed (and published, when a cache
     // is attached). They count class work, not per-packet replays.
@@ -875,8 +896,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             cache.view(&run_fingerprint(
                 nic,
                 prog,
-                &mem,
-                &tables,
+                mem,
+                tables,
                 emem,
                 &stage_stalls,
                 fc_engine_cycles,
@@ -915,8 +936,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             shared: shared_view.as_deref(),
             memo_hits: &mut memo_hits,
             memo_misses: &mut memo_misses,
-            mem: &mut mem,
-            tables: &mut tables,
+            mem: &mut *mem,
+            tables: &mut *tables,
             accels: &mut accels,
             threads: &mut threads[..],
             pending: &mut *pending,
@@ -965,7 +986,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
                 // construction; fidelity beats speed here. The class
                 // costs the attempt resolved stay counted and published:
                 // pure costs are fingerprint-determined.
-                mem = MemorySim::new(nic);
+                mem.reset(nic);
                 if faults.disable_emem_cache {
                     if let Some(e) = emem {
                         mem.disable_cache(e);
@@ -1073,8 +1094,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         for (si, stage) in prog.stages.iter().enumerate() {
             let cost = stage_cost(
                 nic,
-                &mut mem,
-                &mut tables,
+                mem,
+                tables,
                 &mut accels,
                 stage,
                 unit,

@@ -1,16 +1,28 @@
 //! Memory-system simulation: set-associative LRU caches and a region
 //! allocator resolving accesses to cycle costs.
+//!
+//! Both keep their state in flat arrays that a run re-initialises in
+//! place ([`Cache::reset`], [`MemorySim::reset`]): a
+//! [`crate::SimScratch`] owns one memory model and the flow-cache fronts
+//! of its tables, so a reused scratch allocates no cache storage per run.
 
 use clara_lnic::{EdgeKind, Lnic, MemId, UnitId};
 
-/// A set-associative cache with LRU replacement.
+/// A set-associative cache with move-to-front LRU replacement.
 ///
-/// Tags are full line addresses; sets are small move-to-front vectors
-/// (ways ≤ 16 in every profile), which is faster than timestamp LRU at
-/// these sizes.
+/// Tags are full line addresses, held in one flat array of `sets × ways`
+/// slots: set `s` owns `tags[s * ways..(s + 1) * ways]`, whose first
+/// `fill[s]` slots are live, most recently used first. A hit moves its
+/// tag to the front of the set; a miss shifts the live tags back one
+/// slot (dropping the last, least recently used, one when the set is
+/// full) and installs the new tag in front. Ways ≤ 16 in every profile,
+/// so a set is at most two host cache lines of tags, and the shifts are
+/// cheaper than timestamp LRU.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
+    /// Live tags per set; its length is the (power-of-two) set count.
+    fill: Vec<u32>,
     line: usize,
     ways: usize,
     hits: u64,
@@ -21,36 +33,63 @@ impl Cache {
     /// Build a cache with `capacity` bytes, `line`-byte lines, and
     /// `ways` associativity. Set count is rounded up to a power of two.
     pub fn new(capacity: usize, line: usize, ways: usize) -> Self {
+        let mut cache = Cache::unused();
+        cache.reset(capacity, line, ways);
+        cache
+    }
+
+    /// A cache with no sets and no storage: the placeholder for a region
+    /// without one, never accessed until [`Cache::reset`] gives it a
+    /// geometry.
+    fn unused() -> Self {
+        Cache { tags: Vec::new(), fill: Vec::new(), line: 1, ways: 1, hits: 0, misses: 0 }
+    }
+
+    /// Re-initialise in place to exactly [`Cache::new`]`(capacity, line,
+    /// ways)`: every set empty, both counters zero. The buffers keep
+    /// their storage, so a reset to the same geometry (or a smaller one)
+    /// allocates nothing and rewrites only the per-set fill counts: tags
+    /// past a set's fill count are never read.
+    pub fn reset(&mut self, capacity: usize, line: usize, ways: usize) {
         assert!(line.is_power_of_two(), "line size must be a power of two");
         assert!(ways >= 1);
         let lines = (capacity / line).max(1);
         let sets = (lines / ways).max(1).next_power_of_two();
-        Cache {
-            sets: vec![Vec::with_capacity(ways); sets],
-            line,
-            ways,
-            hits: 0,
-            misses: 0,
+        let slots = sets * ways;
+        if self.tags.capacity() < slots {
+            // Fresh zeroed storage: untouched pages cost nothing until a
+            // set first fills them.
+            self.tags = vec![0; slots];
+        } else {
+            self.tags.resize(slots, 0);
         }
+        self.fill.clear();
+        self.fill.resize(sets, 0);
+        self.line = line;
+        self.ways = ways;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Access the line containing `addr`; returns true on hit. Misses
     /// install the line, evicting LRU.
     pub fn access(&mut self, addr: u64) -> bool {
         let line_addr = addr / self.line as u64;
-        let set = (line_addr as usize) & (self.sets.len() - 1);
-        let set = &mut self.sets[set];
-        if let Some(pos) = set.iter().position(|&t| t == line_addr) {
+        let set = (line_addr as usize) & (self.fill.len() - 1);
+        let live = self.fill[set] as usize;
+        let tags = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        if let Some(pos) = tags[..live].iter().position(|&t| t == line_addr) {
             // Move to front (MRU).
-            let t = set.remove(pos);
-            set.insert(0, t);
+            tags.copy_within(0..pos, 1);
+            tags[0] = line_addr;
             self.hits += 1;
             true
         } else {
-            if set.len() == self.ways {
-                set.pop();
-            }
-            set.insert(0, line_addr);
+            // Shift back one slot; a full set drops its LRU tag.
+            let kept = live.min(self.ways - 1);
+            tags.copy_within(0..kept, 1);
+            tags[0] = line_addr;
+            self.fill[set] = (kept + 1) as u32;
             self.misses += 1;
             false
         }
@@ -69,9 +108,7 @@ impl Cache {
     /// Invalidate every line (hit/miss counters are preserved): what a
     /// hostile co-tenant's working set does to ours.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Hit ratio so far (0 if no accesses).
@@ -90,14 +127,23 @@ impl Cache {
 ///
 /// All topology lookups — which (unit, region) edge applies, which
 /// region has a cache — are resolved to plain vector indices at
-/// construction, so [`MemorySim::access`] is straight array arithmetic.
+/// construction (and reset), so [`MemorySim::access`] is straight array
+/// arithmetic.
 /// The seed scanned the LNIC edge list (hundreds of edges on the
 /// Netronome profile) on *every* access, which dominated whole-trace
 /// simulations with per-byte payload loops.
-#[derive(Debug)]
+///
+/// A default `MemorySim` models no regions until [`MemorySim::reset`]
+/// sizes it for an LNIC.
+#[derive(Debug, Default)]
 pub struct MemorySim {
-    /// Cache per region that declares one, indexed by `MemId.0`.
-    caches: Vec<Option<Cache>>,
+    /// Cache storage per region, indexed by `MemId.0`. A region's cache
+    /// is in use only while `cached` says so; the storage outlives
+    /// [`MemorySim::disable_cache`] and [`MemorySim::reset`], so a
+    /// reused memory model re-initialises it instead of allocating.
+    caches: Vec<Cache>,
+    /// Whether each region currently has a cache in front of it.
+    cached: Vec<bool>,
     /// Cache hit latency per region (0 where there is no cache).
     hit_latency: Vec<u64>,
     /// Bump-allocation cursor per region.
@@ -118,41 +164,47 @@ pub struct MemorySim {
 impl MemorySim {
     /// Initialize caches and the latency matrix from the LNIC.
     pub fn new(nic: &Lnic) -> Self {
+        let mut mem = MemorySim::default();
+        mem.reset(nic);
+        mem
+    }
+
+    /// Re-initialise in place to exactly [`MemorySim::new`]`(nic)`: cold
+    /// caches with zeroed counters (and re-enabled where a fault had
+    /// disabled them), empty allocators, no accesses. Every buffer keeps
+    /// its storage, so resetting to the same LNIC allocates nothing.
+    pub fn reset(&mut self, nic: &Lnic) {
         let n_mems = nic.memories().len();
         let n_units = nic.units().len();
-        let mut caches: Vec<Option<Cache>> = Vec::with_capacity(n_mems);
-        let mut hit_latency = vec![0u64; n_mems];
-        let mut bulk_per_byte = vec![0.0; n_mems];
-        let mut raw = vec![0u64; n_units * n_mems];
-        for (i, m) in nic.memories().iter().enumerate() {
-            caches.push(m.cache.map(|c| Cache::new(c.capacity, c.line, c.ways)));
+        self.n_mems = n_mems;
+        if self.caches.len() < n_mems {
+            self.caches.resize_with(n_mems, Cache::unused);
+        }
+        self.cached.clear();
+        self.hit_latency.clear();
+        self.bulk_per_byte.clear();
+        for (cache, m) in self.caches.iter_mut().zip(nic.memories()) {
             if let Some(c) = m.cache {
-                hit_latency[i] = c.hit_latency;
+                cache.reset(c.capacity, c.line, c.ways);
             }
-            bulk_per_byte[i] = m.bulk_per_byte;
-            for u in 0..n_units {
-                raw[u * n_mems + i] = m.latency;
-            }
+            self.cached.push(m.cache.is_some());
+            self.hit_latency.push(m.cache.map_or(0, |c| c.hit_latency));
+            self.bulk_per_byte.push(m.bulk_per_byte);
         }
-        let mut filled = vec![false; n_units * n_mems];
-        for e in nic.edges() {
+        self.raw.clear();
+        for _ in 0..n_units {
+            self.raw.extend(nic.memories().iter().map(|m| m.latency));
+        }
+        // Edges in reverse, so the first matching edge writes last.
+        for e in nic.edges().iter().rev() {
             if let EdgeKind::MemAccess { unit, mem, extra_latency } = e.kind {
-                let slot = unit.0 * n_mems + mem.0;
-                if !filled[slot] {
-                    filled[slot] = true;
-                    raw[slot] = nic.memories()[mem.0].latency + extra_latency;
-                }
+                self.raw[unit.0 * n_mems + mem.0] = nic.memories()[mem.0].latency + extra_latency;
             }
         }
-        MemorySim {
-            caches,
-            hit_latency,
-            cursor: vec![0; n_mems],
-            raw,
-            bulk_per_byte,
-            accesses: vec![0; n_mems],
-            n_mems,
-        }
+        self.cursor.clear();
+        self.cursor.resize(n_mems, 0);
+        self.accesses.clear();
+        self.accesses.resize(n_mems, 0);
     }
 
     /// Allocate `bytes` in `region`, returning the base address.
@@ -184,30 +236,27 @@ impl MemorySim {
     pub fn access(&mut self, unit: UnitId, region: MemId, addr: u64, bytes: u64) -> u64 {
         self.accesses[region.0] += 1;
         let raw = self.raw[unit.0 * self.n_mems + region.0];
-        match &mut self.caches[region.0] {
-            None => {
-                // One transaction covers up to a 64-byte burst; larger
-                // transfers stream at the region's bulk rate.
-                let extra = bytes.saturating_sub(64);
-                raw + (self.bulk_per_byte[region.0] * extra as f64).round() as u64
-            }
-            Some(cache) => {
-                let hit_lat = self.hit_latency[region.0];
-                let line = cache.line() as u64;
-                let first = addr / line;
-                let last = (addr + bytes.max(1) - 1) / line;
-                let mut total = 0;
-                for l in first..=last {
-                    total += if cache.access(l * line) { hit_lat } else { raw };
-                }
-                total
-            }
+        if !self.cached[region.0] {
+            // One transaction covers up to a 64-byte burst; larger
+            // transfers stream at the region's bulk rate.
+            let extra = bytes.saturating_sub(64);
+            return raw + (self.bulk_per_byte[region.0] * extra as f64).round() as u64;
         }
+        let cache = &mut self.caches[region.0];
+        let hit_lat = self.hit_latency[region.0];
+        let line = cache.line() as u64;
+        let first = addr / line;
+        let last = (addr + bytes.max(1) - 1) / line;
+        let mut total = 0;
+        for l in first..=last {
+            total += if cache.access(l * line) { hit_lat } else { raw };
+        }
+        total
     }
 
     /// Cache statistics of a region, if it has a cache.
     pub fn cache_stats(&self, region: MemId) -> Option<(u64, u64)> {
-        self.caches[region.0].as_ref().map(|c| c.stats())
+        self.cached[region.0].then(|| self.caches[region.0].stats())
     }
 
     /// Accesses issued against `region` so far. Counts *computed*
@@ -224,20 +273,22 @@ impl MemorySim {
     /// them once per class.
     #[inline]
     pub fn has_cache(&self, region: MemId) -> bool {
-        self.caches[region.0].is_some()
+        self.cached[region.0]
     }
 
     /// Remove `region`'s cache entirely (fault injection: a disabled
-    /// cache controller). Accesses then pay the raw region latency.
+    /// cache controller). Accesses then pay the raw region latency, and
+    /// the region reports no cache statistics; the next
+    /// [`MemorySim::reset`] restores the cache, cold.
     pub fn disable_cache(&mut self, region: MemId) {
-        self.caches[region.0] = None;
+        self.cached[region.0] = false;
         self.hit_latency[region.0] = 0;
     }
 
     /// Flush `region`'s cache, if it has one (fault injection: thrash).
     pub fn flush_cache(&mut self, region: MemId) {
-        if let Some(c) = &mut self.caches[region.0] {
-            c.flush();
+        if self.cached[region.0] {
+            self.caches[region.0].flush();
         }
     }
 }
@@ -246,6 +297,140 @@ impl MemorySim {
 mod tests {
     use super::*;
     use clara_lnic::profiles;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The per-set-`Vec` cache that preceded the flat tag array, kept as
+    /// the LRU oracle: every set is its own move-to-front vector.
+    struct VecCache {
+        sets: Vec<Vec<u64>>,
+        line: usize,
+        ways: usize,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl VecCache {
+        fn new(capacity: usize, line: usize, ways: usize) -> Self {
+            let lines = (capacity / line).max(1);
+            let sets = (lines / ways).max(1).next_power_of_two();
+            VecCache { sets: vec![Vec::with_capacity(ways); sets], line, ways, hits: 0, misses: 0 }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line_addr = addr / self.line as u64;
+            let set = (line_addr as usize) & (self.sets.len() - 1);
+            let set = &mut self.sets[set];
+            if let Some(pos) = set.iter().position(|&t| t == line_addr) {
+                let t = set.remove(pos);
+                set.insert(0, t);
+                self.hits += 1;
+                true
+            } else {
+                if set.len() == self.ways {
+                    set.pop();
+                }
+                set.insert(0, line_addr);
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn flush(&mut self) {
+            for set in &mut self.sets {
+                set.clear();
+            }
+        }
+    }
+
+    /// `(capacity, line, ways)`: arbitrary shapes, the flow cache's
+    /// entry-granular shape (line 1, 4 ways), and direct-mapped caches.
+    /// Capacities are arbitrary byte counts, so most set counts round up
+    /// to a power of two.
+    fn geometry() -> BoxedStrategy<(usize, usize, usize)> {
+        prop_oneof![
+            (1usize..20_000, 0u32..8, 1usize..17).prop_map(|(c, l, w)| (c, 1 << l, w)),
+            (1usize..4_000).prop_map(|c| (c, 1, 4)),
+            (1usize..20_000, 0u32..8).prop_map(|(c, l)| (c, 1 << l, 1)),
+        ]
+        .boxed()
+    }
+
+    /// A geometry and a stream of `(op, line slot, high bits)`: op 0
+    /// flushes, anything else accesses. Slots span about twice the
+    /// cache's lines (at most 1,032 slots, so large caches see repeats
+    /// too), and the high bits give tags that share a set index but not
+    /// a line, so streams mix hits, conflicts and evictions.
+    #[allow(clippy::type_complexity)]
+    fn case() -> BoxedStrategy<((usize, usize, usize), Vec<(u32, u64, u64)>)> {
+        geometry()
+            .prop_flat_map(|g| {
+                let lines = (g.0 / g.1).clamp(1, 512) as u64;
+                (Just(g), vec((0u32..48, 0..2 * lines + 8, 0u64..4), 1..800))
+            })
+            .boxed()
+    }
+
+    /// Replay `stream` on both caches, asserting equal hit/miss outcomes
+    /// access by access and equal counters at the end.
+    fn replay(
+        flat: &mut Cache,
+        oracle: &mut VecCache,
+        line: usize,
+        stream: &[(u32, u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        for (i, &(op, slot, hi)) in stream.iter().enumerate() {
+            if op == 0 {
+                flat.flush();
+                oracle.flush();
+                continue;
+            }
+            let addr = slot * line as u64 + (hi * 13) % line as u64 + (hi << 62);
+            prop_assert_eq!(flat.access(addr), oracle.access(addr), "access {} at {:#x}", i, addr);
+        }
+        prop_assert_eq!(flat.stats(), (oracle.hits, oracle.misses));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat cache is the per-set-`Vec` cache: the same hit or miss
+        /// on every access and the same counters, across flushes and
+        /// after an in-place reset to a second geometry.
+        #[test]
+        fn flat_cache_matches_the_per_set_vec_oracle(first in case(), second in case()) {
+            let ((cap, line, ways), stream) = first;
+            let mut flat = Cache::new(cap, line, ways);
+            replay(&mut flat, &mut VecCache::new(cap, line, ways), line, &stream)?;
+            let ((cap, line, ways), stream) = second;
+            flat.reset(cap, line, ways);
+            replay(&mut flat, &mut VecCache::new(cap, line, ways), line, &stream)?;
+        }
+    }
+
+    #[test]
+    fn reset_memory_sim_equals_a_fresh_one() {
+        // A used memory model with a disabled cache, reset, answers every
+        // access exactly as a fresh one does (and re-enables the cache).
+        let nic = profiles::netronome_agilio_cx40();
+        let npu = nic.unit_named("npu0_0").unwrap();
+        let emem = nic.memory_named("emem").unwrap();
+        let mut reused = MemorySim::new(&nic);
+        reused.alloc(emem, 4096);
+        reused.access(npu, emem, 0, 256);
+        reused.disable_cache(emem);
+        assert_eq!(reused.cache_stats(emem), None);
+        reused.reset(&nic);
+        let mut fresh = MemorySim::new(&nic);
+        for (addr, bytes) in [(0, 8), (0, 8), (4096, 256), (64, 8)] {
+            let a = reused.access(npu, emem, addr, bytes);
+            assert_eq!(a, fresh.access(npu, emem, addr, bytes));
+        }
+        assert_eq!(reused.cache_stats(emem), fresh.cache_stats(emem));
+        assert_eq!(reused.alloc(emem, 8), fresh.alloc(emem, 8));
+        assert_eq!(reused.access_count(emem), fresh.access_count(emem));
+    }
 
     #[test]
     fn cache_hits_after_install() {

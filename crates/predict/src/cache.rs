@@ -86,6 +86,20 @@ pub fn hit_model(
     params: &NicParameters,
     workload: &WorkloadProfile,
 ) -> (Vec<Vec<f64>>, f64) {
+    hit_model_reading(states, params, workload, true)
+}
+
+/// [`hit_model`] for a prediction that reads the flow-cache engine hit
+/// ratio only if `fc_read`. When it does not — no node can be placed on
+/// the flow-cache or LPM engine — the ratio is left at 0, uncomputed,
+/// which spares a skewed workload the O(flows) Zipf table when no state
+/// needs it either.
+pub(crate) fn hit_model_reading(
+    states: &[StateSpec],
+    params: &NicParameters,
+    workload: &WorkloadProfile,
+    fc_read: bool,
+) -> (Vec<Vec<f64>>, f64) {
     let mut zipf = None;
     let matrix = states
         .iter()
@@ -97,7 +111,8 @@ pub fn hit_model(
                 .collect()
         })
         .collect();
-    (matrix, fc_hit_shared(params, workload, &mut zipf))
+    let fc_hit = if fc_read { fc_hit_shared(params, workload, &mut zipf) } else { 0.0 };
+    (matrix, fc_hit)
 }
 
 /// Expected flow-cache engine hit ratio: the mass of flows that fit in

@@ -6,6 +6,7 @@ use clara_cir::CirModule;
 use clara_dataflow::{extract, DataflowGraph, DfNode};
 use clara_lang::StateKind;
 use clara_lnic::AccelKind;
+use clara_map::cost::reaches_table_engine;
 use clara_map::{
     node_compute_cost, solve_mapping_seeded, state_access_cost, CostCtx, IlpSeed, MapError,
     MapInput, Mapping, RunDeadline, SolveBudget, SolverConfig, StateClass, StateSpec, UnitChoice,
@@ -258,7 +259,14 @@ pub(crate) fn prepare(
 ) -> Prepared {
     let classes = enumerate_classes(module, workload);
     let states = state_specs(module);
-    let (state_hit, fc_hit) = crate::cache::hit_model(&states, params, workload);
+    // The flow-cache hit ratio prices only nodes on the flow-cache or LPM
+    // engine; a graph with none never reads it. The graph is not kept for
+    // the solve: one per class in every session's `Prepared` raised the
+    // serving daemon's peak RSS by 5–20 MiB, where extracting it again
+    // costs about 15 µs.
+    let fc_read = extract(module).nodes.iter().any(|n| reaches_table_engine(n, params));
+    let (state_hit, fc_hit) =
+        crate::cache::hit_model_reading(&states, params, workload, fc_read);
     Prepared { classes, states, state_hit, fc_hit }
 }
 
