@@ -454,6 +454,8 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
     // rows until the stream is drained; the engine resets every piece of
     // state a refused attempt touched before it replays the scalar loop.
     rows.clear();
+    // Sized up front, like the engine's latency arenas (see `run_sim`).
+    rows.reserve(packets.size_hint().0);
     scratch.lens.clear();
     scratch.classes.clear();
     scratch.class_count.clear();
@@ -748,6 +750,9 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
     scratch.arrivals.clear();
     scratch.tids.clear();
     scratch.class_of.clear();
+    scratch.arrivals.reserve(rows.len());
+    scratch.tids.reserve(rows.len());
+    scratch.class_of.reserve(rows.len());
     scratch.lens.clear();
     scratch.classes.clear();
     let n_threads = threads.len() as u64;

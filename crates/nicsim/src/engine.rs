@@ -181,8 +181,10 @@ impl SimConfig {
 /// per-thread state, the pending-start heap, the memory model (its
 /// caches included) and the tables' flow-cache fronts, and the batch
 /// kernels' columns and class tables all retain their capacity across
-/// [`simulate_streamed`] calls. A fresh `SimScratch` is equivalent to a
-/// reused one — reuse never changes results.
+/// [`simulate_streamed`] calls. The per-packet arenas take the trace's
+/// length (its `size_hint`) when a run starts, so even a fresh scratch's
+/// allocation count does not grow with packets. A fresh `SimScratch` is
+/// equivalent to a reused one — reuse never changes results.
 #[derive(Default)]
 pub struct SimScratch {
     /// The memory model, re-initialised from the LNIC at each run.
@@ -840,6 +842,16 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
 
     latencies.clear();
     completions.clear();
+    // Per-packet arenas are sized for the whole trace before its first
+    // packet (`TraceStream` reports its exact length) rather than grown
+    // by doubling from a small first block. glibc can hand a thread a
+    // small block that another thread's arena owns, and `realloc` grows
+    // a block inside its owner, so a doubling chain could settle in a
+    // sweep worker's arena and keep its pages resident: the process's
+    // peak RSS then depended on which thread had freed what last.
+    let expected = packets.size_hint().0;
+    latencies.reserve(expected);
+    completions.reserve(expected);
     stage_totals.clear();
     stage_totals.resize(prog.stages.len(), 0u64);
     pending.clear();
@@ -908,6 +920,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             // the rows materialized up front. The full kernel ingests
             // inside its own fused column pass instead.
             rows.clear();
+            rows.reserve(expected);
             for (idx, tp) in packets.by_ref().enumerate() {
                 // Same supervision cadence the scalar loop polls at.
                 if idx % DEADLINE_STRIDE == 0 && watchdog.expired() {

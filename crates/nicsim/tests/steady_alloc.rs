@@ -126,3 +126,28 @@ fn reuse_after_any_fault_plan_is_bit_identical() {
         assert_eq!(lat_a, lat_b, "{faults:?}");
     }
 }
+
+#[test]
+fn a_fresh_scratch_sizes_its_packet_arenas_once() {
+    // The per-packet arenas (latencies, completions, the batch kernels'
+    // rows and columns) take the trace's length before its first packet,
+    // so a longer trace costs no extra allocation. Grown by doubling, 16×
+    // the packets made four more reallocations per arena.
+    let nic = profiles::netronome_agilio_cx40();
+    let (faults, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
+    for name in ["nat", "firewall", "lpm", "hh"] {
+        let (_, prog) = clara_nfs::by_name(name).expect("corpus NF");
+        let per_packets: Vec<u64> = [PACKETS, 16 * PACKETS]
+            .into_iter()
+            .map(|packets| {
+                let stream = WorkloadProfile::paper_default().to_trace_stream(packets, 1);
+                let mut scratch = SimScratch::new();
+                let before = ALLOCATIONS.with(Cell::get);
+                simulate_streamed(&nic, &prog, stream, &faults, &wd, &cfg, &mut scratch)
+                    .expect("corpus NF simulates");
+                ALLOCATIONS.with(Cell::get) - before
+            })
+            .collect();
+        assert_eq!(per_packets[0], per_packets[1], "{name}: allocations grow with packets");
+    }
+}
