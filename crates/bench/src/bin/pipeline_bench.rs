@@ -20,6 +20,11 @@
 //!    allocations, exact per-packet stage costs. Optimized is the
 //!    streamed + batched + scratch-reusing path, checked bit-identical
 //!    to exact on every cell (emitted as `BENCH_nicsim.json`).
+//! 4. **`rates`** (in `BENCH_nicsim.json`) — nat over the validation
+//!    grid on one thread: every cell streamed through the exact oracle
+//!    vs one `simulate_rates` call per trace body, whose later rates
+//!    replay the first rate's recorded service column; checked
+//!    bit-identical to exact on every cell.
 //!
 //! ```text
 //! pipeline_bench [--quick] [-o BENCH_pipeline.json] [--sim-o BENCH_nicsim.json]
@@ -30,11 +35,11 @@
 
 use clara_bench::{solver_stress_model, sweep_grid, sweep_scenarios};
 use clara_core::sim::{
-    simulate_configured, simulate_streamed, simulate_streamed_instrumented, CostCache, FaultPlan,
-    SimConfig, SimInstruments, SimScratch, Watchdog,
+    simulate_configured, simulate_rates, simulate_streamed, simulate_streamed_instrumented,
+    CostCache, FaultPlan, RateRun, SimConfig, SimInstruments, SimResult, SimScratch, Watchdog,
 };
-use clara_core::{run_sweep, Prediction, SolveBudget, SolverConfig};
-use clara_workload::TraceCache;
+use clara_core::{run_sweep, validation_grid, Prediction, SolveBudget, SolverConfig};
+use clara_workload::{BodyKey, TraceBody, TraceCache};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -455,6 +460,102 @@ fn main() {
          packets {batch_partial_packets}, bit-identical: yes"
     );
 
+    // --- 3c. rate-shared simulation: nat over the validation grid -------
+    // Baseline: every cell streamed through the exact oracle. Optimized:
+    // one `simulate_rates` call per trace body (the grid's rates share a
+    // body), whose later rates replay the first rate's service column.
+    // nat is one Live all-NPU stage, so its runs take the scalar loop.
+    let rates_grid = validation_grid(per_axis);
+    let rates_packets = 2_000;
+    let nat = clara_core::nfs::nat::ported();
+    let mut bodies: Vec<(BodyKey, Vec<usize>)> = Vec::new();
+    for (i, wl) in rates_grid.iter().enumerate() {
+        let key = BodyKey::of(wl, rates_packets, 42);
+        match bodies.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, cells)) => cells.push(i),
+            None => bodies.push((key, vec![i])),
+        }
+    }
+    eprintln!(
+        "rates: nat, {} cells in {} bodies, {rates_packets} packets/cell, one thread",
+        rates_grid.len(),
+        bodies.len()
+    );
+    let rates_exact_ms = median_ms(sim_runs, || {
+        for wl in &rates_grid {
+            simulate_streamed(
+                nic,
+                &nat,
+                wl.to_trace_stream(rates_packets, 42),
+                &faults,
+                &wd,
+                &SimConfig::exact(),
+                &mut scratch,
+            )
+            .expect("exact nat cell simulates");
+        }
+    });
+    let run_rates = |scratch: &mut SimScratch,
+                     instrumented: bool,
+                     each: &mut dyn FnMut(usize, RateRun<'_>)| {
+        for (_, cells) in &bodies {
+            let body = TraceBody::generate(&rates_grid[cells[0]], rates_packets, 42);
+            let rates: Vec<f64> = cells.iter().map(|&i| rates_grid[i].rate_pps).collect();
+            simulate_rates(
+                nic,
+                &nat,
+                &body,
+                &rates,
+                &faults,
+                &wd,
+                &SimConfig::default(),
+                scratch,
+                instrumented,
+                |run| each(cells[run.index], run),
+            );
+        }
+    };
+    let rates_shared_ms = median_ms(sim_runs, || {
+        run_rates(&mut scratch, false, &mut |_, run| {
+            run.result.expect("rate-shared nat cell simulates");
+        })
+    });
+    let rates_speedup = rates_exact_ms / rates_shared_ms;
+    let mut shared: Vec<Option<(SimResult, Vec<u64>)>> = vec![None; rates_grid.len()];
+    let mut rates_replayed_packets = 0u64;
+    run_rates(&mut scratch, true, &mut |i, run| {
+        rates_replayed_packets += run.stats.expect("instrumented").replayed_packets;
+        let r = run.result.expect("rate-shared nat cell simulates");
+        shared[i] = Some((r, run.latencies.to_vec()));
+    });
+    let mut rates_identical = true;
+    for (wl, got) in rates_grid.iter().zip(&shared) {
+        let (fast, latencies) = got.as_ref().expect("every cell simulated");
+        let exact = simulate_configured(
+            nic,
+            &nat,
+            &wl.to_trace(rates_packets, 42),
+            &faults,
+            &wd,
+            &SimConfig::exact(),
+        )
+        .expect("exact nat cell simulates");
+        rates_identical &= *latencies == exact.latencies
+            && fast.completed == exact.completed
+            && fast.dropped == exact.dropped
+            && fast.flow_cache == exact.flow_cache
+            && fast.emem_cache == exact.emem_cache
+            && fast.energy_mj.to_bits() == exact.energy_mj.to_bits()
+            && fast.achieved_pps.to_bits() == exact.achieved_pps.to_bits()
+            && fast.p99_latency_cycles.to_bits() == exact.p99_latency_cycles.to_bits();
+    }
+    assert!(rates_identical, "rate-shared simulation diverged from the exact path");
+    assert!(rates_replayed_packets > 0, "no rate of the nat grid was replayed");
+    eprintln!(
+        "  exact per cell {rates_exact_ms:.1} ms  rate-shared per body {rates_shared_ms:.1} ms  \
+         ({rates_speedup:.2}x)  replayed packets {rates_replayed_packets}, bit-identical: yes"
+    );
+
     // Perf floor: this PR's acceptance bar. A regression that quietly
     // drops the sweep back toward the scalar path should fail the bench,
     // not ship a smaller number. Quick mode keeps a lower floor — tiny
@@ -502,6 +603,18 @@ fn main() {
     "batch_partial_packets": {batch_partial_packets},
     "identical_to_exact": {partial_identical}
   }},
+  "rates": {{
+    "program": "nat (one Live NPU stage, flow cache over EMEM)",
+    "cells": {rates_cells},
+    "bodies": {rates_bodies},
+    "packets_per_cell": {rates_packets},
+    "threads": 1,
+    "exact_per_cell_ms": {rates_exact_ms:.1},
+    "rate_shared_ms": {rates_shared_ms:.1},
+    "speedup": {rates_speedup:.2},
+    "replayed_packets": {rates_replayed_packets},
+    "identical_to_exact": {rates_identical}
+  }},
   "warm_start": {{
     "cell_hits": {cell_warm_hits},
     "cell_misses": {cell_warm_misses}
@@ -510,6 +623,8 @@ fn main() {
 "#,
         sim_cells = sim_grid.len(),
         trace_bodies = trace_cache.len(),
+        rates_cells = rates_grid.len(),
+        rates_bodies = bodies.len(),
     );
     std::fs::write(sim_out_path, &sim_json).expect("write nicsim benchmark json");
     eprintln!("wrote {sim_out_path}");

@@ -65,13 +65,13 @@ SWEEP FLAGS (defaults give a 4×4×4 = 64-cell grid):
 VALIDATE FLAGS (predicted-vs-simulated error per grid cell):
   --rates / --payloads / --flows   grid axes, as for sweep (default 4x4x4 = 64)
   --threads <n>       worker threads; 0 = all cores, 1 = sequential (default 0)
-  --packets <n>       simulated packets per cell (default 4000)
+  --packets <n>       simulated packets per cell, 1..=1000000 (default 4000)
   --seed <n>          trace-generation seed (default 42)
   --exact             run the simulator's exact oracle path (fidelity audit)
   -o <file>           write the per-cell JSON report here (`-` = stdout)
 
 PROFILE FLAGS (one-cell predict + instrumented simulate of a corpus NF):
-  --packets <n>       simulated packets (default 2000)
+  --packets <n>       simulated packets, 1..=1000000 (default 2000)
   --seed <n>          trace-generation seed (default 42)
   --exact             run the simulator's exact oracle path
   --trace-packets <n> packets recorded in the stage timeline (default 32)
@@ -245,6 +245,22 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(|s| s.as_str())
+}
+
+/// `--packets` (or `default`), refused outside `1..=MAX_PACKETS` — the
+/// bound a served validate request has — before any work starts.
+fn packets_flag(args: &[String], default: usize) -> Result<usize, CliError> {
+    let packets = match flag_value(args, "--packets") {
+        Some(v) => v.parse().map_err(|_| CliError::Usage(format!("bad --packets `{v}`")))?,
+        None => default,
+    };
+    if !(1..=clara_core::MAX_PACKETS).contains(&packets) {
+        return Err(CliError::Usage(format!(
+            "--packets must be in 1..={}, got {packets}",
+            clara_core::MAX_PACKETS
+        )));
+    }
+    Ok(packets)
 }
 
 fn nic_by_name(name: &str) -> Result<clara_core::Lnic, CliError> {
@@ -687,7 +703,7 @@ fn validate(args: &[String]) -> Result<(), CliError> {
     let telemetry_path = flag_value(args, "--telemetry");
     let mut config = ValidationConfig {
         threads: parse_num("--threads", 0)? as usize,
-        packets: parse_num("--packets", 4_000)? as usize,
+        packets: packets_flag(args, 4_000)?,
         seed: parse_num("--seed", 42)?,
         telemetry: telemetry_path.is_some(),
         ..ValidationConfig::default()
@@ -839,7 +855,7 @@ fn profile(args: &[String]) -> Result<(), CliError> {
             None => Ok(default),
         }
     };
-    let packets = parse_num("--packets", 2_000)? as usize;
+    let packets = packets_flag(args, 2_000)?;
     let seed = parse_num("--seed", 42)?;
     let trace_packets = parse_num("--trace-packets", 32)?;
     let sim_config = if args.iter().any(|a| a == "--exact") {

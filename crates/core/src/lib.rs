@@ -57,7 +57,7 @@ pub use clara_predict::{
     CellResult, CellSummary, Checkpoint, ClassPrediction, ErrorSummary, HostParams, PartialPlan,
     PredictOptions, Prediction, RunClass, RunReport, SliceSpec, Sink, SimStats, SolveStats,
     SupervisedSweep, SupervisorConfig, SupervisorError, SweepScenario, TelemetryReport,
-    ValidationCell, ValidationConfig, ValidationResult, ValidationSweep,
+    ValidationCell, ValidationConfig, ValidationResult, ValidationSweep, MAX_PACKETS,
 };
 pub use clara_workload::{Arrival, SizeDist, Trace, TraceGenerator, WorkloadError, WorkloadProfile};
 

@@ -13,6 +13,7 @@ use crate::costcache::CostCache;
 use crate::fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 use crate::memory::{Cache, MemorySim};
 use crate::program::{BytesSpec, MicroOp, NicProgram, Stage, StageUnit};
+use crate::rates::ServiceColumn;
 use crate::watchdog::{Watchdog, DEADLINE_STRIDE};
 use clara_lnic::{AccelCost, AccelKind, ComputeClass, Lnic, MemId, MemKind, UnitId};
 use clara_telemetry::{AccelStats, IslandStats, MemLevelStats, SimStats, StageTimeline};
@@ -179,12 +180,15 @@ impl SimConfig {
 /// A sweep of N runs performs O(1) heap allocations per run instead of
 /// O(packets) or O(flows): latencies, completions, percentile scratch,
 /// per-thread state, the pending-start heap, the memory model (its
-/// caches included) and the tables' flow-cache fronts, and the batch
-/// kernels' columns and class tables all retain their capacity across
-/// [`simulate_streamed`] calls. The per-packet arenas take the trace's
-/// length (its `size_hint`) when a run starts, so even a fresh scratch's
-/// allocation count does not grow with packets. A fresh `SimScratch` is
-/// equivalent to a reused one — reuse never changes results.
+/// caches included) and the tables' flow-cache fronts, the batch
+/// kernels' columns and class tables, and the service column
+/// [`crate::simulate_rates`] records for a body's later rates all retain
+/// their capacity across [`simulate_streamed`] and
+/// [`crate::simulate_rates`] calls. The per-packet arenas take the
+/// trace's length (its `size_hint`) when a run starts, so even a fresh
+/// scratch's allocation count does not grow with packets. A fresh
+/// `SimScratch` is equivalent to a reused one — reuse never changes
+/// results.
 #[derive(Default)]
 pub struct SimScratch {
     /// The memory model, re-initialised from the LNIC at each run.
@@ -192,12 +196,12 @@ pub struct SimScratch {
     /// Per-table runtime state, re-initialised from the program at each
     /// run; a table keeps its flow-cache storage while it has one.
     tables: Vec<TableRt>,
-    latencies: Vec<u64>,
-    completions: Vec<u64>,
-    select: Vec<u64>,
+    pub(crate) latencies: Vec<u64>,
+    pub(crate) completions: Vec<u64>,
+    pub(crate) select: Vec<u64>,
     stage_totals: Vec<u64>,
-    pending: BinaryHeap<Reverse<u64>>,
-    threads: Vec<ThreadRt>,
+    pub(crate) pending: BinaryHeap<Reverse<u64>>,
+    pub(crate) threads: Vec<ThreadRt>,
     classes: Vec<StageClass>,
     /// Ingested trace rows for the batched path (also the replay source
     /// when the batch kernel falls back to the scalar loop).
@@ -207,6 +211,9 @@ pub struct SimScratch {
     /// Stage-cost cache shared across runs by the batch kernels. `None`
     /// (the default) leaves each run's class table as the only reuse.
     shared_costs: Option<Arc<CostCache>>,
+    /// The per-packet service column and end-of-run counters a recording
+    /// run leaves for [`crate::simulate_rates`]'s replays.
+    pub(crate) column: ServiceColumn,
 }
 
 impl SimScratch {
@@ -548,8 +555,17 @@ pub fn simulate_configured(
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
     let mut scratch = SimScratch::new();
-    let mut r =
-        run_sim(nic, prog, trace.iter().cloned(), faults, watchdog, config, &mut scratch, None)?;
+    let mut r = run_sim(
+        nic,
+        prog,
+        trace.iter().cloned(),
+        faults,
+        watchdog,
+        config,
+        &mut scratch,
+        None,
+        false,
+    )?;
     r.latencies = std::mem::take(&mut scratch.latencies);
     Ok(r)
 }
@@ -578,6 +594,7 @@ pub fn simulate_instrumented(
         config,
         &mut scratch,
         Some(instruments),
+        false,
     )?;
     r.latencies = std::mem::take(&mut scratch.latencies);
     Ok(r)
@@ -608,7 +625,7 @@ pub fn simulate_streamed<I>(
 where
     I: IntoIterator<Item = TracePacket>,
 {
-    run_sim(nic, prog, packets.into_iter(), faults, watchdog, config, scratch, None)
+    run_sim(nic, prog, packets.into_iter(), faults, watchdog, config, scratch, None, false)
 }
 
 /// [`simulate_streamed`] with a [`SimInstruments`] attached — the sweep
@@ -628,11 +645,26 @@ pub fn simulate_streamed_instrumented<I>(
 where
     I: IntoIterator<Item = TracePacket>,
 {
-    run_sim(nic, prog, packets.into_iter(), faults, watchdog, config, scratch, Some(instruments))
+    run_sim(
+        nic,
+        prog,
+        packets.into_iter(),
+        faults,
+        watchdog,
+        config,
+        scratch,
+        Some(instruments),
+        false,
+    )
 }
 
+/// The engine behind every entry point. With `record`, a run that takes
+/// the scalar loop of an all-NPU program leaves its per-packet service
+/// column in `scratch.column` for [`crate::simulate_rates`] to replay
+/// (marked valid only if no packet was dropped); results never depend
+/// on it.
 #[allow(clippy::too_many_arguments)]
-fn run_sim<I: Iterator<Item = TracePacket>>(
+pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
     nic: &Lnic,
     prog: &NicProgram,
     mut packets: I,
@@ -641,6 +673,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     config: &SimConfig,
     scratch: &mut SimScratch,
     mut instruments: Option<&mut SimInstruments>,
+    record: bool,
 ) -> Result<SimResult, SimError> {
     prog.validate().map_err(SimError::BadProgram)?;
     let SimScratch {
@@ -656,6 +689,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         rows,
         batch: batch_scratch,
         shared_costs,
+        column,
     } = scratch;
 
     mem.reset(nic);
@@ -787,20 +821,9 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     // uninstrumented path pays a single `is_some()` check per packet.
     let mut probes: Option<[AccelProbe; 4]> =
         instruments.is_some().then(<[AccelProbe; 4]>::default);
-    let mut thread_island: Vec<usize> = Vec::new();
-    let mut island_busy: Vec<u64> = Vec::new();
-    let mut island_threads: Vec<u64> = Vec::new();
-    if instruments.is_some() {
-        for t in threads.iter() {
-            let isl = nic.unit(t.unit).island.unwrap_or(0);
-            if isl >= island_busy.len() {
-                island_busy.resize(isl + 1, 0);
-                island_threads.resize(isl + 1, 0);
-            }
-            thread_island.push(isl);
-            island_threads[isl] += 1;
-        }
-    }
+    let (thread_island, island_threads) =
+        if instruments.is_some() { island_layout(nic, threads) } else { Default::default() };
+    let mut island_busy = vec![0u64; island_threads.len()];
     // Stage unit labels, precomputed only when a timeline will use them.
     let stage_unit_labels: Vec<String> =
         if instruments.as_ref().is_some_and(|i| i.timeline.is_some()) {
@@ -815,15 +838,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             Vec::new()
         };
 
-    // Hubs: first hub is ingress, second (if any) egress.
-    let ingress = nic.hubs().first();
-    let egress = nic.hubs().get(1).or(ingress);
-    let ingress_capacity = faults
-        .ingress_capacity
-        .unwrap_or_else(|| ingress.map(|h| h.queue_capacity).unwrap_or(usize::MAX));
-
+    let Hubs { ingress_lat, egress_lat, ingress_capacity } = Hubs::of(nic, faults);
     let freq = nic.freq_ghz;
-    let to_cycles = |ns: u64| -> u64 { (ns as f64 * freq).round() as u64 };
 
     // Fault stalls are per-stage constants; resolve them once.
     let stage_stalls: Vec<u64> =
@@ -887,6 +903,24 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     // an exact sequential merge — so the partial kernel flushes the cache
     // inline under the thrash fault and never needs a fallback.
     let partially_batchable = config.batch && any_pure && !all_pure && no_timeline;
+    // Rate-shared recording (`crate::rates`): only the scalar loop of the
+    // fast configuration records, and only for a program whose stage
+    // costs cannot read the clock — every stage on an NPU (an accelerator
+    // queue's wait depends on when the packet reaches it) — and that no
+    // fault drops wholesale. The column is kept only if the run ends
+    // with no drop of any kind.
+    let mut recording = record
+        && config.batch
+        && !any_pure
+        && no_timeline
+        && !offline_required
+        && prog.stages.iter().all(|s| matches!(s.unit, StageUnit::Npu));
+    if recording {
+        column.tids.clear();
+        column.service.clear();
+        column.tids.reserve(expected);
+        column.service.reserve(expected);
+    }
     enum Source<'r, I> {
         Live(I),
         Rows(std::slice::Iter<'r, TracePacket>),
@@ -938,8 +972,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             emem,
             fc_engine_cycles,
             offline_required,
-            ingress_lat: ingress.map(|h| h.latency).unwrap_or(0),
-            egress_lat: egress.map(|h| h.latency).unwrap_or(0),
+            ingress_lat,
+            egress_lat,
             ingress_capacity,
             stage_stalls: &stage_stalls,
             freq,
@@ -1040,13 +1074,14 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         // Arrivals from a Trace or TraceStream are already monotone; the
         // clamp is a no-op there and makes raw iterators behave as if
         // they had been materialized through Trace::push first.
-        let arrival = to_cycles(tp.ts_ns).max(last_arrival);
+        let arrival = to_cycles(tp.ts_ns, freq).max(last_arrival);
         last_arrival = arrival;
 
         // Fault injection: corrupt frames fail the ingress CRC check and
         // are discarded before queueing.
         if faults.corrupt_every > 0 && (pkt_idx as u64 + 1).is_multiple_of(faults.corrupt_every) {
             corrupt_drops += 1;
+            recording = false;
             continue;
         }
         // Fault injection: a packet that needs an offline engine cannot
@@ -1062,6 +1097,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         }
         if pending.len() >= ingress_capacity {
             dropped += 1;
+            recording = false;
             continue;
         }
 
@@ -1102,7 +1138,7 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             }
         }
 
-        let mut cur = start.saturating_add(ingress.map(|h| h.latency).unwrap_or(0));
+        let mut cur = start.saturating_add(ingress_lat);
         let mut pkt_cycles = 0u64;
         for (si, stage) in prog.stages.iter().enumerate() {
             let cost = stage_cost(
@@ -1156,7 +1192,13 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             }
             cur = cur.saturating_add(cost);
         }
-        cur = cur.saturating_add(egress.map(|h| h.latency).unwrap_or(0));
+        cur = cur.saturating_add(egress_lat);
+        if recording {
+            // Rate-independent: the thread is the flow's, and every
+            // stage cost read only the packet and the memory model.
+            column.tids.push(tid as u32);
+            column.service.push(pkt_cycles);
+        }
 
         threads[tid].free_at = cur;
         if instruments.is_some() {
@@ -1176,6 +1218,132 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         latencies.push(cur - arrival);
     }
 
+    if recording {
+        // Every packet completed: keep the end-of-run counters a replay
+        // reports in place of re-running the memory model.
+        column.stage_totals.clear();
+        column.stage_totals.extend_from_slice(stage_totals);
+        column.accesses.clear();
+        column.accesses.extend_from_slice(mem.access_counts());
+        column.flow_cache = (fc_hits, fc_misses);
+        column.emem_cache = emem.and_then(|e| mem.cache_stats(e));
+        column.truncated = truncated;
+        column.valid = true;
+    }
+
+    let tally = Tally {
+        offered,
+        dropped,
+        accel_drops,
+        corrupt_drops,
+        truncated,
+        busy_cycles,
+        stage_totals,
+        flow_cache: (fc_hits, fc_misses),
+        emem_cache: emem.and_then(|e| mem.cache_stats(e)),
+        accesses: mem.access_counts(),
+        batch_packets,
+        partial_packets,
+        memo_hits,
+        memo_misses,
+        replayed_packets: 0,
+    };
+    let observed = instruments.map(|instruments| Observation {
+        instruments,
+        probes: probes.take(),
+        island_busy: &island_busy,
+        island_threads: &island_threads,
+    });
+    Ok(finish(nic, prog, latencies, completions, select, tally, observed))
+}
+
+/// The ingress and egress hubs' latencies and the ingress queue's
+/// capacity, which a fault plan may shrink: the first hub is ingress,
+/// the second (if any) egress.
+pub(crate) struct Hubs {
+    pub(crate) ingress_lat: u64,
+    pub(crate) egress_lat: u64,
+    pub(crate) ingress_capacity: usize,
+}
+
+impl Hubs {
+    pub(crate) fn of(nic: &Lnic, faults: &FaultPlan) -> Self {
+        let ingress = nic.hubs().first();
+        let egress = nic.hubs().get(1).or(ingress);
+        Hubs {
+            ingress_lat: ingress.map(|h| h.latency).unwrap_or(0),
+            egress_lat: egress.map(|h| h.latency).unwrap_or(0),
+            ingress_capacity: faults
+                .ingress_capacity
+                .unwrap_or_else(|| ingress.map(|h| h.queue_capacity).unwrap_or(usize::MAX)),
+        }
+    }
+}
+
+/// A trace timestamp in NIC cycles.
+pub(crate) fn to_cycles(ns: u64, freq_ghz: f64) -> u64 {
+    (ns as f64 * freq_ghz).round() as u64
+}
+
+/// Each thread's island and every island's thread count: the layout an
+/// instrumented run tallies busy cycles by (observation only).
+pub(crate) fn island_layout(nic: &Lnic, threads: &[ThreadRt]) -> (Vec<usize>, Vec<u64>) {
+    let mut thread_island = Vec::with_capacity(threads.len());
+    let mut island_threads: Vec<u64> = Vec::new();
+    for t in threads {
+        let isl = nic.unit(t.unit).island.unwrap_or(0);
+        if isl >= island_threads.len() {
+            island_threads.resize(isl + 1, 0);
+        }
+        thread_island.push(isl);
+        island_threads[isl] += 1;
+    }
+    (thread_island, island_threads)
+}
+
+/// A run's counts, beside its per-packet arenas: what [`finish`] turns
+/// into a [`SimResult`] and, for an instrumented run, a [`SimStats`].
+pub(crate) struct Tally<'a> {
+    pub(crate) offered: usize,
+    pub(crate) dropped: usize,
+    pub(crate) accel_drops: usize,
+    pub(crate) corrupt_drops: usize,
+    pub(crate) truncated: usize,
+    pub(crate) busy_cycles: u64,
+    /// Summed cycles per stage, in program order.
+    pub(crate) stage_totals: &'a [u64],
+    pub(crate) flow_cache: (u64, u64),
+    pub(crate) emem_cache: Option<(u64, u64)>,
+    /// Accesses per memory region, in LNIC order.
+    pub(crate) accesses: &'a [u64],
+    pub(crate) batch_packets: u64,
+    pub(crate) partial_packets: u64,
+    pub(crate) memo_hits: u64,
+    pub(crate) memo_misses: u64,
+    pub(crate) replayed_packets: u64,
+}
+
+/// What an instrumented run observed beyond its [`Tally`].
+pub(crate) struct Observation<'a> {
+    pub(crate) instruments: &'a mut SimInstruments,
+    pub(crate) probes: Option<[AccelProbe; 4]>,
+    pub(crate) island_busy: &'a [u64],
+    pub(crate) island_threads: &'a [u64],
+}
+
+/// The statistics pass every run ends with, whichever route costed its
+/// packets: order statistics over `latencies` (arrival order), the
+/// output rate over `completions`, the per-stage means, and, when the
+/// run is instrumented, its [`SimStats`].
+pub(crate) fn finish(
+    nic: &Lnic,
+    prog: &NicProgram,
+    latencies: &[u64],
+    completions: &[u64],
+    select: &mut Vec<u64>,
+    tally: Tally<'_>,
+    observed: Option<Observation<'_>>,
+) -> SimResult {
     // Order statistics via selection instead of a full sort: `latencies`
     // stays in arrival order, so the borrowed `select` scratch is
     // partitioned for p50/p99 and then reused for the completion
@@ -1218,13 +1386,13 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
     };
     let span_secs = nic.cycles_to_ns(span_cycles as f64) * 1e-9;
 
-    // Assemble telemetry. Every counter mirrors a local the result is
+    // Assemble telemetry. Every counter mirrors a tally the result is
     // built from (or a read-only probe of run state), so conservation —
     // injected == completed + drops by cause — is structural.
-    if let Some(instr) = instruments {
+    if let Some(Observation { instruments: instr, probes, island_busy, island_threads }) = observed
+    {
         let trips = instr.stats.watchdog_trips;
         let accel_stats: Vec<AccelStats> = probes
-            .take()
             .map(|probes| {
                 AccelKind::ALL
                     .iter()
@@ -1247,25 +1415,26 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         let shared_accesses: u64 = nic
             .memories()
             .iter()
-            .enumerate()
-            .filter(|(_, m)| {
+            .zip(tally.accesses)
+            .filter(|(m, _)| {
                 matches!(m.kind, MemKind::Internal | MemKind::External | MemKind::HostDram)
             })
-            .map(|(i, _)| mem.access_count(MemId(i)))
+            .map(|(_, &n)| n)
             .sum();
-        let (emem_hits, emem_misses) = emem.and_then(|e| mem.cache_stats(e)).unwrap_or((0, 0));
+        let (emem_hits, emem_misses) = tally.emem_cache.unwrap_or((0, 0));
         instr.stats = SimStats {
-            injected: offered as u64,
+            injected: tally.offered as u64,
             completed: completed as u64,
-            truncated: truncated as u64,
-            overflow_drops: dropped as u64,
-            fault_corrupt_drops: corrupt_drops as u64,
-            fault_accel_drops: accel_drops as u64,
+            truncated: tally.truncated as u64,
+            overflow_drops: tally.dropped as u64,
+            fault_corrupt_drops: tally.corrupt_drops as u64,
+            fault_accel_drops: tally.accel_drops as u64,
             watchdog_trips: trips,
-            batch_packets,
-            batch_partial_packets: partial_packets,
-            memo_hits,
-            memo_misses,
+            batch_packets: tally.batch_packets,
+            batch_partial_packets: tally.partial_packets,
+            replayed_packets: tally.replayed_packets,
+            memo_hits: tally.memo_hits,
+            memo_misses: tally.memo_misses,
             islands: island_busy
                 .iter()
                 .zip(island_threads.iter())
@@ -1279,11 +1448,8 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
             mem_levels: nic
                 .memories()
                 .iter()
-                .enumerate()
-                .map(|(i, m)| MemLevelStats {
-                    name: m.name.clone(),
-                    accesses: mem.access_count(MemId(i)),
-                })
+                .zip(tally.accesses)
+                .map(|(m, &accesses)| MemLevelStats { name: m.name.clone(), accesses })
                 .collect(),
             emem_cache_hits: emem_hits,
             emem_cache_misses: emem_misses,
@@ -1293,13 +1459,13 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         };
     }
 
-    Ok(SimResult {
-        packets: offered,
+    SimResult {
+        packets: tally.offered,
         completed,
-        dropped,
-        accel_drops,
-        corrupt_drops,
-        truncated,
+        dropped: tally.dropped,
+        accel_drops: tally.accel_drops,
+        corrupt_drops: tally.corrupt_drops,
+        truncated: tally.truncated,
         avg_latency_cycles: avg,
         p50_latency_cycles: p50,
         p99_latency_cycles: p99,
@@ -1309,18 +1475,18 @@ fn run_sim<I: Iterator<Item = TracePacket>>(
         per_stage_cycles: prog
             .stages
             .iter()
-            .zip(stage_totals.iter())
+            .zip(tally.stage_totals)
             .map(|(s, &t)| {
                 (s.name.clone(), if completed == 0 { 0.0 } else { t as f64 / completed as f64 })
             })
             .collect(),
-        flow_cache: (fc_hits, fc_misses),
-        emem_cache: emem.and_then(|e| mem.cache_stats(e)),
-        energy_mj: busy_cycles as f64 * nic.nj_per_cycle * 1e-6,
+        flow_cache: tally.flow_cache,
+        emem_cache: tally.emem_cache,
+        energy_mj: tally.busy_cycles as f64 * nic.nj_per_cycle * 1e-6,
         // The streamed path leaves per-packet latencies in the scratch
         // (`SimScratch::latencies`); `simulate_configured` moves them in.
         latencies: Vec::new(),
-    })
+    }
 }
 
 /// splitmix64 — deterministic address scrambling.

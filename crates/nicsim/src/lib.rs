@@ -57,6 +57,7 @@ pub mod engine;
 pub mod fault;
 pub mod memory;
 pub mod program;
+pub mod rates;
 pub mod watchdog;
 
 pub use clara_lnic::AccelKind;
@@ -70,4 +71,5 @@ pub use engine::{
 pub use fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 pub use memory::{Cache, MemorySim};
 pub use program::{BytesSpec, MicroOp, NicProgram, Stage, StageUnit, TableCfg};
+pub use rates::{simulate_rates, RateRun};
 pub use watchdog::Watchdog;

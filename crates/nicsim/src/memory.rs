@@ -267,6 +267,11 @@ impl MemorySim {
         self.accesses[region.0]
     }
 
+    /// [`MemorySim::access_count`] of every region, in LNIC order.
+    pub(crate) fn access_counts(&self) -> &[u64] {
+        &self.accesses[..self.n_mems]
+    }
+
     /// Whether `region` currently has a cache in front of it. Accesses to
     /// uncached regions are history- and address-independent (raw latency
     /// plus the bulk rate), which is what lets the batch kernels cost

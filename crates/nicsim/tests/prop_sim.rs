@@ -2,10 +2,12 @@
 
 use clara_lnic::profiles;
 use clara_nicsim::{
-    simulate, simulate_configured, simulate_streamed, AccelKind, CostCache, FaultPlan, MicroOp,
-    NicProgram, SimConfig, SimError, SimResult, SimScratch, Stage, StageUnit, TableCfg, Watchdog,
+    simulate, simulate_configured, simulate_rates, simulate_streamed,
+    simulate_streamed_instrumented, AccelKind, BytesSpec, CostCache, FaultPlan, MicroOp,
+    NicProgram, SimConfig, SimError, SimInstruments, SimResult, SimScratch, Stage,
+    StageUnit, TableCfg, Watchdog,
 };
-use clara_workload::{SizeDist, Trace, TraceGenerator};
+use clara_workload::{SizeDist, Trace, TraceBody, TraceGenerator, WorkloadProfile};
 use proptest::prelude::*;
 
 fn prog(ops: Vec<MicroOp>, tables: Vec<TableCfg>) -> NicProgram {
@@ -429,5 +431,144 @@ proptest! {
         let b = simulate(&nic, &p, &trace).unwrap();
         prop_assert_eq!(a.latencies, b.latencies);
         prop_assert_eq!(a.dropped, b.dropped);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rate-shared simulation is the simulator run once per rate: for
+    /// random programs (all-NPU, or with an accelerator stage), random
+    /// trace bodies, one to five rates (some high enough to overflow a
+    /// small ingress queue), random fault plans and watchdog caps, every
+    /// rate's result, latencies and counters equal a fresh instrumented
+    /// run of `body.stream(rate)` under the exact oracle, bit for bit.
+    /// Counters of a run a batch kernel took are checked against a fresh
+    /// run on the same route (their access counts are per class), and a
+    /// drop-free rate after a drop-free run of an all-NPU program on the
+    /// scalar loop must have been replayed. Half the programs touch the
+    /// flow-cached table in every stage, which keeps every stage Live
+    /// (the scalar loop) under most fault plans.
+    #[test]
+    fn rate_shared_runs_match_fresh_exact_runs(
+        program in (
+            proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        body in (any::<u64>(), 0usize..250, 1usize..300, 0usize..1500, 0.0f64..1.0, 0.0f64..1.2),
+        rates in proptest::collection::vec(
+            prop_oneof![10_000.0f64..300_000.0, 1_000_000.0f64..20_000_000.0],
+            1..6,
+        ),
+        fault_knobs in (
+            any::<bool>(),
+            any::<bool>(),
+            0u8..3,
+            0u64..5,
+            0u64..5,
+            prop_oneof![Just(0usize), 0usize..112, 100usize..500],
+        ),
+        caps in (
+            prop_oneof![Just(None), (1usize..32).prop_map(Some)],
+            prop_oneof![Just(None), (10_000u64..500_000).prop_map(Some)],
+            prop_oneof![Just(None), (100_000u64..5_000_000).prop_map(Some)],
+        ),
+    ) {
+        let (stages, with_accel, live) = program;
+        let (seed, packets, flows, payload, tcp_share, zipf_alpha) = body;
+        let (disable_emem, thrash_emem, outage, corrupt_every, truncate_every, dead_threads) =
+            fault_knobs;
+        let (ingress_capacity, pkt_cap, total_cap) = caps;
+        let nic = profiles::netronome_agilio_cx40();
+        let mut prog = NicProgram {
+            name: "prop".into(),
+            tables: prop_tables(),
+            stages: stages
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut ops)| {
+                    if live {
+                        ops.push(MicroOp::TableLookup { table: 2 });
+                    }
+                    Stage { name: format!("s{i}"), unit: StageUnit::Npu, ops }
+                })
+                .collect(),
+        };
+        if with_accel {
+            prog.stages.insert(1, Stage {
+                name: "csum".into(),
+                unit: StageUnit::Accel(AccelKind::Checksum),
+                ops: vec![MicroOp::AccelCall { bytes: BytesSpec::Payload }],
+            });
+        }
+        let wl = WorkloadProfile {
+            flows,
+            avg_payload: payload as f64,
+            max_payload: payload,
+            tcp_share,
+            zipf_alpha,
+            ..WorkloadProfile::paper_default()
+        };
+        let body = TraceBody::generate(&wl, packets, seed);
+        let faults = FaultPlan {
+            accel_outage: match outage {
+                1 => vec![AccelKind::FlowCache],
+                2 => vec![AccelKind::Checksum],
+                _ => vec![],
+            },
+            disable_emem_cache: disable_emem,
+            thrash_emem_cache: thrash_emem,
+            corrupt_every,
+            truncate_every,
+            dead_threads,
+            ingress_capacity,
+            ..FaultPlan::none()
+        };
+        let wd = Watchdog {
+            max_cycles_per_packet: pkt_cap,
+            max_total_cycles: total_cap,
+            ..Watchdog::new()
+        };
+        let fresh = |rate: f64, config: &SimConfig| {
+            let mut scratch = SimScratch::new();
+            let mut instr = SimInstruments::new();
+            let r = simulate_streamed_instrumented(
+                &nic, &prog, body.stream(rate), &faults, &wd, config, &mut scratch, &mut instr,
+            );
+            (r, scratch.latencies().to_vec(), instr.stats)
+        };
+
+        let mut runs = Vec::new();
+        let mut scratch = SimScratch::new();
+        simulate_rates(
+            &nic, &prog, &body, &rates, &faults, &wd, &SimConfig::default(), &mut scratch, true,
+            |run| runs.push((run.index, run.result, run.latencies.to_vec(), run.stats)),
+        );
+        prop_assert_eq!(runs.len(), rates.len());
+        let mut recorded = false;
+        for (k, (index, result, latencies, stats)) in runs.into_iter().enumerate() {
+            prop_assert_eq!(index, k);
+            let (exact, exact_latencies, exact_stats) = fresh(rates[k], &SimConfig::exact());
+            let (_, _, route_stats) = fresh(rates[k], &SimConfig::default());
+            let mut stats = stats.expect("an instrumented call reports counters");
+            let replayed = std::mem::take(&mut stats.replayed_packets);
+            prop_assert!(identical(&result, &exact), "rate {} != exact", rates[k]);
+            prop_assert_eq!(&latencies, &exact_latencies, "rate {} latencies", rates[k]);
+            let Ok(r) = &result else { continue };
+            // A batched run counts its packets in the kernel counters; one
+            // that completed none still costed classes, so it is told
+            // apart by its completions.
+            let scalar = r.completed > 0
+                && route_stats.batch_packets + route_stats.batch_partial_packets == 0;
+            if scalar {
+                prop_assert_eq!(&stats, &exact_stats, "rate {} counters", rates[k]);
+            }
+            prop_assert_eq!(&stats, &route_stats, "rate {} counters vs its route", rates[k]);
+            let replayable = !with_accel && scalar;
+            let expect = if replayable && recorded && r.dropped == 0 { r.completed } else { 0 };
+            prop_assert_eq!(replayed, expect as u64, "rate {} replayed packets", rates[k]);
+            recorded |= replayable && r.dropped + r.corrupt_drops + r.accel_drops == 0;
+        }
     }
 }

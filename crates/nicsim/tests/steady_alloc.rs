@@ -8,9 +8,10 @@
 
 use clara_lnic::profiles;
 use clara_nicsim::{
-    simulate_streamed, FaultPlan, NicProgram, SimConfig, SimResult, SimScratch, Watchdog,
+    simulate_rates, simulate_streamed, FaultPlan, NicProgram, RateRun, SimConfig, SimResult,
+    SimScratch, Watchdog,
 };
-use clara_workload::WorkloadProfile;
+use clara_workload::{TraceBody, WorkloadProfile};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -150,4 +151,37 @@ fn a_fresh_scratch_sizes_its_packet_arenas_once() {
             .collect();
         assert_eq!(per_packets[0], per_packets[1], "{name}: allocations grow with packets");
     }
+}
+
+#[test]
+fn rate_shared_runs_on_a_reused_scratch_allocate_alike_at_any_length() {
+    // A body's later rates replay into the same arenas (latencies,
+    // completions, the recorded service column), so four rates of nat
+    // cost as many allocations at 64,000 packets as at 4,000.
+    let nic = profiles::netronome_agilio_cx40();
+    let prog = clara_nfs::nat::ported();
+    let (faults, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
+    let rates = [20_000.0, 60_000.0, 200_000.0, 600_000.0];
+    let per_packets: Vec<u64> = [PACKETS, 16 * PACKETS]
+        .into_iter()
+        .map(|packets| {
+            let body = TraceBody::generate(&WorkloadProfile::paper_default(), packets, 1);
+            let mut scratch = SimScratch::new();
+            let sweep = |scratch: &mut SimScratch| {
+                let mut done = 0;
+                let each = |run: RateRun<'_>| {
+                    run.result.expect("nat simulates");
+                    done += 1;
+                };
+                simulate_rates(&nic, &prog, &body, &rates, &faults, &wd, &cfg, scratch, false, each);
+                assert_eq!(done, rates.len());
+            };
+            sweep(&mut scratch);
+            let before = ALLOCATIONS.with(Cell::get);
+            sweep(&mut scratch);
+            ALLOCATIONS.with(Cell::get) - before
+        })
+        .collect();
+    assert_eq!(per_packets[0], per_packets[1], "allocations grow with packets");
+    assert!(per_packets[0] <= 4 * STEADY_ALLOCATIONS, "{per_packets:?}");
 }

@@ -60,5 +60,5 @@ pub use supervisor::{
 pub use sweep::{run_sweep, SweepScenario};
 pub use validate::{
     run_validation_sweep, validation_grid, ErrorSummary, ValidationCell, ValidationConfig,
-    ValidationResult, ValidationSweep,
+    ValidationResult, ValidationSweep, MAX_PACKETS,
 };

@@ -9,22 +9,27 @@
 //! per-cell analogue of the paper's §4 accuracy tables.
 //!
 //! A validation sweep is the prediction sweep plus a simulator: the grid
-//! becomes [`SweepScenario`]s, the predicted side runs through
+//! becomes [`SweepScenario`]s, and the predicted side runs through
 //! [`crate::sweep`]'s prep groups and cell runner (one `Prepared` and one
-//! ILP warm-start donor per workload class), and the cells run on
-//! the `fanout.rs` executor with every cell panic-isolated, so a bad
-//! (workload, program) pairing degrades to that cell's failure instead
-//! of killing the run. Each worker owns a single [`SimScratch`] reused
-//! across all the cells it claims, and feeds the simulator from
-//! [`WorkloadProfile::to_trace_stream`] — no trace is ever materialized,
-//! and steady-state simulation allocates O(1) per cell. Healthy-cell
-//! results are bit-identical between a sequential run (`threads: 1`),
-//! any parallel schedule, and [`crate::run_sweep`] over the same
-//! scenarios: cells are pure and scratch reuse never changes simulator
-//! output.
+//! ILP warm-start donor per workload class). The simulated side is
+//! grouped by trace body: cells whose workloads differ only in offered
+//! rate simulate the same packets ([`BodyKey`]), so the `fanout.rs`
+//! executor hands out bodies, not cells. The worker that claims a body
+//! predicts its cells in grid order, generates the body once
+//! ([`TraceBody`], 24 bytes a packet) and simulates every rate with one
+//! [`simulate_rates`] call, which replays only the queueing at a rate
+//! wherever the simulator can (an all-NPU program on the scalar loop).
+//! A body's work is panic-isolated, so a bad (workload, program) pairing
+//! degrades to failed cells instead of killing the run. Each worker owns
+//! a single [`SimScratch`] reused across all the bodies it claims, and
+//! steady-state simulation allocates O(1) per body. Healthy-cell results
+//! are bit-identical between a sequential run (`threads: 1`), any
+//! parallel schedule, [`SimConfig::exact`] streaming each cell's trace,
+//! and [`crate::run_sweep`] over the same scenarios: cells are pure, and
+//! neither scratch reuse nor replay changes simulator output.
 
 use crate::fanout::{contain, fan_out};
-use crate::predictor::PredictOptions;
+use crate::predictor::{PredictOptions, Prediction};
 use crate::supervisor::{CellOutcome, RunReport};
 use crate::sweep::{run_cell, PrepShare, SweepScenario};
 use clara_cir::CirModule;
@@ -32,12 +37,20 @@ use clara_lnic::Lnic;
 use clara_map::RunDeadline;
 use clara_microbench::NicParameters;
 use clara_nicsim::{
-    simulate_streamed, simulate_streamed_instrumented, CostCache, FaultPlan, NicProgram, SimConfig,
-    SimInstruments, SimScratch, Watchdog,
+    simulate_rates, CostCache, FaultPlan, NicProgram, RateRun, SimConfig, SimScratch, Watchdog,
 };
 use clara_telemetry::{SimStats, SolveStats};
-use clara_workload::WorkloadProfile;
+use clara_workload::{BodyKey, TraceBody, WorkloadProfile};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The most packets one simulated cell may ask for at a boundary: the
+/// CLI's `--packets` for `clara validate` and `clara profile`, and a
+/// served validate request's `packets`. The simulator reserves its
+/// per-packet arenas at the trace's length (a validation body and its
+/// service column add about 36 bytes a packet), so an unbounded count is
+/// an allocation that aborts the process instead of an error.
+pub const MAX_PACKETS: usize = 1_000_000;
 
 /// Policy knobs for one validation sweep.
 #[derive(Debug, Clone)]
@@ -264,7 +277,9 @@ fn cell_label(wl: &WorkloadProfile) -> String {
 /// `module` is the lowered NF the predictor prices; `program` is the
 /// ported form the simulator executes on `nic`. Both sides of a cell see
 /// the same [`WorkloadProfile`] — the predictor through its closed-form
-/// pipeline, the simulator through a streamed seeded trace.
+/// pipeline, the simulator through a seeded trace, generated once per
+/// trace body and timestamped per rate. A cell whose simulation
+/// completes no packet is `Failed`: it has no latency to compare.
 pub fn run_validation_sweep(
     module: &CirModule,
     params: &NicParameters,
@@ -290,59 +305,44 @@ pub fn run_validation_sweep(
         })
         .collect();
     let share = PrepShare::build(&scenarios);
+    // Cells grouped by trace body (every input of the trace but the
+    // rate), each group in grid order, groups in order of first cell.
+    let mut body_ids: HashMap<BodyKey, usize> = HashMap::new();
+    let mut bodies: Vec<Vec<usize>> = Vec::new();
+    for (i, wl) in grid.iter().enumerate() {
+        let n = bodies.len();
+        let b = *body_ids.entry(BodyKey::of(wl, config.packets, config.seed)).or_insert(n);
+        if b == n {
+            bodies.push(Vec::new());
+        }
+        bodies[b].push(i);
+    }
     let new_scratch = || {
         let mut scratch = SimScratch::new();
         scratch.attach_cost_cache(Arc::clone(&cost_cache));
         scratch
     };
 
-    let cells = fan_out(scenarios.len(), config.threads, new_scratch, |i, scratch| {
-        contain(|| {
-            let sc = &scenarios[i];
-            let deadline = RunDeadline::within_ms(sc.options.deadline_ms);
-            let p = match run_cell(&scenarios, &share, i, &deadline) {
-                Ok(p) => p,
-                Err(e) => return ValidationResult::Failed(format!("predict: {e}")),
-            };
-            let wl = &sc.workload;
-            let stream = wl.to_trace_stream(config.packets, config.seed);
-            let watchdog = &config.watchdog;
-            let (sim, sim_stats) = if config.telemetry {
-                let mut instr = SimInstruments::new();
-                match simulate_streamed_instrumented(
-                    nic, program, stream, &faults, watchdog, &config.sim, scratch, &mut instr,
-                ) {
-                    Ok(r) => (r, Some(instr.stats)),
-                    Err(e) => return ValidationResult::Failed(format!("simulate: {e}")),
-                }
-            } else {
-                match simulate_streamed(
-                    nic, program, stream, &faults, watchdog, &config.sim, scratch,
-                ) {
-                    Ok(r) => (r, None),
-                    Err(e) => return ValidationResult::Failed(format!("simulate: {e}")),
-                }
-            };
-            // Steady state: discard the cold-start half, as the paper's
-            // 1M-packet hardware averages do implicitly.
-            let lat = scratch.latencies();
-            let tail = &lat[lat.len() / 2..];
-            let actual = tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64;
-            ValidationResult::Ok(ValidationCell {
-                label: sc.label.clone(),
-                rate_pps: wl.rate_pps,
-                avg_payload: wl.avg_payload,
-                flows: wl.flows,
-                predicted_cycles: p.avg_latency_cycles,
-                actual_cycles: actual,
-                quality: p.mapping.quality.to_string(),
-                completed: sim.completed,
-                solve: p.mapping.stats.clone(),
-                sim_stats,
-            })
-        })
-        .unwrap_or_else(|payload| ValidationResult::Failed(format!("panicked: {payload}")))
+    let run = BodyRun { scenarios: &scenarios, share: &share, nic, program, faults: &faults };
+    let per_body = fan_out(bodies.len(), config.threads, new_scratch, |b, scratch| {
+        let cells = &bodies[b];
+        let mut out: Vec<Option<ValidationResult>> = vec![None; cells.len()];
+        if let Err(payload) = contain(|| run.validate(cells, config, scratch, &mut out)) {
+            // Cells already reported keep their results.
+            for slot in out.iter_mut().filter(|slot| slot.is_none()) {
+                *slot = Some(ValidationResult::Failed(format!("panicked: {payload}")));
+            }
+        }
+        out
     });
+    let mut cells: Vec<Option<ValidationResult>> = vec![None; grid.len()];
+    for (members, results) in bodies.iter().zip(per_body) {
+        for (&i, result) in members.iter().zip(results) {
+            cells[i] = result;
+        }
+    }
+    let cells: Vec<ValidationResult> =
+        cells.into_iter().map(|c| c.expect("every cell belongs to one body")).collect();
 
     let mut report = RunReport::default();
     for (sc, cell) in scenarios.iter().zip(&cells) {
@@ -361,6 +361,88 @@ pub fn run_validation_sweep(
         report.record_with_telemetry(&sc.label, outcome, telemetry);
     }
     ValidationSweep { cells, report }
+}
+
+/// What every body of one validation sweep shares.
+struct BodyRun<'s, 'a> {
+    scenarios: &'s [SweepScenario<'a>],
+    share: &'s PrepShare,
+    nic: &'s Lnic,
+    program: &'s NicProgram,
+    faults: &'s FaultPlan,
+}
+
+impl BodyRun<'_, '_> {
+    /// Predict and simulate the cells of one trace body (grid indices, in
+    /// grid order), filling each cell's slot in `out` as it completes.
+    fn validate(
+        &self,
+        cells: &[usize],
+        config: &ValidationConfig,
+        scratch: &mut SimScratch,
+        out: &mut [Option<ValidationResult>],
+    ) {
+        let mut predicted: Vec<(usize, Prediction)> = Vec::with_capacity(cells.len());
+        for (slot, &i) in cells.iter().enumerate() {
+            let deadline = RunDeadline::within_ms(self.scenarios[i].options.deadline_ms);
+            match run_cell(self.scenarios, self.share, i, &deadline) {
+                Ok(p) => predicted.push((slot, p)),
+                Err(e) => out[slot] = Some(ValidationResult::Failed(format!("predict: {e}"))),
+            }
+        }
+        let Some(&(first, _)) = predicted.first() else { return };
+        let body = TraceBody::generate(
+            &self.scenarios[cells[first]].workload,
+            config.packets,
+            config.seed,
+        );
+        let rates: Vec<f64> = predicted
+            .iter()
+            .map(|&(slot, _)| self.scenarios[cells[slot]].workload.rate_pps)
+            .collect();
+        simulate_rates(
+            self.nic,
+            self.program,
+            &body,
+            &rates,
+            self.faults,
+            &config.watchdog,
+            &config.sim,
+            scratch,
+            config.telemetry,
+            |run| {
+                let (slot, p) = &predicted[run.index];
+                out[*slot] = Some(cell_result(&self.scenarios[cells[*slot]], p, run));
+            },
+        );
+    }
+}
+
+/// One cell's result from its prediction and its rate's simulation.
+fn cell_result(sc: &SweepScenario<'_>, p: &Prediction, run: RateRun<'_>) -> ValidationResult {
+    let sim = match run.result {
+        Ok(sim) if sim.completed > 0 => sim,
+        Ok(_) => return ValidationResult::Failed("simulate: no packet completed".into()),
+        Err(e) => return ValidationResult::Failed(format!("simulate: {e}")),
+    };
+    // Steady state: discard the cold-start half, as the paper's
+    // 1M-packet hardware averages do implicitly.
+    let lat = run.latencies;
+    let tail = &lat[lat.len() / 2..];
+    let actual = tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64;
+    let wl = &sc.workload;
+    ValidationResult::Ok(ValidationCell {
+        label: sc.label.clone(),
+        rate_pps: wl.rate_pps,
+        avg_payload: wl.avg_payload,
+        flows: wl.flows,
+        predicted_cycles: p.avg_latency_cycles,
+        actual_cycles: actual,
+        quality: p.mapping.quality.to_string(),
+        completed: sim.completed,
+        solve: p.mapping.stats.clone(),
+        sim_stats: run.stats,
+    })
 }
 
 #[cfg(test)]
@@ -567,23 +649,72 @@ mod tests {
         }
     }
 
+    /// The counters every simulator route reports alike: a batch kernel
+    /// counts its own packets and the accesses of the classes it costed.
+    fn route_free(s: &SimStats, batched: bool) -> SimStats {
+        SimStats {
+            batch_packets: 0,
+            batch_partial_packets: 0,
+            replayed_packets: 0,
+            memo_hits: 0,
+            memo_misses: 0,
+            mem_levels: if batched { Vec::new() } else { s.mem_levels.clone() },
+            switch_transfers: if batched { 0 } else { s.switch_transfers },
+            ..s.clone()
+        }
+    }
+
     #[test]
     fn exact_sim_config_matches_memoized_default() {
+        // Two rates per body, so the default path replays the second
+        // rate of every all-NPU scalar-loop program (nat, firewall, lpm,
+        // dpi) and batches hh; the exact oracle streams every cell.
         let nic = profiles::netronome_agilio_cx40();
         let params = extract_parameters(&nic);
-        let module = nat_module();
-        let program = nat_program();
-        let grid = validation_grid(1);
-        let fast =
-            run_validation_sweep(&module, &params, &nic, &program, &grid, &small_config(1));
-        let exact_cfg =
-            ValidationConfig { sim: SimConfig::exact(), ..small_config(1) };
-        let exact = run_validation_sweep(&module, &params, &nic, &program, &grid, &exact_cfg);
-        for (a, b) in fast.cells.iter().zip(&exact.cells) {
-            let (ValidationResult::Ok(a), ValidationResult::Ok(b)) = (a, b) else {
-                panic!("expected both Ok, got {a:?} vs {b:?}")
-            };
-            assert_eq!(a.actual_cycles.to_bits(), b.actual_cycles.to_bits());
+        let grid = validation_grid(2);
+        for name in ["nat", "firewall", "lpm", "hh", "dpi"] {
+            let (source, program) = clara_nfs::by_name(name).expect("corpus NF");
+            let module = clara_cir::lower(&frontend(&source).unwrap()).unwrap();
+            let cfg = ValidationConfig { packets: 300, telemetry: true, ..small_config(1) };
+            let fast = run_validation_sweep(&module, &params, &nic, &program, &grid, &cfg);
+            let exact_cfg = ValidationConfig { sim: SimConfig::exact(), ..cfg };
+            let exact = run_validation_sweep(&module, &params, &nic, &program, &grid, &exact_cfg);
+            let mut replayed = 0;
+            for (a, b) in fast.cells.iter().zip(&exact.cells) {
+                let (ValidationResult::Ok(a), ValidationResult::Ok(b)) = (a, b) else {
+                    panic!("{name}: expected both Ok, got {a:?} vs {b:?}")
+                };
+                assert_eq!(a.actual_cycles.to_bits(), b.actual_cycles.to_bits(), "{name}");
+                assert_eq!(a.completed, b.completed, "{name}");
+                let (sa, sb) = (a.sim_stats.as_ref().unwrap(), b.sim_stats.as_ref().unwrap());
+                let batched = sa.batch_packets + sa.batch_partial_packets > 0;
+                assert_eq!(route_free(sa, batched), route_free(sb, batched), "{name} {}", a.label);
+                assert_eq!(sb.replayed_packets, 0, "{name}: the exact oracle never replays");
+                replayed += sa.replayed_packets;
+            }
+            // Four bodies of two rates: the second rate of each replays.
+            let want = if name == "hh" { 0 } else { 4 * 300 };
+            assert_eq!(replayed, want, "{name}: replayed packets");
+        }
+    }
+
+    #[test]
+    fn a_cell_that_completes_no_packet_fails() {
+        let nic = profiles::netronome_agilio_cx40();
+        let params = extract_parameters(&nic);
+        let cfg = ValidationConfig { packets: 0, ..small_config(2) };
+        let sweep = run_validation_sweep(
+            &nat_module(),
+            &params,
+            &nic,
+            &nat_program(),
+            &validation_grid(2),
+            &cfg,
+        );
+        assert_eq!(sweep.report.class(), RunClass::AllFailed);
+        for cell in &sweep.cells {
+            let ValidationResult::Failed(e) = cell else { panic!("expected Failed, got {cell:?}") };
+            assert_eq!(e, "simulate: no packet completed");
         }
     }
 

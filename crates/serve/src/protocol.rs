@@ -338,10 +338,10 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, ProtoError> {
                 .get("packets")
                 .and_then(Value::as_u64)
                 .unwrap_or(2_000) as usize;
-            if packets == 0 || packets > 1_000_000 {
+            if !(1..=clara_predict::MAX_PACKETS).contains(&packets) {
                 return Err(ProtoError::new(
                     reply_codes::USAGE,
-                    "`packets` must be in 1..=1000000",
+                    format!("`packets` must be in 1..={}", clara_predict::MAX_PACKETS),
                 ));
             }
             Ok(Request::Validate {

@@ -173,6 +173,7 @@ impl TelemetryReport {
                 );
                 out.push_str("},\n");
                 let _ = writeln!(out, "    \"conserved\": {},", s.conserved());
+                let _ = writeln!(out, "    \"replayed_packets\": {},", s.replayed_packets);
                 let _ = writeln!(out, "    \"span_cycles\": {},", s.span_cycles);
                 out.push_str("    \"islands\": [");
                 for (i, is) in s.islands.iter().enumerate() {

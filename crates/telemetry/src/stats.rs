@@ -148,6 +148,11 @@ pub struct SimStats {
     /// present; pure stages columnized, live ones replayed). Disjoint
     /// from `batch_packets` — a run takes one kernel or the other.
     pub batch_partial_packets: u64,
+    /// Packets whose service came from a recorded column: a later rate
+    /// of a trace body replayed by `clara-nicsim`'s `simulate_rates`
+    /// (equals `completed` for such a run, 0 on every other path).
+    /// Disjoint from both batch counters.
+    pub replayed_packets: u64,
     /// Class stage costs the batch kernels resolved from a shared
     /// cross-run cost cache (`clara-nicsim`'s `CostCache`) without
     /// recomputation. Zero when no cache is attached or no kernel ran.
@@ -179,12 +184,13 @@ impl SimStats {
     }
 
     /// Packet conservation: every injected packet either completed or
-    /// is accounted to exactly one drop cause, and the batch kernels
-    /// never claim more packets than actually completed (each covers
-    /// whole runs, and a run takes at most one of them).
+    /// is accounted to exactly one drop cause, and the batch kernels and
+    /// replays never claim more packets than actually completed (each
+    /// covers whole runs, and a run takes at most one of them).
     pub fn conserved(&self) -> bool {
         self.injected == self.completed + self.dropped_total()
-            && self.batch_packets + self.batch_partial_packets <= self.completed
+            && self.batch_packets + self.batch_partial_packets + self.replayed_packets
+                <= self.completed
     }
 
     /// EMEM cache hit rate, or `None` when the cache saw no traffic.
@@ -211,6 +217,7 @@ impl SimStats {
         self.watchdog_trips += other.watchdog_trips;
         self.batch_packets += other.batch_packets;
         self.batch_partial_packets += other.batch_partial_packets;
+        self.replayed_packets += other.replayed_packets;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.emem_cache_hits += other.emem_cache_hits;
@@ -266,6 +273,9 @@ impl SimStats {
         }
         if self.batch_partial_packets > 0 {
             s += &format!(" partial={}", self.batch_partial_packets);
+        }
+        if self.replayed_packets > 0 {
+            s += &format!(" replayed={}", self.replayed_packets);
         }
         if self.memo_hits + self.memo_misses > 0 {
             s += &format!(" memo={}/{}", self.memo_hits, self.memo_hits + self.memo_misses);

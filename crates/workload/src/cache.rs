@@ -11,13 +11,16 @@
 //! deterministic accumulation (`ts += 1e9/rate` with the same `as u64`
 //! truncation and monotonicity clamp the generator applies).
 //!
-//! [`TraceCache`] exploits that: it materializes the body (the
-//! [`PacketSpec`] column) once per unique rate-independent key and
-//! replays it per rate with freshly computed timestamps. The replayed
-//! stream is packet-for-packet identical to `to_trace_stream` — the
-//! parity test below and the simulator's bit-identity checks both pin
-//! this — so swapping a cache in can never change a result, only the
-//! time spent generating it.
+//! [`TraceBody`] exploits that: it materializes the body (the
+//! [`PacketSpec`] column, 24 bytes a packet) once and replays it per
+//! rate with freshly computed timestamps, and [`TraceCache`] keeps one
+//! body per unique rate-independent [`BodyKey`]. The replayed stream is
+//! packet-for-packet identical to `to_trace_stream` — the parity test
+//! below and the simulator's bit-identity checks both pin this — so
+//! swapping a body in can never change a result, only the time spent
+//! generating it. A materialized body is also what lets the simulator
+//! share a body's per-packet service work across its rates
+//! (`clara_nicsim::simulate_rates`).
 //!
 //! [`Arrival::Constant`]: crate::gen::Arrival::Constant
 //! [`WorkloadProfile::to_trace_stream`]: crate::profile::WorkloadProfile::to_trace_stream
@@ -29,9 +32,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// The rate-independent identity of a trace body: every input of
-/// [`WorkloadProfile::to_trace_stream`] except `rate_pps`.
-#[derive(PartialEq, Eq, Hash, Clone)]
-struct BodyKey {
+/// [`WorkloadProfile::to_trace_stream`] except `rate_pps`. Two profiles
+/// with equal keys generate the same [`TraceBody`].
+#[derive(Debug, PartialEq, Eq, Hash, Clone)]
+pub struct BodyKey {
     packets: usize,
     seed: u64,
     flows: usize,
@@ -42,7 +46,8 @@ struct BodyKey {
 }
 
 impl BodyKey {
-    fn of(profile: &WorkloadProfile, packets: usize, seed: u64) -> Self {
+    /// The key of `profile.to_trace_stream(packets, seed)`'s body.
+    pub fn of(profile: &WorkloadProfile, packets: usize, seed: u64) -> Self {
         BodyKey {
             packets,
             seed,
@@ -55,6 +60,47 @@ impl BodyKey {
     }
 }
 
+/// A generated trace body: the packets of
+/// `profile.to_trace_stream(packets, seed)` without their timestamps,
+/// shared behind an `Arc` (a clone copies no packet).
+#[derive(Debug, Clone)]
+pub struct TraceBody {
+    specs: Arc<Vec<PacketSpec>>,
+}
+
+impl TraceBody {
+    /// Generate the body of `profile.to_trace_stream(packets, seed)`;
+    /// `profile.rate_pps` is not read.
+    pub fn generate(profile: &WorkloadProfile, packets: usize, seed: u64) -> Self {
+        TraceBody {
+            specs: Arc::new(profile.to_trace_stream(packets, seed).map(|p| p.spec).collect()),
+        }
+    }
+
+    /// The packet stream `to_trace_stream` yields for this body's
+    /// profile at `rate_pps`.
+    pub fn stream(&self, rate_pps: f64) -> CachedStream {
+        CachedStream {
+            body: Arc::clone(&self.specs),
+            next: 0,
+            // Same gap the generator uses: `1e9 / rate_pps.max(1.0)`.
+            mean_gap_ns: 1e9 / rate_pps.max(1.0),
+            ts: 0.0,
+            last_ts_ns: 0,
+        }
+    }
+
+    /// Number of packets.
+    pub fn len(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// Whether the body has no packets.
+    pub fn is_empty(&self) -> bool {
+        self.specs.is_empty()
+    }
+}
+
 /// A shareable cache of rate-independent trace bodies.
 ///
 /// Thread-safe: sweep workers may share one cache behind a reference.
@@ -62,7 +108,7 @@ impl BodyKey {
 /// computation inserts the same body twice — wasteful, never wrong.
 #[derive(Default)]
 pub struct TraceCache {
-    bodies: Mutex<HashMap<BodyKey, Arc<Vec<PacketSpec>>>>,
+    bodies: Mutex<HashMap<BodyKey, TraceBody>>,
 }
 
 impl TraceCache {
@@ -71,41 +117,27 @@ impl TraceCache {
         TraceCache::default()
     }
 
+    /// The body of `profile.to_trace_stream(packets, seed)`, generated
+    /// on first use and shared afterwards.
+    fn body(&self, profile: &WorkloadProfile, packets: usize, seed: u64) -> TraceBody {
+        let key = BodyKey::of(profile, packets, seed);
+        let cached = self.bodies.lock().unwrap().get(&key).cloned();
+        match cached {
+            Some(b) => b,
+            None => {
+                // Generate outside the lock: bodies are pure in the
+                // key, so concurrent duplicates agree byte-for-byte.
+                let b = TraceBody::generate(profile, packets, seed);
+                self.bodies.lock().unwrap().entry(key).or_insert(b).clone()
+            }
+        }
+    }
+
     /// A packet stream identical to
     /// `profile.to_trace_stream(packets, seed)`, generating the body on
     /// first use and replaying it (with per-rate timestamps) afterwards.
     pub fn stream(&self, profile: &WorkloadProfile, packets: usize, seed: u64) -> CachedStream {
-        let key = BodyKey::of(profile, packets, seed);
-        let body = {
-            let cached = self.bodies.lock().unwrap().get(&key).cloned();
-            match cached {
-                Some(b) => b,
-                None => {
-                    // Generate outside the lock: bodies are pure in the
-                    // key, so concurrent duplicates agree byte-for-byte.
-                    let b: Arc<Vec<PacketSpec>> = Arc::new(
-                        profile
-                            .to_trace_stream(packets, seed)
-                            .map(|p| p.spec)
-                            .collect(),
-                    );
-                    self.bodies
-                        .lock()
-                        .unwrap()
-                        .entry(key)
-                        .or_insert_with(|| Arc::clone(&b))
-                        .clone()
-                }
-            }
-        };
-        CachedStream {
-            body,
-            next: 0,
-            // Same gap the generator uses: `1e9 / rate_pps.max(1.0)`.
-            mean_gap_ns: 1e9 / profile.rate_pps.max(1.0),
-            ts: 0.0,
-            last_ts_ns: 0,
-        }
+        self.body(profile, packets, seed).stream(profile.rate_pps)
     }
 
     /// Number of distinct bodies currently cached.
@@ -178,6 +210,20 @@ mod tests {
         // Four rates × two bodies: the body column is shared per
         // rate-independent key, not per cell.
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_body_streams_every_rate_of_its_key() {
+        let wl = profile(20_000.0, 300.0, 1_000);
+        let body = TraceBody::generate(&wl, 800, 7);
+        assert_eq!(body.len(), 800);
+        for rate in [20_000.0, 600_000.0, 0.0] {
+            let at_rate = WorkloadProfile { rate_pps: rate, ..wl.clone() };
+            assert_eq!(BodyKey::of(&at_rate, 800, 7), BodyKey::of(&wl, 800, 7));
+            let direct: Vec<TracePacket> = at_rate.to_trace_stream(800, 7).collect();
+            assert_eq!(body.stream(rate).collect::<Vec<_>>(), direct, "rate={rate}");
+        }
+        assert_ne!(BodyKey::of(&wl, 800, 7), BodyKey::of(&wl, 801, 7));
     }
 
     #[test]

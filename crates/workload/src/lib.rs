@@ -39,7 +39,7 @@ pub mod profile;
 pub mod trace;
 pub mod zipf;
 
-pub use cache::{CachedStream, TraceCache};
+pub use cache::{BodyKey, CachedStream, TraceBody, TraceCache};
 pub use gen::{Arrival, SizeDist, TraceGenerator, TraceStream};
 pub use profile::{WorkloadError, WorkloadProfile};
 pub use trace::{Trace, TracePacket, TraceStats};

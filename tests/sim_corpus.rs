@@ -8,13 +8,18 @@
 //! `clara profile --trace` takes, which sends the run through the scalar
 //! loop). Each must agree with the oracle bit-for-bit on every
 //! observable: a faster configuration is never a different simulator.
+//! A rates lane simulates one trace body at four rates with
+//! `simulate_rates` (later rates of an all-NPU scalar-loop program are
+//! replayed from the first one's service column) against the oracle at
+//! each rate.
 
 use clara_core::nfs;
 use clara_core::sim::{
-    simulate_configured, simulate_instrumented, AccelKind, FaultPlan, NicProgram, SimConfig,
-    SimInstruments, SimResult, Watchdog,
+    simulate_configured, simulate_instrumented, simulate_rates, AccelKind, FaultPlan, NicProgram,
+    SimConfig, SimInstruments, SimResult, SimScratch, Watchdog,
 };
-use clara_core::TraceGenerator;
+use clara_core::{Trace, TraceGenerator, WorkloadProfile};
+use clara_workload::TraceBody;
 
 fn corpus() -> Vec<NicProgram> {
     vec![
@@ -105,4 +110,53 @@ fn every_configuration_is_the_same_simulator() {
             assert_eq!(st.batch_packets + st.batch_partial_packets, 0, "{label}: batched");
         }
     }
+}
+
+#[test]
+fn every_rate_of_a_shared_body_is_the_same_simulator() {
+    let nic = clara_core::profiles::netronome_agilio_cx40();
+    let wd = Watchdog::new();
+    let wl = WorkloadProfile { flows: 128, ..WorkloadProfile::paper_default() };
+    let body = TraceBody::generate(&wl, 600, 42);
+    // The second rate overflows the shrunken ingress queue of the last
+    // fault plan, so its replay falls back to a full run, which leaves
+    // its own memory-model state behind for the replays after it.
+    let rates = [20_000.0, 5_000_000.0, 80_000.0, 600_000.0];
+    let mut replayed = 0;
+    let mut scratch = SimScratch::new();
+    for prog in corpus() {
+        for (fi, faults) in fault_corpus().iter().enumerate() {
+            let mut runs = Vec::new();
+            simulate_rates(
+                &nic,
+                &prog,
+                &body,
+                &rates,
+                faults,
+                &wd,
+                &SimConfig::default(),
+                &mut scratch,
+                true,
+                |run| {
+                    let latencies = run.latencies.to_vec();
+                    let result = run.result.map(|r| SimResult { latencies, ..r });
+                    runs.push((run.rate_pps, result, run.stats));
+                },
+            );
+            assert_eq!(runs.len(), rates.len());
+            for (rate, got, stats) in runs {
+                let label = format!("{} fault#{fi} rate {rate}", prog.name);
+                let trace: Trace = body.stream(rate).collect();
+                let exact =
+                    simulate_configured(&nic, &prog, &trace, faults, &wd, &SimConfig::exact())
+                        .unwrap_or_else(|e| panic!("{label}: exact path failed: {e}"));
+                let got = got.unwrap_or_else(|e| panic!("{label}: failed: {e}"));
+                assert_identical(&label, &got, &exact);
+                let stats = stats.expect("instrumented");
+                assert!(stats.conserved(), "{label}: {stats:?}");
+                replayed += stats.replayed_packets;
+            }
+        }
+    }
+    assert!(replayed > 0, "no rate of any corpus program was replayed");
 }
