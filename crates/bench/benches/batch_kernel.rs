@@ -2,15 +2,14 @@
 //! 64-cell DPI simulation grid the `pipeline_bench` emitter times,
 //! measured per configuration so the speedup decomposes — exact
 //! per-packet costing, the batched struct-of-arrays kernel, and the
-//! batched kernel fed by the rate-independent trace cache. Every
+//! batched kernel fed by rate-independent trace bodies. Every
 //! variant is bit-identical to exact (pinned by the identity corpus and
 //! property tests); only the time differs.
 
-use clara_core::sim::{
-    simulate_configured, simulate_streamed, FaultPlan, SimConfig, SimScratch, Watchdog,
-};
-use clara_workload::TraceCache;
+use clara_core::sim::{simulate_streamed, FaultPlan, SimConfig, SimScratch, Watchdog};
+use clara_workload::{BodyKey, TraceBody};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::HashMap;
 
 fn batch_kernel(c: &mut Criterion) {
     let grid = clara_bench::sweep_grid(4);
@@ -26,8 +25,16 @@ fn batch_kernel(c: &mut Criterion) {
         b.iter(|| {
             for wl in &grid {
                 let trace = wl.to_trace(packets, 42);
-                simulate_configured(nic, &program, &trace, &faults, &wd, &SimConfig::exact())
-                    .unwrap();
+                simulate_streamed(
+                    nic,
+                    &program,
+                    trace.iter().cloned(),
+                    &faults,
+                    &wd,
+                    &SimConfig::exact(),
+                    &mut SimScratch::new(),
+                )
+                .unwrap();
             }
         })
     });
@@ -50,14 +57,17 @@ fn batch_kernel(c: &mut Criterion) {
         })
     });
 
-    let cache = TraceCache::new();
+    let mut bodies: HashMap<BodyKey, TraceBody> = HashMap::new();
     group.bench_function("batched+trace_cache", |b| {
         b.iter(|| {
             for wl in &grid {
+                let body = bodies
+                    .entry(BodyKey::of(wl, packets, 42))
+                    .or_insert_with(|| TraceBody::generate(wl, packets, 42));
                 simulate_streamed(
                     nic,
                     &program,
-                    cache.stream(wl, packets, 42),
+                    body.stream(wl.rate_pps),
                     &faults,
                     &wd,
                     &SimConfig::default(),

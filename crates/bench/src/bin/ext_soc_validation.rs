@@ -62,9 +62,7 @@ fn fw_port_soc(entries: u64) -> NicProgram {
 
 fn steady(nic: &clara_core::Lnic, prog: &NicProgram, wl: &WorkloadProfile) -> f64 {
     let trace = wl.to_trace(3_000, 42);
-    let r = simulate(nic, prog, &trace).expect("port simulates");
-    let tail = &r.latencies[r.latencies.len() / 2..];
-    tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64
+    simulate(nic, prog, &trace).expect("port simulates").steady_latency_cycles
 }
 
 fn main() {

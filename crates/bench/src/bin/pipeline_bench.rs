@@ -35,13 +35,32 @@
 
 use clara_bench::{solver_stress_model, sweep_grid, sweep_scenarios};
 use clara_core::sim::{
-    simulate_configured, simulate_rates, simulate_streamed, simulate_streamed_instrumented,
-    CostCache, FaultPlan, RateRun, SimConfig, SimInstruments, SimResult, SimScratch, Watchdog,
+    simulate_rates, simulate_streamed, simulate_streamed_instrumented, CostCache, FaultPlan,
+    NicProgram, RateRun, SimConfig, SimError, SimInstruments, SimResult, SimScratch, Watchdog,
 };
-use clara_core::{run_sweep, validation_grid, Prediction, SolveBudget, SolverConfig};
-use clara_workload::{BodyKey, TraceBody, TraceCache};
+use clara_core::{
+    run_sweep, validation_grid, Prediction, SolveBudget, SolverConfig, Trace, WorkloadProfile,
+};
+use clara_workload::{BodyKey, TraceBody};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The seed simulator path: a materialized `trace` on healthy hardware
+/// and a fresh scratch under the exact oracle, with its latencies.
+fn exact_run(prog: &NicProgram, trace: &Trace) -> Result<(SimResult, Vec<u64>), SimError> {
+    let mut scratch = SimScratch::new();
+    let r = simulate_streamed(
+        clara_bench::netronome(),
+        prog,
+        trace.iter().cloned(),
+        &FaultPlan::none(),
+        &Watchdog::new(),
+        &SimConfig::exact(),
+        &mut scratch,
+    )?;
+    Ok((r, scratch.latencies().to_vec()))
+}
 
 fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
     let mut times: Vec<f64> = (0..runs.max(1))
@@ -193,8 +212,7 @@ fn main() {
     let sim_base_ms = median_ms(sim_runs, || {
         for wl in &sim_grid {
             let trace = wl.to_trace(sim_packets, 42);
-            simulate_configured(nic, &program, &trace, &faults, &wd, &SimConfig::exact())
-                .expect("baseline cell simulates");
+            exact_run(&program, &trace).expect("baseline cell simulates");
         }
     });
     // Optimized: streamed traces, batched stage costs, one
@@ -207,7 +225,15 @@ fn main() {
     // warm pass runs before timing: the recorded number is the
     // steady-state a sweep or serve session reaches after its first run.
     let mut scratch = SimScratch::new();
-    let trace_cache = TraceCache::new();
+    let mut trace_bodies: HashMap<BodyKey, TraceBody> = HashMap::new();
+    for wl in &sim_grid {
+        trace_bodies
+            .entry(BodyKey::of(wl, sim_packets, 42))
+            .or_insert_with(|| TraceBody::generate(wl, sim_packets, 42));
+    }
+    let trace_stream = |wl: &WorkloadProfile| {
+        trace_bodies[&BodyKey::of(wl, sim_packets, 42)].stream(wl.rate_pps)
+    };
     let cost_cache = Arc::new(CostCache::new());
     scratch.attach_cost_cache(Arc::clone(&cost_cache));
     let run_fast_grid = |scratch: &mut SimScratch| {
@@ -215,7 +241,7 @@ fn main() {
             simulate_streamed(
                 nic,
                 &program,
-                trace_cache.stream(wl, sim_packets, 42),
+                trace_stream(wl),
                 &faults,
                 &wd,
                 &SimConfig::default(),
@@ -245,19 +271,18 @@ fn main() {
     let mut sim_identical = true;
     for wl in &sim_grid {
         let trace = wl.to_trace(sim_packets, 42);
-        let exact = simulate_configured(nic, &program, &trace, &faults, &wd, &SimConfig::exact())
-            .expect("exact cell simulates");
+        let (exact, exact_latencies) = exact_run(&program, &trace).expect("exact cell simulates");
         let fast = simulate_streamed(
             nic,
             &program,
-            trace_cache.stream(wl, sim_packets, 42),
+            trace_stream(wl),
             &faults,
             &wd,
             &SimConfig::default(),
             &mut scratch,
         )
         .expect("batched cell simulates");
-        sim_identical &= scratch.latencies() == exact.latencies.as_slice()
+        sim_identical &= scratch.latencies() == exact_latencies.as_slice()
             && fast.completed == exact.completed
             && fast.dropped == exact.dropped
             && fast.flow_cache == exact.flow_cache
@@ -281,7 +306,7 @@ fn main() {
             simulate_streamed_instrumented(
                 nic,
                 &program,
-                trace_cache.stream(wl, sim_packets, 42),
+                trace_stream(wl),
                 &faults,
                 &wd,
                 &SimConfig::default(),
@@ -298,7 +323,7 @@ fn main() {
         let plain = simulate_streamed(
             nic,
             &program,
-            trace_cache.stream(wl, sim_packets, 42),
+            trace_stream(wl),
             &faults,
             &wd,
             &SimConfig::default(),
@@ -310,7 +335,7 @@ fn main() {
         let seen = simulate_streamed_instrumented(
             nic,
             &program,
-            trace_cache.stream(wl, sim_packets, 42),
+            trace_stream(wl),
             &faults,
             &wd,
             &SimConfig::default(),
@@ -390,8 +415,7 @@ fn main() {
     let partial_base_ms = median_ms(sim_runs, || {
         for wl in &sim_grid {
             let trace = wl.to_trace(sim_packets, 42);
-            simulate_configured(nic, &partial_program, &trace, &faults, &wd, &SimConfig::exact())
-                .expect("partial baseline cell simulates");
+            exact_run(&partial_program, &trace).expect("partial baseline cell simulates");
         }
     });
     let run_partial_grid = |scratch: &mut SimScratch| {
@@ -399,7 +423,7 @@ fn main() {
             simulate_streamed(
                 nic,
                 &partial_program,
-                trace_cache.stream(wl, sim_packets, 42),
+                trace_stream(wl),
                 &faults,
                 &wd,
                 &SimConfig::default(),
@@ -421,14 +445,13 @@ fn main() {
     let mut batch_partial_packets = 0u64;
     for wl in &sim_grid {
         let trace = wl.to_trace(sim_packets, 42);
-        let exact =
-            simulate_configured(nic, &partial_program, &trace, &faults, &wd, &SimConfig::exact())
-                .expect("partial exact cell simulates");
+        let (exact, exact_latencies) =
+            exact_run(&partial_program, &trace).expect("partial exact cell simulates");
         let mut instr = SimInstruments::new();
         let fast = simulate_streamed_instrumented(
             nic,
             &partial_program,
-            trace_cache.stream(wl, sim_packets, 42),
+            trace_stream(wl),
             &faults,
             &wd,
             &SimConfig::default(),
@@ -436,7 +459,7 @@ fn main() {
             &mut instr,
         )
         .expect("partial optimized cell simulates");
-        partial_identical &= scratch.latencies() == exact.latencies.as_slice()
+        partial_identical &= scratch.latencies() == exact_latencies.as_slice()
             && fast.completed == exact.completed
             && fast.dropped == exact.dropped
             && fast.flow_cache == exact.flow_cache
@@ -531,16 +554,9 @@ fn main() {
     let mut rates_identical = true;
     for (wl, got) in rates_grid.iter().zip(&shared) {
         let (fast, latencies) = got.as_ref().expect("every cell simulated");
-        let exact = simulate_configured(
-            nic,
-            &nat,
-            &wl.to_trace(rates_packets, 42),
-            &faults,
-            &wd,
-            &SimConfig::exact(),
-        )
-        .expect("exact nat cell simulates");
-        rates_identical &= *latencies == exact.latencies
+        let (exact, exact_latencies) = exact_run(&nat, &wl.to_trace(rates_packets, 42))
+            .expect("exact nat cell simulates");
+        rates_identical &= *latencies == exact_latencies
             && fast.completed == exact.completed
             && fast.dropped == exact.dropped
             && fast.flow_cache == exact.flow_cache
@@ -622,7 +638,7 @@ fn main() {
 }}
 "#,
         sim_cells = sim_grid.len(),
-        trace_bodies = trace_cache.len(),
+        trace_bodies = trace_bodies.len(),
         rates_cells = rates_grid.len(),
         rates_bodies = bodies.len(),
     );

@@ -69,11 +69,7 @@ pub fn mean_error(points: &[Point]) -> f64 {
 /// Steady-state mean simulated latency of a ported program.
 pub fn actual_cycles(program: &NicProgram, workload: &WorkloadProfile, packets: usize) -> f64 {
     let trace = workload.to_trace(packets, 42);
-    let result = simulate(netronome(), program, &trace).expect("port must simulate");
-    // Steady state: discard the cold-start half, as the paper's 1M-packet
-    // averages do implicitly.
-    let tail = &result.latencies[result.latencies.len() / 2..];
-    tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64
+    simulate(netronome(), program, &trace).expect("port must simulate").steady_latency_cycles
 }
 
 /// Figure 3a: LPM latency vs number of table entries, predicted vs

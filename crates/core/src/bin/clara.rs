@@ -31,16 +31,17 @@ USAGE:
   clara predict <nf.nfc> (--nic <profile> | --params <file>) [workload flags]
   clara hints   <nf.nfc> (--nic <profile> | --params <file>) [workload flags]
   clara sweep   <nf.nfc> (--nic <profile> | --params <file>) [sweep flags]
-  clara validate <nf> [--nic <profile>] [validate flags]
-  clara profile <nf> [--nic <profile>] [profile flags]
+  clara validate <nf> [--nic <profile>] [--params <file>] [validate flags]
+  clara profile <nf> [--nic <profile>] [--params <file>] [profile flags]
   clara serve   [--nic <profile> | --params <file>] [serve flags]
   clara top     [--addr <host:port>] [top flags]
 
 NIC PROFILES:
   netronome | soc | asic        (built-in LNIC models)
 
-CORPUS NFS (for `validate`, which needs the hand-ported form too):
-  nat | dpi | firewall | lpm | hh | vnf
+CORPUS NFS (for `validate` and `profile`, which also simulate the
+hand-ported form on the `--nic` profile, default netronome):
+  nat | dpi | dpi-imem | firewall | lpm | hh | vnf
 
 WORKLOAD FLAGS (defaults = the paper's 60 kpps / 300 B / 1k flows):
   --rate <pps>        offered load in packets per second
@@ -612,6 +613,44 @@ fn corpus_nf(name: &str) -> Result<(String, clara_core::sim::NicProgram), CliErr
     })
 }
 
+/// The corpus NF named by the first positional argument of `validate`
+/// or `profile`. Flags are skipped with their operands; `--exact` is the
+/// only bare switch. `example` is the invocation the usage error shows.
+fn nf_name_arg(args: &[String], example: &str) -> Result<String, CliError> {
+    let mut i = 0;
+    while i < args.len() {
+        let a = &args[i];
+        if !a.starts_with('-') {
+            return Ok(a.clone());
+        }
+        i += if a == "--exact" { 1 } else { 2 };
+    }
+    Err(CliError::Usage(format!("need a corpus NF name (e.g. `{example}`)")))
+}
+
+/// The integer value of flag `name`, or `default` when it is absent.
+fn num_flag(args: &[String], name: &str, default: u64) -> Result<u64, CliError> {
+    match flag_value(args, name) {
+        Some(v) => v.parse().map_err(|_| CliError::Usage(format!("bad {name} `{v}`"))),
+        None => Ok(default),
+    }
+}
+
+/// The simulated NIC (`--nic`, default the paper's) and the predictor
+/// for a corpus-NF command: parameters from `--params` when given, else
+/// extracted for that NIC. Simulation needs an LNIC profile, so
+/// `--params` alone is not enough here.
+fn corpus_target(args: &[String]) -> Result<(clara_core::Lnic, Clara), CliError> {
+    let nic = nic_by_name(flag_value(args, "--nic").unwrap_or("netronome"))?;
+    let clara = if flag_value(args, "--params").is_some() {
+        build_clara(args)?
+    } else {
+        eprintln!("extracting parameters for `{}`...", nic.name);
+        Clara::new(&nic)
+    };
+    Ok((nic, clara))
+}
+
 /// Render a validation run as the per-cell JSON artifact.
 fn validation_json(
     nf: &str,
@@ -674,37 +713,16 @@ fn validation_json(
 }
 
 fn validate(args: &[String]) -> Result<(), CliError> {
-    // First positional argument = the NF name; skip flags and their values.
-    let mut nf_name = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a.starts_with('-') {
-            // Every value-taking flag skips its operand; bare switches
-            // (`--exact`) don't take one.
-            i += if a == "--exact" { 1 } else { 2 };
-        } else {
-            nf_name = Some(a.clone());
-            break;
-        }
-    }
-    let nf_name = nf_name
-        .ok_or_else(|| CliError::Usage("need a corpus NF name (e.g. `clara validate nat`)".into()))?;
+    let nf_name = nf_name_arg(args, "clara validate nat")?;
     let (source, program) = corpus_nf(&nf_name)?;
     let rates = axis(args, "--rates", &[20_000.0, 60_000.0, 200_000.0, 600_000.0])?;
     let payloads = axis(args, "--payloads", &[100.0, 300.0, 700.0, 1400.0])?;
     let flows = axis(args, "--flows", &[100.0, 1_000.0, 10_000.0, 100_000.0])?;
-    let parse_num = |name: &str, default: u64| -> Result<u64, CliError> {
-        match flag_value(args, name) {
-            Some(v) => v.parse().map_err(|_| CliError::Usage(format!("bad {name} `{v}`"))),
-            None => Ok(default),
-        }
-    };
     let telemetry_path = flag_value(args, "--telemetry");
     let mut config = ValidationConfig {
-        threads: parse_num("--threads", 0)? as usize,
+        threads: num_flag(args, "--threads", 0)? as usize,
         packets: packets_flag(args, 4_000)?,
-        seed: parse_num("--seed", 42)?,
+        seed: num_flag(args, "--seed", 42)?,
         telemetry: telemetry_path.is_some(),
         ..ValidationConfig::default()
     };
@@ -728,15 +746,7 @@ fn validate(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    // Simulation runs on an LNIC profile, so `--params` alone is not
-    // enough here; the profile defaults to the paper's NIC.
-    let nic = nic_by_name(flag_value(args, "--nic").unwrap_or("netronome"))?;
-    let clara = if flag_value(args, "--params").is_some() {
-        build_clara(args)?
-    } else {
-        eprintln!("extracting parameters for `{}`...", nic.name);
-        Clara::new(&nic)
-    };
+    let (nic, clara) = corpus_target(args)?;
     let mut sink = if telemetry_path.is_some() { Sink::memory() } else { Sink::disabled() };
     let module = sink.span("frontend+lower", || clara_core::lower_source(&source))?;
     program
@@ -832,45 +842,19 @@ fn profile(args: &[String]) -> Result<(), CliError> {
         simulate_streamed_instrumented, FaultPlan, SimConfig, SimInstruments, SimScratch, Watchdog,
     };
 
-    // First positional argument = the corpus NF; `--exact` is the only
-    // bare switch, every other flag takes a value.
-    let mut nf_name = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a.starts_with('-') {
-            i += if a == "--exact" { 1 } else { 2 };
-        } else {
-            nf_name = Some(a.clone());
-            break;
-        }
-    }
-    let nf_name = nf_name
-        .ok_or_else(|| CliError::Usage("need a corpus NF name (e.g. `clara profile dpi`)".into()))?;
+    let nf_name = nf_name_arg(args, "clara profile dpi")?;
     let (source, program) = corpus_nf(&nf_name)?;
     let wl = workload(args)?;
-    let parse_num = |name: &str, default: u64| -> Result<u64, CliError> {
-        match flag_value(args, name) {
-            Some(v) => v.parse().map_err(|_| CliError::Usage(format!("bad {name} `{v}`"))),
-            None => Ok(default),
-        }
-    };
     let packets = packets_flag(args, 2_000)?;
-    let seed = parse_num("--seed", 42)?;
-    let trace_packets = parse_num("--trace-packets", 32)?;
+    let seed = num_flag(args, "--seed", 42)?;
+    let trace_packets = num_flag(args, "--trace-packets", 32)?;
     let sim_config = if args.iter().any(|a| a == "--exact") {
         SimConfig::exact()
     } else {
         SimConfig::default()
     };
 
-    let nic = nic_by_name(flag_value(args, "--nic").unwrap_or("netronome"))?;
-    let clara = if flag_value(args, "--params").is_some() {
-        build_clara(args)?
-    } else {
-        eprintln!("extracting parameters for `{}`...", nic.name);
-        Clara::new(&nic)
-    };
+    let (nic, clara) = corpus_target(args)?;
 
     // Profiling exists to observe, so the sink is always on here.
     let mut sink = Sink::memory();
@@ -975,12 +959,14 @@ fn profile(args: &[String]) -> Result<(), CliError> {
             ""
         },
     );
+    // Judged against the steady-state mean, as `clara validate` judges
+    // the same cell.
+    let actual = sim.steady_latency_cycles;
     println!(
         "\npredicted {:.0} cycles vs simulated {:.0} (rel. error {:.1}%)",
         p.avg_latency_cycles,
-        sim.avg_latency_cycles,
-        (p.avg_latency_cycles - sim.avg_latency_cycles).abs() / sim.avg_latency_cycles.max(1.0)
-            * 100.0,
+        actual,
+        (p.avg_latency_cycles - actual).abs() / actual.max(1.0) * 100.0,
     );
 
     if let Some(path) = flag_value(args, "--trace") {

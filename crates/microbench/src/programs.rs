@@ -71,13 +71,7 @@ impl<'a> Bench<'a> {
     /// Like [`Self::run`], but discards the first half of the trace as
     /// warmup — standard practice for cache-sensitive measurements.
     fn run_steady(&mut self, prog: &NicProgram, trace: &TraceGenerator) -> f64 {
-        let r = self.simulate(prog, trace);
-        let latencies = self.scratch.latencies();
-        let tail = &latencies[latencies.len() / 2..];
-        if tail.is_empty() {
-            return r.avg_latency_cycles;
-        }
-        tail.iter().sum::<u64>() as f64 / tail.len() as f64
+        self.simulate(prog, trace).steady_latency_cycles
     }
 
     /// Marginal cost of `op` via the k vs 2k difference.

@@ -93,6 +93,13 @@ pub struct SimResult {
     pub truncated: usize,
     /// Mean per-packet latency in NIC cycles.
     pub avg_latency_cycles: f64,
+    /// Steady-state latency in cycles: the mean over the later half of
+    /// the completed packets' latencies in arrival order, from index
+    /// `completed / 2` on (0 when none completed). The earlier half,
+    /// which fills the caches and the flow cache from cold, is
+    /// discarded, as the paper's 1M-packet hardware averages do
+    /// implicitly; this is the "actual" figure a prediction is judged by.
+    pub steady_latency_cycles: f64,
     /// Median latency in cycles.
     pub p50_latency_cycles: f64,
     /// 99th-percentile latency in cycles.
@@ -111,8 +118,6 @@ pub struct SimResult {
     pub emem_cache: Option<(u64, u64)>,
     /// Total energy in millijoules (active cycles × nJ/cycle).
     pub energy_mj: f64,
-    /// Raw per-packet latencies in cycles, arrival order.
-    pub latencies: Vec<u64>,
 }
 
 pub(crate) struct TableRt {
@@ -222,9 +227,10 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Per-packet latencies (cycles, arrival order) of the last
-    /// [`simulate_streamed`] run — left here rather than copied into
-    /// [`SimResult::latencies`] so the streamed path stays allocation-free.
+    /// Per-packet latencies (cycles, arrival order) of the last run on
+    /// this scratch. This is the only place they are kept: a
+    /// [`SimResult`] carries their statistics, so a run allocates
+    /// nothing per packet beyond these reused arenas.
     pub fn latencies(&self) -> &[u64] {
         &self.latencies
     }
@@ -503,106 +509,28 @@ fn run_fingerprint(
     s
 }
 
-/// Run `prog` over `trace` on `nic` with healthy hardware.
+/// Run `prog` over `trace` on `nic` with healthy hardware, the default
+/// [`Watchdog`] and [`SimConfig`], and a fresh scratch: the one-shot
+/// entry point. Anything else (faults, caps, the exact oracle, reused
+/// arenas, per-packet latencies) goes through [`simulate_streamed`] over
+/// `trace.iter().cloned()`.
 pub fn simulate(nic: &Lnic, prog: &NicProgram, trace: &Trace) -> Result<SimResult, SimError> {
-    simulate_with_faults(nic, prog, trace, &FaultPlan::none())
-}
-
-/// Run `prog` over `trace` on `nic` under a [`FaultPlan`].
-///
-/// Faults degrade the run instead of failing it: unserviceable packets are
-/// dropped and counted ([`SimResult::accel_drops`],
-/// [`SimResult::corrupt_drops`], [`SimResult::dropped`]), survivors see
-/// the degraded latency. Errors are reserved for setup problems (an
-/// invalid program, a region the NIC lacks, zero usable threads).
-pub fn simulate_with_faults(
-    nic: &Lnic,
-    prog: &NicProgram,
-    trace: &Trace,
-    faults: &FaultPlan,
-) -> Result<SimResult, SimError> {
-    simulate_supervised(nic, prog, trace, faults, &Watchdog::default())
-}
-
-/// Run `prog` over `trace` on `nic` under a [`FaultPlan`] and a
-/// [`Watchdog`].
-///
-/// The watchdog turns unbounded work into errors instead of hangs: a
-/// packet whose stages exceed the per-packet cycle cap (or push the run
-/// past the total cap) ends the run with [`SimError::Watchdog`], and an
-/// expired wall-clock deadline or cancel token ends it with
-/// [`SimError::TimedOut`]. Default caps are far above any legitimate
-/// program, so `simulate`/`simulate_with_faults` results are unchanged.
-pub fn simulate_supervised(
-    nic: &Lnic,
-    prog: &NicProgram,
-    trace: &Trace,
-    faults: &FaultPlan,
-    watchdog: &Watchdog,
-) -> Result<SimResult, SimError> {
-    simulate_configured(nic, prog, trace, faults, watchdog, &SimConfig::default())
-}
-
-/// [`simulate_supervised`] with an explicit [`SimConfig`]: the entry
-/// point that chooses between the batched default and
-/// [`SimConfig::exact`], the recompute-everything oracle.
-pub fn simulate_configured(
-    nic: &Lnic,
-    prog: &NicProgram,
-    trace: &Trace,
-    faults: &FaultPlan,
-    watchdog: &Watchdog,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    let mut scratch = SimScratch::new();
-    let mut r = run_sim(
+    simulate_streamed(
         nic,
         prog,
         trace.iter().cloned(),
-        faults,
-        watchdog,
-        config,
-        &mut scratch,
-        None,
-        false,
-    )?;
-    r.latencies = std::mem::take(&mut scratch.latencies);
-    Ok(r)
+        &FaultPlan::none(),
+        &Watchdog::default(),
+        &SimConfig::default(),
+        &mut SimScratch::new(),
+    )
 }
 
-/// [`simulate_configured`] with a [`SimInstruments`] attached: the run
-/// fills `instruments.stats` (and the timeline, when one is present)
-/// while producing a [`SimResult`] bit-identical to the uninstrumented
-/// entry points.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_instrumented(
-    nic: &Lnic,
-    prog: &NicProgram,
-    trace: &Trace,
-    faults: &FaultPlan,
-    watchdog: &Watchdog,
-    config: &SimConfig,
-    instruments: &mut SimInstruments,
-) -> Result<SimResult, SimError> {
-    let mut scratch = SimScratch::new();
-    let mut r = run_sim(
-        nic,
-        prog,
-        trace.iter().cloned(),
-        faults,
-        watchdog,
-        config,
-        &mut scratch,
-        Some(instruments),
-        false,
-    )?;
-    r.latencies = std::mem::take(&mut scratch.latencies);
-    Ok(r)
-}
-
-/// Run `prog` over a lazily produced packet stream, reusing `scratch`
-/// arenas across calls — the sweep hot path: no trace materialization,
-/// O(1) allocations per run.
+/// Run `prog` over a packet stream on `nic` under a [`FaultPlan`], a
+/// [`Watchdog`] and a [`SimConfig`], reusing `scratch`'s arenas: the
+/// general entry point. A materialized [`Trace`] streams as
+/// `trace.iter().cloned()`; a generator streams without materializing,
+/// and a run performs O(1) allocations.
 ///
 /// `packets` must yield arrivals in non-decreasing timestamp order
 /// ([`Trace`] iteration and [`clara_workload::TraceStream`] both
@@ -610,9 +538,19 @@ pub fn simulate_instrumented(
 /// exactly as [`Trace::push`] would have clamped them, so streaming a
 /// generator is bit-identical to materializing it first.
 ///
+/// Faults degrade the run instead of failing it: unserviceable packets
+/// are dropped and counted ([`SimResult::accel_drops`],
+/// [`SimResult::corrupt_drops`], [`SimResult::dropped`]), survivors see
+/// the degraded latency. The watchdog turns unbounded work into errors
+/// instead of hangs: a packet whose stages exceed the per-packet cycle
+/// cap (or push the run past the total cap) ends the run with
+/// [`SimError::Watchdog`], and an expired wall-clock deadline or cancel
+/// token ends it with [`SimError::TimedOut`]; default caps are far above
+/// any legitimate program. Other errors are setup problems (an invalid
+/// program, a region the NIC lacks, zero usable threads).
+///
 /// Per-packet latencies are left in the scratch
-/// ([`SimScratch::latencies`]); [`SimResult::latencies`] comes back
-/// empty so the run allocates nothing per packet.
+/// ([`SimScratch::latencies`]) until its next run.
 pub fn simulate_streamed<I>(
     nic: &Lnic,
     prog: &NicProgram,
@@ -628,9 +566,10 @@ where
     run_sim(nic, prog, packets.into_iter(), faults, watchdog, config, scratch, None, false)
 }
 
-/// [`simulate_streamed`] with a [`SimInstruments`] attached — the sweep
-/// hot path with telemetry: O(1) allocations per run plus whatever the
-/// timeline records.
+/// [`simulate_streamed`] with a [`SimInstruments`] attached: the run
+/// fills `instruments.stats` (and the timeline, when one is present)
+/// while producing a [`SimResult`] bit-identical to the uninstrumented
+/// run, with O(1) allocations per run plus whatever the timeline records.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streamed_instrumented<I>(
     nic: &Lnic,
@@ -1332,9 +1271,11 @@ pub(crate) struct Observation<'a> {
 }
 
 /// The statistics pass every run ends with, whichever route costed its
-/// packets: order statistics over `latencies` (arrival order), the
-/// output rate over `completions`, the per-stage means, and, when the
-/// run is instrumented, its [`SimStats`].
+/// packets (scalar loop, whole-run or partial kernel, rate replay): the
+/// mean and steady-state mean and order statistics over `latencies`
+/// (arrival order, left in the scratch), the output rate over
+/// `completions`, the per-stage means, and, when the run is
+/// instrumented, its [`SimStats`].
 pub(crate) fn finish(
     nic: &Lnic,
     prog: &NicProgram,
@@ -1352,18 +1293,25 @@ pub(crate) fn finish(
     let completed = latencies.len();
     select.clear();
     select.extend_from_slice(latencies);
-    let (avg, p50, p99, max_lat) = if completed == 0 {
-        (0.0, 0.0, 0.0, 0.0)
+    let (avg, steady, p50, p99, max_lat) = if completed == 0 {
+        (0.0, 0.0, 0.0, 0.0, 0.0)
     } else {
-        // A `u128` sum cannot wrap; below `u64::MAX` it is the same value.
-        let avg = latencies.iter().map(|&l| u128::from(l)).sum::<u128>() as f64 / completed as f64;
+        // One pass of `u128` sums, split where the steady-state half
+        // starts. A `u128` sum cannot wrap; below `u64::MAX` it is the
+        // same value, so the total and the tail convert to the same `f64`
+        // as a `u64` sum would.
+        let sum = |l: &[u64]| l.iter().map(|&l| u128::from(l)).sum::<u128>();
+        let half = completed / 2;
+        let (head, tail) = (sum(&latencies[..half]), sum(&latencies[half..]));
+        let avg = (head + tail) as f64 / completed as f64;
+        let steady = tail as f64 / (completed - half) as f64;
         let idx = |p: f64| ((completed - 1) as f64 * p) as usize;
         let (i50, i99) = (idx(0.5), idx(0.99));
         let (below, v99, _) = select.select_nth_unstable(i99);
         let p99 = *v99;
         let p50 = if i50 == i99 { p99 } else { *below.select_nth_unstable(i50).1 };
         let max = *latencies.iter().max().unwrap();
-        (avg, p50 as f64, p99 as f64, max as f64)
+        (avg, steady, p50 as f64, p99 as f64, max as f64)
     };
     // Output rate over the interquartile completion window: unbiased by
     // the initial pipeline fill, the final drain, and single-packet tails.
@@ -1467,6 +1415,7 @@ pub(crate) fn finish(
         corrupt_drops: tally.corrupt_drops,
         truncated: tally.truncated,
         avg_latency_cycles: avg,
+        steady_latency_cycles: steady,
         p50_latency_cycles: p50,
         p99_latency_cycles: p99,
         max_latency_cycles: max_lat,
@@ -1483,9 +1432,6 @@ pub(crate) fn finish(
         flow_cache: tally.flow_cache,
         emem_cache: tally.emem_cache,
         energy_mj: tally.busy_cycles as f64 * nic.nj_per_cycle * 1e-6,
-        // The streamed path leaves per-packet latencies in the scratch
-        // (`SimScratch::latencies`); `simulate_configured` moves them in.
-        latencies: Vec::new(),
     }
 }
 
@@ -1757,6 +1703,46 @@ mod tests {
         }
     }
 
+    /// `t` through [`simulate_streamed`] (with instruments,
+    /// [`simulate_streamed_instrumented`]) on a fresh scratch: the result
+    /// and the run's per-packet latencies.
+    fn run(
+        nic: &Lnic,
+        prog: &NicProgram,
+        t: &Trace,
+        faults: &FaultPlan,
+        wd: &Watchdog,
+        cfg: &SimConfig,
+        instruments: Option<&mut SimInstruments>,
+    ) -> Result<(SimResult, Vec<u64>), SimError> {
+        let mut scratch = SimScratch::new();
+        let packets = t.iter().cloned();
+        let r = match instruments {
+            Some(instr) => simulate_streamed_instrumented(
+                nic,
+                prog,
+                packets,
+                faults,
+                wd,
+                cfg,
+                &mut scratch,
+                instr,
+            ),
+            None => simulate_streamed(nic, prog, packets, faults, wd, cfg, &mut scratch),
+        }?;
+        Ok((r, scratch.latencies().to_vec()))
+    }
+
+    /// `t` under `faults` with the default watchdog and configuration.
+    fn faulted(
+        nic: &Lnic,
+        prog: &NicProgram,
+        t: &Trace,
+        faults: &FaultPlan,
+    ) -> Result<SimResult, SimError> {
+        run(nic, prog, t, faults, &Watchdog::new(), &SimConfig::default(), None).map(|(r, _)| r)
+    }
+
     #[test]
     fn echo_latency_is_parse_plus_hubs() {
         let prog = npu_stage(vec![MicroOp::ParseHeader]);
@@ -2020,10 +2006,34 @@ mod tests {
         let prog = npu_stage(vec![MicroOp::ParseHeader, MicroOp::Hash { count: 2 }]);
         let nic = nic();
         let t = trace(500);
-        let a = simulate(&nic, &prog, &t).unwrap();
-        let b = simulate(&nic, &prog, &t).unwrap();
-        assert_eq!(a.latencies, b.latencies);
+        let (wd, cfg) = (Watchdog::new(), SimConfig::default());
+        let (a, lat_a) = run(&nic, &prog, &t, &FaultPlan::none(), &wd, &cfg, None).unwrap();
+        let (b, lat_b) = run(&nic, &prog, &t, &FaultPlan::none(), &wd, &cfg, None).unwrap();
+        assert_eq!(lat_a, lat_b);
         assert_eq!(a.energy_mj, b.energy_mj);
+    }
+
+    #[test]
+    fn steady_latency_is_the_later_half_mean() {
+        let nic = nic();
+        let prog = npu_stage(vec![MicroOp::ParseHeader, MicroOp::Hash { count: 2 }]);
+        // Every frame corrupt: no packet completes, and both means are 0.
+        let all_corrupt = FaultPlan { corrupt_every: 1, ..FaultPlan::none() };
+        let r = faulted(&nic, &prog, &trace(10), &all_corrupt).unwrap();
+        assert_eq!((r.completed, r.corrupt_drops), (0, 10));
+        assert_eq!(r.steady_latency_cycles.to_bits(), 0f64.to_bits());
+        assert_eq!(r.avg_latency_cycles.to_bits(), 0f64.to_bits());
+        let (wd, cfg) = (Watchdog::new(), SimConfig::default());
+        // One packet is its own later half.
+        let (r, lat) = run(&nic, &prog, &trace(1), &FaultPlan::none(), &wd, &cfg, None).unwrap();
+        assert_eq!(lat.len(), 1);
+        assert_eq!(r.steady_latency_cycles.to_bits(), (lat[0] as f64).to_bits());
+        // An odd count keeps the middle packet in the later half.
+        let (r, lat) = run(&nic, &prog, &trace(7), &FaultPlan::none(), &wd, &cfg, None).unwrap();
+        let tail: u64 = lat[3..].iter().sum();
+        assert_eq!(r.steady_latency_cycles.to_bits(), (tail as f64 / 4.0).to_bits());
+        let total: u64 = lat.iter().sum();
+        assert_eq!(r.avg_latency_cycles.to_bits(), (total as f64 / 7.0).to_bits());
     }
 
     #[test]
@@ -2057,12 +2067,12 @@ mod tests {
         let faults = FaultPlan { corrupt_every: 7, ..FaultPlan::none() };
         let wd = Watchdog::default();
         let cfg = SimConfig::default();
-        let plain = simulate_configured(&nic, &prog, &t, &faults, &wd, &cfg).unwrap();
+        let (plain, plain_lat) = run(&nic, &prog, &t, &faults, &wd, &cfg, None).unwrap();
         let mut instr = SimInstruments::with_timeline(5);
-        let seen = simulate_instrumented(&nic, &prog, &t, &faults, &wd, &cfg, &mut instr).unwrap();
+        let (seen, seen_lat) = run(&nic, &prog, &t, &faults, &wd, &cfg, Some(&mut instr)).unwrap();
 
         // Telemetry never perturbs results.
-        assert_eq!(plain.latencies, seen.latencies);
+        assert_eq!(plain_lat, seen_lat);
         assert_eq!(plain.energy_mj.to_bits(), seen.energy_mj.to_bits());
         assert_eq!(plain.emem_cache, seen.emem_cache);
 
@@ -2097,17 +2107,21 @@ mod tests {
         let t = trace(400);
         let wd = Watchdog::default();
         let mut a = SimInstruments::new();
-        let ra = simulate_instrumented(
+        let (ra, ra_lat) =
+            run(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::exact(), Some(&mut a))
+                .unwrap();
+        // A scratch that has run another program first.
+        let mut scratch = SimScratch::new();
+        simulate_streamed(
             &nic,
-            &prog,
-            &t,
+            &npu_stage(vec![MicroOp::Compute { cycles: 900 }]),
+            trace(50).iter().cloned(),
             &FaultPlan::none(),
             &wd,
-            &SimConfig::exact(),
-            &mut a,
+            &SimConfig::default(),
+            &mut scratch,
         )
         .unwrap();
-        let mut scratch = SimScratch::new();
         let mut b = SimInstruments::new();
         let rb = simulate_streamed_instrumented(
             &nic,
@@ -2120,7 +2134,7 @@ mod tests {
             &mut b,
         )
         .unwrap();
-        assert_eq!(ra.latencies, scratch.latencies);
+        assert_eq!(ra_lat, scratch.latencies);
         assert_eq!(ra.avg_latency_cycles.to_bits(), rb.avg_latency_cycles.to_bits());
         assert_eq!(a.stats, b.stats);
         assert!(a.stats.conserved());
@@ -2220,7 +2234,7 @@ mod tests {
             dead_threads: 1,
             ..FaultPlan::none()
         };
-        let r = simulate_with_faults(&nic, &prog, &t, &outage).unwrap();
+        let r = faulted(&nic, &prog, &t, &outage).unwrap();
         assert_eq!(r.accel_drops, 500);
         assert_eq!(r.completed, 0);
 
@@ -2231,7 +2245,7 @@ mod tests {
             dead_threads: 1,
             ..FaultPlan::none()
         };
-        let r = simulate_with_faults(&nic, &prog, &t, &fc_down).unwrap();
+        let r = faulted(&nic, &prog, &t, &fc_down).unwrap();
         assert_eq!(r.completed, 500);
         assert_eq!(r.accel_drops, 0);
         assert!(
@@ -2256,7 +2270,7 @@ mod tests {
         };
         let t = trace(100);
         let healthy = simulate(&nic, &prog, &t).unwrap().avg_latency_cycles;
-        let stalled = simulate_with_faults(
+        let stalled = faulted(
             &nic,
             &prog,
             &t,
@@ -2298,14 +2312,14 @@ mod tests {
             .syn_on_first(false)
             .generate();
         let healthy = simulate(&nic, &prog, &t).unwrap();
-        let disabled = simulate_with_faults(
+        let disabled = faulted(
             &nic,
             &prog,
             &t,
             &FaultPlan { disable_emem_cache: true, ..FaultPlan::none() },
         )
         .unwrap();
-        let thrashed = simulate_with_faults(
+        let thrashed = faulted(
             &nic,
             &prog,
             &t,
@@ -2331,7 +2345,7 @@ mod tests {
             .syn_on_first(false)
             .generate();
         let healthy = simulate(&nic, &prog, &t).unwrap();
-        let squeezed = simulate_with_faults(
+        let squeezed = faulted(
             &nic,
             &prog,
             &t,
@@ -2357,7 +2371,7 @@ mod tests {
             .syn_on_first(false)
             .generate();
 
-        let corrupt = simulate_with_faults(
+        let corrupt = faulted(
             &nic,
             &prog,
             &t,
@@ -2368,7 +2382,7 @@ mod tests {
         assert_eq!(corrupt.completed, 90);
 
         let healthy = simulate(&nic, &prog, &t).unwrap();
-        let runt = simulate_with_faults(
+        let runt = faulted(
             &nic,
             &prog,
             &t,
@@ -2384,7 +2398,7 @@ mod tests {
     #[test]
     fn losing_every_thread_is_an_error_not_a_panic() {
         let prog = npu_stage(vec![MicroOp::ParseHeader]);
-        let err = simulate_with_faults(
+        let err = faulted(
             &nic(),
             &prog,
             &trace(10),
@@ -2428,16 +2442,17 @@ mod tests {
         let prog = npu_stage(vec![MicroOp::ParseHeader]);
         let t = trace(100);
 
+        let (fp, cfg) = (FaultPlan::none(), SimConfig::default());
         let per_packet = Watchdog { max_cycles_per_packet: Some(10), ..Watchdog::new() };
         assert!(matches!(
-            simulate_supervised(&nic, &prog, &t, &FaultPlan::none(), &per_packet),
+            run(&nic, &prog, &t, &fp, &per_packet, &cfg, None),
             Err(SimError::Watchdog { packet: 0, .. })
         ));
 
         // A total cap below the aggregate cost trips partway through the
         // trace, attributing the packet that crossed it.
         let total = Watchdog { max_total_cycles: Some(1_000), ..Watchdog::new() };
-        match simulate_supervised(&nic, &prog, &t, &FaultPlan::none(), &total) {
+        match run(&nic, &prog, &t, &fp, &total, &cfg, None) {
             Err(SimError::Watchdog { packet, stage, .. }) => {
                 assert!(packet > 0, "several packets fit under 1000 cycles");
                 assert_eq!(stage, "<run total>");
@@ -2451,24 +2466,22 @@ mod tests {
         let nic = nic();
         let prog = npu_stage(vec![MicroOp::ParseHeader]);
         let t = trace(10);
+        let (fp, cfg) = (FaultPlan::none(), SimConfig::default());
         let expired =
             Watchdog { deadline: Some(std::time::Instant::now()), ..Watchdog::new() };
-        assert!(matches!(
-            simulate_supervised(&nic, &prog, &t, &FaultPlan::none(), &expired),
-            Err(SimError::TimedOut)
-        ));
+        assert!(matches!(run(&nic, &prog, &t, &fp, &expired, &cfg, None), Err(SimError::TimedOut)));
         let token = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let cancelled = Watchdog { cancel: Some(token), ..Watchdog::new() };
         assert!(matches!(
-            simulate_supervised(&nic, &prog, &t, &FaultPlan::none(), &cancelled),
+            run(&nic, &prog, &t, &fp, &cancelled, &cfg, None),
             Err(SimError::TimedOut)
         ));
     }
 
     #[test]
     fn default_watchdog_leaves_results_bit_unchanged() {
-        // The supervised path with default caps must be invisible:
-        // identical latencies and energy to the plain entry points.
+        // The default caps must be invisible: identical latencies and
+        // energy to a run with both caps disabled, and to `simulate`.
         let nic = nic();
         let prog = npu_stage(vec![
             MicroOp::ParseHeader,
@@ -2476,11 +2489,18 @@ mod tests {
             MicroOp::StreamPayload { table: None, loop_overhead: 2 },
         ]);
         let t = trace(300);
-        let plain = simulate(&nic, &prog, &t).unwrap();
-        let supervised =
-            simulate_supervised(&nic, &prog, &t, &FaultPlan::none(), &Watchdog::new()).unwrap();
-        assert_eq!(plain.latencies, supervised.latencies);
+        let (fp, cfg) = (FaultPlan::none(), SimConfig::default());
+        let uncapped = Watchdog {
+            max_cycles_per_packet: Some(u64::MAX),
+            max_total_cycles: Some(u64::MAX),
+            ..Watchdog::new()
+        };
+        let (plain, plain_lat) = run(&nic, &prog, &t, &fp, &uncapped, &cfg, None).unwrap();
+        let (supervised, supervised_lat) =
+            run(&nic, &prog, &t, &fp, &Watchdog::new(), &cfg, None).unwrap();
+        assert_eq!(plain_lat, supervised_lat);
         assert_eq!(plain.energy_mj.to_bits(), supervised.energy_mj.to_bits());
+        assert_bit_identical(&simulate(&nic, &prog, &t).unwrap(), &supervised, "simulate");
         assert_eq!(plain.per_stage_cycles, supervised.per_stage_cycles);
     }
 
@@ -2522,6 +2542,11 @@ mod tests {
             a.avg_latency_cycles.to_bits(),
             b.avg_latency_cycles.to_bits(),
             "{what}: avg"
+        );
+        assert_eq!(
+            a.steady_latency_cycles.to_bits(),
+            b.steady_latency_cycles.to_bits(),
+            "{what}: steady"
         );
         assert_eq!(a.p50_latency_cycles.to_bits(), b.p50_latency_cycles.to_bits(), "{what}: p50");
         assert_eq!(a.p99_latency_cycles.to_bits(), b.p99_latency_cycles.to_bits(), "{what}: p99");
@@ -2643,15 +2668,13 @@ mod tests {
                 },
             ] {
                 let wd = Watchdog::new();
-                let fast =
-                    simulate_configured(&nic, &prog, &t, &faults, &wd, &SimConfig::default())
-                        .unwrap();
-                let exact =
-                    simulate_configured(&nic, &prog, &t, &faults, &wd, &SimConfig::exact())
-                        .unwrap();
+                let (fast, fast_lat) =
+                    run(&nic, &prog, &t, &faults, &wd, &SimConfig::default(), None).unwrap();
+                let (exact, exact_lat) =
+                    run(&nic, &prog, &t, &faults, &wd, &SimConfig::exact(), None).unwrap();
                 let what = format!("{} under {:?}", prog.name, faults);
                 assert_bit_identical(&fast, &exact, &what);
-                assert_eq!(fast.latencies, exact.latencies, "{what}: latencies");
+                assert_eq!(fast_lat, exact_lat, "{what}: latencies");
             }
         }
     }
@@ -2668,7 +2691,8 @@ mod tests {
         let trace = gen.generate();
         let mut scratch = SimScratch::new();
         for prog in fidelity_corpus() {
-            let eager = simulate(&nic, &prog, &trace).unwrap();
+            let (fp, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
+            let (eager, eager_lat) = run(&nic, &prog, &trace, &fp, &wd, &cfg, None).unwrap();
             let lazy = simulate_streamed(
                 &nic,
                 &prog,
@@ -2680,9 +2704,7 @@ mod tests {
             )
             .unwrap();
             assert_bit_identical(&eager, &lazy, &prog.name);
-            // Latencies live in the scratch on the streamed path.
-            assert!(lazy.latencies.is_empty());
-            assert_eq!(scratch.latencies(), &eager.latencies[..], "{}", prog.name);
+            assert_eq!(scratch.latencies(), &eager_lat[..], "{}", prog.name);
         }
     }
 
@@ -2735,8 +2757,9 @@ mod tests {
             .syn_on_first(false)
             .generate();
         let wd = Watchdog::new();
-        let fast = simulate_configured(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::default());
-        let exact = simulate_configured(&nic, &prog, &t, &FaultPlan::none(), &wd, &SimConfig::exact());
+        let fp = FaultPlan::none();
+        let fast = run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), None);
+        let exact = run(&nic, &prog, &t, &fp, &wd, &SimConfig::exact(), None);
         assert_eq!(fast.unwrap_err(), exact.unwrap_err());
     }
 
@@ -2768,14 +2791,13 @@ mod tests {
         let t = TraceGenerator::new(5).packets(2_000).flows(500).sizes(SizeDist::imix()).generate();
         let fp = FaultPlan { thrash_emem_cache: true, ..FaultPlan::none() };
         let wd = Watchdog::new();
-        let exact = simulate_configured(&nic, &prog, &t, &fp, &wd, &SimConfig::exact()).unwrap();
+        let (exact, exact_lat) = run(&nic, &prog, &t, &fp, &wd, &SimConfig::exact(), None).unwrap();
         let mut instr = SimInstruments::new();
-        let fast =
-            simulate_instrumented(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), &mut instr)
-                .unwrap();
+        let (fast, fast_lat) =
+            run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), Some(&mut instr)).unwrap();
         assert_eq!(instr.stats.batch_packets, t.len() as u64, "the whole run is batched");
         assert_bit_identical(&fast, &exact, "dpi-imem under the thrash fault");
-        assert_eq!(fast.latencies, exact.latencies);
+        assert_eq!(fast_lat, exact_lat);
     }
 
     #[test]
@@ -2801,14 +2823,13 @@ mod tests {
             ..Watchdog::new()
         };
         let fp = FaultPlan::none();
-        let exact = simulate_configured(&nic, &prog, &t, &fp, &wd, &SimConfig::exact()).unwrap();
-        let fast = simulate_configured(&nic, &prog, &t, &fp, &wd, &SimConfig::default()).unwrap();
+        let (exact, exact_lat) = run(&nic, &prog, &t, &fp, &wd, &SimConfig::exact(), None).unwrap();
+        let (fast, fast_lat) = run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), None).unwrap();
         assert_bit_identical(&fast, &exact, "saturated");
-        assert_eq!(fast.latencies, exact.latencies);
+        assert_eq!(fast_lat, exact_lat);
         let mut instr = SimInstruments::new();
-        let seen =
-            simulate_instrumented(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), &mut instr)
-                .unwrap();
+        let (seen, _) =
+            run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), Some(&mut instr)).unwrap();
         assert_bit_identical(&seen, &exact, "saturated, instrumented");
         assert_eq!(instr.stats.batch_packets, 0, "the kernel refuses a saturating run");
         assert!(instr.stats.conserved());

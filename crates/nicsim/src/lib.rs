@@ -64,8 +64,7 @@ pub use clara_lnic::AccelKind;
 pub use clara_telemetry::{SimStats, StageTimeline};
 pub use costcache::CostCache;
 pub use engine::{
-    simulate, simulate_configured, simulate_instrumented, simulate_streamed,
-    simulate_streamed_instrumented, simulate_supervised, simulate_with_faults, SimConfig, SimError,
+    simulate, simulate_streamed, simulate_streamed_instrumented, SimConfig, SimError,
     SimInstruments, SimResult, SimScratch,
 };
 pub use fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};

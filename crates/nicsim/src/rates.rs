@@ -79,9 +79,10 @@ pub struct RateRun<'a> {
     /// The offered rate, packets per second.
     pub rate_pps: f64,
     /// The run's result, bit-identical to [`crate::simulate_streamed`]
-    /// of `body.stream(rate_pps)`; [`SimResult::latencies`] is empty.
+    /// of `body.stream(rate_pps)`, its steady-state mean included.
     pub result: Result<SimResult, SimError>,
-    /// Per-packet latencies in cycles, arrival order.
+    /// Per-packet latencies in cycles, arrival order: the scratch's
+    /// [`SimScratch::latencies`], lent until the next rate runs.
     pub latencies: &'a [u64],
     /// The run's counters, when the call was instrumented: those of
     /// [`crate::simulate_streamed_instrumented`], plus

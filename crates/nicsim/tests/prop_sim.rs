@@ -1,11 +1,10 @@
 //! Property tests on simulator invariants.
 
-use clara_lnic::profiles;
+use clara_lnic::{profiles, Lnic};
 use clara_nicsim::{
-    simulate, simulate_configured, simulate_rates, simulate_streamed,
-    simulate_streamed_instrumented, AccelKind, BytesSpec, CostCache, FaultPlan, MicroOp,
-    NicProgram, SimConfig, SimError, SimInstruments, SimResult, SimScratch, Stage,
-    StageUnit, TableCfg, Watchdog,
+    simulate, simulate_rates, simulate_streamed, simulate_streamed_instrumented, AccelKind,
+    BytesSpec, CostCache, FaultPlan, MicroOp, NicProgram, SimConfig, SimError, SimInstruments,
+    SimResult, SimScratch, Stage, StageUnit, TableCfg, Watchdog,
 };
 use clara_workload::{SizeDist, Trace, TraceBody, TraceGenerator, WorkloadProfile};
 use proptest::prelude::*;
@@ -112,12 +111,46 @@ fn build_case(
     (prog, trace, faults, wd)
 }
 
+/// A run's result with its per-packet latencies.
+type Run = Result<(SimResult, Vec<u64>), SimError>;
+
+/// `trace` through [`simulate_streamed`] on `scratch`.
+fn run(
+    nic: &Lnic,
+    prog: &NicProgram,
+    trace: &Trace,
+    faults: &FaultPlan,
+    wd: &Watchdog,
+    config: &SimConfig,
+    scratch: &mut SimScratch,
+) -> Run {
+    let r = simulate_streamed(nic, prog, trace.iter().cloned(), faults, wd, config, scratch)?;
+    Ok((r, scratch.latencies().to_vec()))
+}
+
+/// The steady-state mean, computed the way the benchmark's independent
+/// check computes it: the `u64` sum of the later half as `f64`, over
+/// that half's length (at least 1).
+fn tail_mean(latencies: &[u64]) -> f64 {
+    let tail = &latencies[latencies.len() / 2..];
+    tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64
+}
+
+/// Whether a result's steady-state mean has the bits of [`tail_mean`]
+/// over its latencies.
+fn steady_is_tail_mean(run: &Run) -> bool {
+    match run {
+        Ok((r, latencies)) => r.steady_latency_cycles.to_bits() == tail_mean(latencies).to_bits(),
+        Err(_) => true,
+    }
+}
+
 /// Every observable of two simulation outcomes, compared bit-for-bit
 /// (floats via `to_bits`, errors via their rendering).
-fn identical(a: &Result<SimResult, SimError>, b: &Result<SimResult, SimError>) -> bool {
+fn identical(a: &Run, b: &Run) -> bool {
     match (a, b) {
-        (Ok(x), Ok(y)) => {
-            x.latencies == y.latencies
+        (Ok((x, x_latencies)), Ok((y, y_latencies))) => {
+            x_latencies == y_latencies
                 && x.packets == y.packets
                 && x.completed == y.completed
                 && x.dropped == y.dropped
@@ -132,6 +165,7 @@ fn identical(a: &Result<SimResult, SimError>, b: &Result<SimResult, SimError>) -
                     .zip(&y.per_stage_cycles)
                     .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
                 && x.avg_latency_cycles.to_bits() == y.avg_latency_cycles.to_bits()
+                && x.steady_latency_cycles.to_bits() == y.steady_latency_cycles.to_bits()
                 && x.p50_latency_cycles.to_bits() == y.p50_latency_cycles.to_bits()
                 && x.p99_latency_cycles.to_bits() == y.p99_latency_cycles.to_bits()
                 && x.max_latency_cycles.to_bits() == y.max_latency_cycles.to_bits()
@@ -160,9 +194,12 @@ proptest! {
             .flows(flows)
             .rate_pps(rate)
             .generate();
-        let r = simulate(&nic, &prog(vec![MicroOp::ParseHeader], vec![]), &trace).unwrap();
+        let p = prog(vec![MicroOp::ParseHeader], vec![]);
+        let (fp, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
+        let (r, latencies) =
+            run(&nic, &p, &trace, &fp, &wd, &cfg, &mut SimScratch::new()).unwrap();
         prop_assert_eq!(r.completed + r.dropped, r.packets);
-        prop_assert_eq!(r.latencies.len(), r.completed);
+        prop_assert_eq!(latencies.len(), r.completed);
     }
 
     /// Latency is never below the program's intrinsic cost, and the
@@ -248,117 +285,6 @@ proptest! {
         prop_assert!(with - without >= 250.0 - 1e-9, "marginal lookup {}", with - without);
     }
 
-    /// The default configuration is an exact rewrite: random (program,
-    /// trace, fault-plan, watchdog) quadruples must simulate
-    /// bit-identically under the default and the exact oracle — same
-    /// latencies, same counters, same energy bits, and the same error when
-    /// a tight cycle cap trips.
-    #[test]
-    fn memoization_is_bit_exact(
-        stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
-        seed in any::<u64>(),
-        packets in 50usize..250,
-        flows in 1usize..300,
-        payload in 0usize..1500,
-        rate in 10_000.0f64..2_000_000.0,
-        fault_knobs in (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            0u64..5,
-            0u64..5,
-            0usize..500,
-        ),
-        caps in (
-            prop_oneof![Just(None), (1usize..32).prop_map(Some)],
-            prop_oneof![Just(None), (10_000u64..500_000).prop_map(Some)],
-        ),
-    ) {
-        let (disable_emem, thrash_emem, fc_outage, corrupt_every, truncate_every, dead_threads) =
-            fault_knobs;
-        let (ingress_capacity, pkt_cap) = caps;
-        let nic = profiles::netronome_agilio_cx40();
-        let prog = NicProgram {
-            name: "prop".into(),
-            tables: prop_tables(),
-            stages: stages
-                .into_iter()
-                .enumerate()
-                .map(|(i, ops)| Stage { name: format!("s{i}"), unit: StageUnit::Npu, ops })
-                .collect(),
-        };
-        let trace = TraceGenerator::new(seed)
-            .packets(packets)
-            .flows(flows)
-            .rate_pps(rate)
-            .sizes(SizeDist::Fixed(payload))
-            .generate();
-        let faults = FaultPlan {
-            accel_outage: if fc_outage { vec![AccelKind::FlowCache] } else { vec![] },
-            disable_emem_cache: disable_emem,
-            thrash_emem_cache: thrash_emem,
-            corrupt_every,
-            truncate_every,
-            dead_threads,
-            ingress_capacity,
-            ..FaultPlan::none()
-        };
-        let wd = Watchdog { max_cycles_per_packet: pkt_cap, ..Watchdog::new() };
-        let fast = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
-        let exact = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact());
-        match (fast, exact) {
-            (Ok(f), Ok(e)) => {
-                prop_assert_eq!(f.latencies, e.latencies);
-                prop_assert_eq!(f.completed, e.completed);
-                prop_assert_eq!(f.dropped, e.dropped);
-                prop_assert_eq!(f.accel_drops, e.accel_drops);
-                prop_assert_eq!(f.corrupt_drops, e.corrupt_drops);
-                prop_assert_eq!(f.truncated, e.truncated);
-                prop_assert_eq!(f.flow_cache, e.flow_cache);
-                prop_assert_eq!(f.emem_cache, e.emem_cache);
-                prop_assert_eq!(f.energy_mj.to_bits(), e.energy_mj.to_bits());
-                prop_assert_eq!(f.achieved_pps.to_bits(), e.achieved_pps.to_bits());
-                prop_assert_eq!(f.p99_latency_cycles.to_bits(), e.p99_latency_cycles.to_bits());
-            }
-            (fast, exact) => prop_assert_eq!(fast.map(|_| ()), exact.map(|_| ())),
-        }
-    }
-
-    /// The batched default and the exact per-packet oracle are one
-    /// simulator: on random (program, trace, fault-plan) triples both
-    /// must agree bit-for-bit on every observable — whether the run takes
-    /// the whole-run kernel (ingress-overflow drops and cache thrash
-    /// included), the partial kernel (Live stages), or the scalar loop
-    /// (every stage Live, or a kernel refusal).
-    #[test]
-    fn batch_scalar_and_exact_agree(
-        stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
-        seed in any::<u64>(),
-        packets in 50usize..250,
-        flows in 1usize..300,
-        payload in 0usize..1500,
-        rate in 10_000.0f64..2_000_000.0,
-        fault_knobs in (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            0u64..5,
-            0u64..5,
-            0usize..500,
-        ),
-        caps in (
-            prop_oneof![Just(None), (1usize..32).prop_map(Some)],
-            prop_oneof![Just(None), (10_000u64..500_000).prop_map(Some)],
-        ),
-    ) {
-        let (prog, trace, faults, wd) =
-            build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
-        let nic = profiles::netronome_agilio_cx40();
-        let batched = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
-        let exact = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact());
-        prop_assert!(identical(&batched, &exact), "batched != exact");
-    }
-
     /// The shared cost cache is invisible in results: workers racing on
     /// one [`CostCache`] while simulating the same random (program,
     /// trace, fault-plan, watchdog) case agree bit-for-bit with the
@@ -388,22 +314,17 @@ proptest! {
         let (prog, trace, faults, wd) =
             build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
         let nic = profiles::netronome_agilio_cx40();
-        let batched = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::default());
-        let exact = simulate_configured(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact());
+        let batched =
+            run(&nic, &prog, &trace, &faults, &wd, &SimConfig::default(), &mut SimScratch::new());
+        let exact =
+            run(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact(), &mut SimScratch::new());
         prop_assert!(identical(&batched, &exact), "cacheless batched != exact");
 
         let cache = std::sync::Arc::new(CostCache::new());
         let run_shared = |cache: &std::sync::Arc<CostCache>| {
             let mut scratch = SimScratch::new();
             scratch.attach_cost_cache(std::sync::Arc::clone(cache));
-            simulate_streamed(
-                &nic, &prog, trace.iter().cloned(), &faults, &wd,
-                &SimConfig::default(), &mut scratch,
-            )
-            .map(|mut r| {
-                r.latencies = scratch.latencies().to_vec();
-                r
-            })
+            run(&nic, &prog, &trace, &faults, &wd, &SimConfig::default(), &mut scratch)
         };
         let results: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3).map(|_| s.spawn(|| run_shared(&cache))).collect();
@@ -427,10 +348,104 @@ proptest! {
             vec![MicroOp::ParseHeader, MicroOp::Hash { count: 2 }],
             vec![],
         );
-        let a = simulate(&nic, &p, &trace).unwrap();
-        let b = simulate(&nic, &p, &trace).unwrap();
-        prop_assert_eq!(a.latencies, b.latencies);
+        let (fp, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
+        let fresh = || run(&nic, &p, &trace, &fp, &wd, &cfg, &mut SimScratch::new()).unwrap();
+        let ((a, a_latencies), (b, b_latencies)) = (fresh(), fresh());
+        prop_assert_eq!(a_latencies, b_latencies);
         prop_assert_eq!(a.dropped, b.dropped);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The batched default and the exact per-packet oracle are one
+    /// simulator: on random (program, trace, fault-plan, watchdog)
+    /// quadruples both must agree bit-for-bit on every observable — the
+    /// same latencies, counters and energy bits, and the same error when
+    /// a tight cycle cap trips — whether the run takes the whole-run
+    /// kernel (ingress-overflow drops and cache thrash included), the
+    /// partial kernel (Live stages), or the scalar loop (every stage
+    /// Live, or a kernel refusal). On every route the steady-state mean
+    /// is the later-half mean of the run's latencies, bit for bit.
+    #[test]
+    fn batch_scalar_and_exact_agree(
+        stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
+        seed in any::<u64>(),
+        packets in 50usize..250,
+        flows in 1usize..300,
+        payload in 0usize..1500,
+        rate in 10_000.0f64..2_000_000.0,
+        fault_knobs in (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            0u64..5,
+            0u64..5,
+            0usize..500,
+        ),
+        caps in (
+            prop_oneof![Just(None), (1usize..32).prop_map(Some)],
+            prop_oneof![Just(None), (10_000u64..500_000).prop_map(Some)],
+        ),
+    ) {
+        let (prog, trace, faults, wd) =
+            build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
+        let nic = profiles::netronome_agilio_cx40();
+        let batched =
+            run(&nic, &prog, &trace, &faults, &wd, &SimConfig::default(), &mut SimScratch::new());
+        let exact =
+            run(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact(), &mut SimScratch::new());
+        prop_assert!(identical(&batched, &exact), "batched != exact");
+        prop_assert!(steady_is_tail_mean(&batched), "batched steady-state mean");
+        prop_assert!(steady_is_tail_mean(&exact), "exact steady-state mean");
+    }
+
+    /// What a run memoizes stays in its run: a scratch that has just
+    /// simulated another random program — its class tables, cost
+    /// columns, memory model and flow-cache fronts all filled — runs a
+    /// random (program, trace, fault-plan, watchdog) case bit-identically
+    /// to the exact oracle on a fresh scratch, the same error included
+    /// when a tight cycle cap trips.
+    #[test]
+    fn memoization_is_bit_exact(
+        programs in (
+            proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
+            proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
+        ),
+        seed in any::<u64>(),
+        packets in 50usize..250,
+        flows in 1usize..300,
+        payload in 0usize..1500,
+        rate in 10_000.0f64..2_000_000.0,
+        fault_knobs in (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            0u64..5,
+            0u64..5,
+            0usize..500,
+        ),
+        caps in (
+            prop_oneof![Just(None), (1usize..32).prop_map(Some)],
+            prop_oneof![Just(None), (10_000u64..500_000).prop_map(Some)],
+        ),
+    ) {
+        let (warm_stages, stages) = programs;
+        let (warm, ..) =
+            build_case(warm_stages, seed, packets, flows, payload, rate, fault_knobs, caps);
+        let (prog, trace, faults, wd) =
+            build_case(stages, seed, packets, flows, payload, rate, fault_knobs, caps);
+        let nic = profiles::netronome_agilio_cx40();
+        let (healthy, default_wd) = (FaultPlan::none(), Watchdog::new());
+        let mut scratch = SimScratch::new();
+        let cfg = SimConfig::default();
+        let _ = run(&nic, &warm, &trace, &healthy, &default_wd, &cfg, &mut scratch);
+        let reused = run(&nic, &prog, &trace, &faults, &wd, &cfg, &mut scratch);
+        let exact =
+            run(&nic, &prog, &trace, &faults, &wd, &SimConfig::exact(), &mut SimScratch::new());
+        prop_assert!(identical(&reused, &exact), "reused-scratch default != exact");
+        prop_assert!(steady_is_tail_mean(&reused), "reused-scratch steady-state mean");
     }
 }
 
@@ -536,7 +551,7 @@ proptest! {
             let r = simulate_streamed_instrumented(
                 &nic, &prog, body.stream(rate), &faults, &wd, config, &mut scratch, &mut instr,
             );
-            (r, scratch.latencies().to_vec(), instr.stats)
+            (r.map(|r| (r, scratch.latencies().to_vec())), instr.stats)
         };
 
         let mut runs = Vec::new();
@@ -549,13 +564,14 @@ proptest! {
         let mut recorded = false;
         for (k, (index, result, latencies, stats)) in runs.into_iter().enumerate() {
             prop_assert_eq!(index, k);
-            let (exact, exact_latencies, exact_stats) = fresh(rates[k], &SimConfig::exact());
-            let (_, _, route_stats) = fresh(rates[k], &SimConfig::default());
+            let (exact, exact_stats) = fresh(rates[k], &SimConfig::exact());
+            let (_, route_stats) = fresh(rates[k], &SimConfig::default());
             let mut stats = stats.expect("an instrumented call reports counters");
             let replayed = std::mem::take(&mut stats.replayed_packets);
+            let result = result.map(|r| (r, latencies));
             prop_assert!(identical(&result, &exact), "rate {} != exact", rates[k]);
-            prop_assert_eq!(&latencies, &exact_latencies, "rate {} latencies", rates[k]);
-            let Ok(r) = &result else { continue };
+            prop_assert!(steady_is_tail_mean(&result), "rate {} steady-state mean", rates[k]);
+            let Ok((r, _)) = &result else { continue };
             // A batched run counts its packets in the kernel counters; one
             // that completed none still costed classes, so it is told
             // apart by its completions.

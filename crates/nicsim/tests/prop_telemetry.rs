@@ -3,8 +3,8 @@
 
 use clara_lnic::profiles;
 use clara_nicsim::{
-    simulate_configured, simulate_instrumented, AccelKind, FaultPlan, MicroOp, NicProgram,
-    SimConfig, SimInstruments, Stage, StageUnit, TableCfg, Watchdog,
+    simulate_streamed, simulate_streamed_instrumented, AccelKind, FaultPlan, MicroOp, NicProgram,
+    SimConfig, SimInstruments, SimScratch, Stage, StageUnit, TableCfg, Watchdog,
 };
 use clara_workload::{SizeDist, TraceGenerator};
 use proptest::prelude::*;
@@ -122,16 +122,26 @@ proptest! {
         };
         let wd = Watchdog::default();
         let cfg = SimConfig { batch };
-        let plain = simulate_configured(&nic, &prog, &trace, &faults, &wd, &cfg);
+        let mut scratch = SimScratch::new();
+        let plain = simulate_streamed(
+            &nic, &prog, trace.iter().cloned(), &faults, &wd, &cfg, &mut scratch,
+        );
+        let plain_latencies = scratch.latencies().to_vec();
         let mut instr = match timeline {
             Some(n) => SimInstruments::with_timeline(n),
             None => SimInstruments::new(),
         };
-        let seen = simulate_instrumented(&nic, &prog, &trace, &faults, &wd, &cfg, &mut instr);
+        let seen = simulate_streamed_instrumented(
+            &nic, &prog, trace.iter().cloned(), &faults, &wd, &cfg, &mut scratch, &mut instr,
+        );
         match (plain, seen) {
             (Ok(p), Ok(s)) => {
                 // Bit-identity: telemetry must never perturb results.
-                prop_assert_eq!(&p.latencies, &s.latencies);
+                prop_assert_eq!(&plain_latencies[..], scratch.latencies());
+                prop_assert_eq!(
+                    p.steady_latency_cycles.to_bits(),
+                    s.steady_latency_cycles.to_bits()
+                );
                 prop_assert_eq!(p.completed, s.completed);
                 prop_assert_eq!(p.dropped, s.dropped);
                 prop_assert_eq!(p.accel_drops, s.accel_drops);

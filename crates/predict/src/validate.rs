@@ -116,8 +116,8 @@ pub struct ValidationCell {
     pub flows: usize,
     /// Clara's predicted mean per-packet latency, cycles.
     pub predicted_cycles: f64,
-    /// Simulated steady-state mean latency (tail half of the trace, the
-    /// same estimator the paper's figures use), cycles.
+    /// Simulated steady-state mean latency
+    /// ([`clara_nicsim::SimResult::steady_latency_cycles`]), cycles.
     pub actual_cycles: f64,
     /// Mapping quality tag of the prediction (`optimal`, `incumbent`, …).
     pub quality: String,
@@ -425,11 +425,6 @@ fn cell_result(sc: &SweepScenario<'_>, p: &Prediction, run: RateRun<'_>) -> Vali
         Ok(_) => return ValidationResult::Failed("simulate: no packet completed".into()),
         Err(e) => return ValidationResult::Failed(format!("simulate: {e}")),
     };
-    // Steady state: discard the cold-start half, as the paper's
-    // 1M-packet hardware averages do implicitly.
-    let lat = run.latencies;
-    let tail = &lat[lat.len() / 2..];
-    let actual = tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64;
     let wl = &sc.workload;
     ValidationResult::Ok(ValidationCell {
         label: sc.label.clone(),
@@ -437,7 +432,7 @@ fn cell_result(sc: &SweepScenario<'_>, p: &Prediction, run: RateRun<'_>) -> Vali
         avg_payload: wl.avg_payload,
         flows: wl.flows,
         predicted_cycles: p.avg_latency_cycles,
-        actual_cycles: actual,
+        actual_cycles: sim.steady_latency_cycles,
         quality: p.mapping.quality.to_string(),
         completed: sim.completed,
         solve: p.mapping.stats.clone(),

@@ -13,14 +13,15 @@
 //!
 //! [`TraceBody`] exploits that: it materializes the body (the
 //! [`PacketSpec`] column, 24 bytes a packet) once and replays it per
-//! rate with freshly computed timestamps, and [`TraceCache`] keeps one
-//! body per unique rate-independent [`BodyKey`]. The replayed stream is
-//! packet-for-packet identical to `to_trace_stream` — the parity test
-//! below and the simulator's bit-identity checks both pin this — so
-//! swapping a body in can never change a result, only the time spent
-//! generating it. A materialized body is also what lets the simulator
-//! share a body's per-packet service work across its rates
-//! (`clara_nicsim::simulate_rates`).
+//! rate with freshly computed timestamps; profiles with equal
+//! rate-independent [`BodyKey`]s share one body, which a caller keeps in
+//! its own map (a validation sweep holds one per key for the sweep's
+//! length). The replayed stream is packet-for-packet identical to
+//! `to_trace_stream` — the parity test below and the simulator's
+//! bit-identity checks both pin this — so swapping a body in can never
+//! change a result, only the time spent generating it. A materialized
+//! body is also what lets the simulator share a body's per-packet
+//! service work across its rates (`clara_nicsim::simulate_rates`).
 //!
 //! [`Arrival::Constant`]: crate::gen::Arrival::Constant
 //! [`WorkloadProfile::to_trace_stream`]: crate::profile::WorkloadProfile::to_trace_stream
@@ -28,8 +29,7 @@
 use crate::profile::WorkloadProfile;
 use crate::trace::TracePacket;
 use clara_packet::PacketSpec;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The rate-independent identity of a trace body: every input of
 /// [`WorkloadProfile::to_trace_stream`] except `rate_pps`. Two profiles
@@ -101,56 +101,6 @@ impl TraceBody {
     }
 }
 
-/// A shareable cache of rate-independent trace bodies.
-///
-/// Thread-safe: sweep workers may share one cache behind a reference.
-/// Values are deterministic functions of their key, so a racing double
-/// computation inserts the same body twice — wasteful, never wrong.
-#[derive(Default)]
-pub struct TraceCache {
-    bodies: Mutex<HashMap<BodyKey, TraceBody>>,
-}
-
-impl TraceCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        TraceCache::default()
-    }
-
-    /// The body of `profile.to_trace_stream(packets, seed)`, generated
-    /// on first use and shared afterwards.
-    fn body(&self, profile: &WorkloadProfile, packets: usize, seed: u64) -> TraceBody {
-        let key = BodyKey::of(profile, packets, seed);
-        let cached = self.bodies.lock().unwrap().get(&key).cloned();
-        match cached {
-            Some(b) => b,
-            None => {
-                // Generate outside the lock: bodies are pure in the
-                // key, so concurrent duplicates agree byte-for-byte.
-                let b = TraceBody::generate(profile, packets, seed);
-                self.bodies.lock().unwrap().entry(key).or_insert(b).clone()
-            }
-        }
-    }
-
-    /// A packet stream identical to
-    /// `profile.to_trace_stream(packets, seed)`, generating the body on
-    /// first use and replaying it (with per-rate timestamps) afterwards.
-    pub fn stream(&self, profile: &WorkloadProfile, packets: usize, seed: u64) -> CachedStream {
-        self.body(profile, packets, seed).stream(profile.rate_pps)
-    }
-
-    /// Number of distinct bodies currently cached.
-    pub fn len(&self) -> usize {
-        self.bodies.lock().unwrap().len()
-    }
-
-    /// Whether the cache holds no bodies yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// A replayed trace: a shared body column plus per-rate timestamps,
 /// yielding exactly the sequence `to_trace_stream` would.
 pub struct CachedStream {
@@ -198,18 +148,23 @@ mod tests {
 
     #[test]
     fn cached_stream_matches_generator_across_rates() {
-        let cache = TraceCache::new();
-        for rate in [20_000.0, 60_000.0, 200_000.0, 600_000.0] {
-            for (payload, flows) in [(100.0, 100), (1400.0, 10_000)] {
+        for (payload, flows) in [(100.0, 100), (1400.0, 10_000)] {
+            // One body per rate-independent key, streamed at every rate.
+            let first = profile(20_000.0, payload, flows);
+            let body = TraceBody::generate(&first, 1500, 42);
+            for rate in [20_000.0, 60_000.0, 200_000.0, 600_000.0] {
                 let wl = profile(rate, payload, flows);
+                assert_eq!(BodyKey::of(&wl, 1500, 42), BodyKey::of(&first, 1500, 42));
                 let direct: Vec<TracePacket> = wl.to_trace_stream(1500, 42).collect();
-                let cached: Vec<TracePacket> = cache.stream(&wl, 1500, 42).collect();
+                let cached: Vec<TracePacket> = body.stream(rate).collect();
                 assert_eq!(direct, cached, "rate={rate} payload={payload}");
             }
         }
-        // Four rates × two bodies: the body column is shared per
-        // rate-independent key, not per cell.
-        assert_eq!(cache.len(), 2);
+        // The two bodies differ, so they key apart.
+        assert_ne!(
+            BodyKey::of(&profile(20_000.0, 100.0, 100), 1500, 42),
+            BodyKey::of(&profile(20_000.0, 1400.0, 10_000), 1500, 42)
+        );
     }
 
     #[test]
@@ -228,24 +183,28 @@ mod tests {
 
     #[test]
     fn syn_share_and_seed_key_the_body() {
-        let cache = TraceCache::new();
         let wl = profile(60_000.0, 300.0, 1_000);
         let syn = WorkloadProfile { syn_share: 0.5, ..wl.clone() };
-        let a: Vec<TracePacket> = cache.stream(&wl, 400, 1).collect();
-        let b: Vec<TracePacket> = cache.stream(&syn, 400, 1).collect();
-        let c: Vec<TracePacket> = cache.stream(&wl, 400, 2).collect();
+        let (key_a, key_b, key_c) =
+            (BodyKey::of(&wl, 400, 1), BodyKey::of(&syn, 400, 1), BodyKey::of(&wl, 400, 2));
+        assert_ne!(key_a, key_b);
+        assert_ne!(key_a, key_c);
+        assert_ne!(key_b, key_c);
+        let rate = wl.rate_pps;
+        let a: Vec<TracePacket> = TraceBody::generate(&wl, 400, 1).stream(rate).collect();
+        let b: Vec<TracePacket> = TraceBody::generate(&syn, 400, 1).stream(rate).collect();
+        let c: Vec<TracePacket> = TraceBody::generate(&wl, 400, 2).stream(rate).collect();
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert_eq!(cache.len(), 3);
         assert_eq!(a, wl.to_trace_stream(400, 1).collect::<Vec<_>>());
         assert_eq!(b, syn.to_trace_stream(400, 1).collect::<Vec<_>>());
+        assert_eq!(c, wl.to_trace_stream(400, 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn exact_size_iterator_counts_down() {
-        let cache = TraceCache::new();
         let wl = profile(60_000.0, 300.0, 100);
-        let mut s = cache.stream(&wl, 25, 9);
+        let mut s = TraceBody::generate(&wl, 25, 9).stream(wl.rate_pps);
         assert_eq!(s.len(), 25);
         s.next();
         assert_eq!(s.len(), 24);

@@ -19,9 +19,7 @@ fn clara() -> &'static Clara {
 fn simulate_steady(program: &clara_core::sim::NicProgram, wl: &WorkloadProfile, packets: usize) -> f64 {
     let nic = clara_core::profiles::netronome_agilio_cx40();
     let trace = wl.to_trace(packets, 42);
-    let r = simulate(&nic, program, &trace).expect("port simulates");
-    let tail = &r.latencies[r.latencies.len() / 2..];
-    tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64
+    simulate(&nic, program, &trace).expect("port simulates").steady_latency_cycles
 }
 
 fn rel_err(predicted: f64, actual: f64) -> f64 {

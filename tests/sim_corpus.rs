@@ -15,8 +15,8 @@
 
 use clara_core::nfs;
 use clara_core::sim::{
-    simulate_configured, simulate_instrumented, simulate_rates, AccelKind, FaultPlan, NicProgram,
-    SimConfig, SimInstruments, SimResult, SimScratch, Watchdog,
+    simulate_rates, simulate_streamed, simulate_streamed_instrumented, AccelKind, FaultPlan,
+    NicProgram, SimConfig, SimError, SimInstruments, SimResult, SimScratch, Watchdog,
 };
 use clara_core::{Trace, TraceGenerator, WorkloadProfile};
 use clara_workload::TraceBody;
@@ -47,8 +47,40 @@ fn fault_corpus() -> Vec<FaultPlan> {
     ]
 }
 
-fn assert_identical(label: &str, a: &SimResult, b: &SimResult) {
-    assert_eq!(a.latencies, b.latencies, "{label}: latencies");
+/// One run's result and its per-packet latencies.
+type Run = (SimResult, Vec<u64>);
+
+/// `trace` streamed through the simulator on a fresh scratch, with
+/// `instruments` when given.
+fn run(
+    nic: &clara_core::Lnic,
+    prog: &NicProgram,
+    trace: &Trace,
+    faults: &FaultPlan,
+    wd: &Watchdog,
+    config: &SimConfig,
+    instruments: Option<&mut SimInstruments>,
+) -> Result<Run, SimError> {
+    let mut scratch = SimScratch::new();
+    let packets = trace.iter().cloned();
+    let r = match instruments {
+        Some(instr) => simulate_streamed_instrumented(
+            nic,
+            prog,
+            packets,
+            faults,
+            wd,
+            config,
+            &mut scratch,
+            instr,
+        ),
+        None => simulate_streamed(nic, prog, packets, faults, wd, config, &mut scratch),
+    }?;
+    Ok((r, scratch.latencies().to_vec()))
+}
+
+fn assert_identical(label: &str, (a, a_latencies): &Run, (b, b_latencies): &Run) {
+    assert_eq!(a_latencies, b_latencies, "{label}: latencies");
     assert_eq!(a.packets, b.packets, "{label}: packets");
     assert_eq!(a.completed, b.completed, "{label}: completed");
     assert_eq!(a.dropped, b.dropped, "{label}: dropped");
@@ -75,6 +107,11 @@ fn assert_identical(label: &str, a: &SimResult, b: &SimResult) {
         "{label}: avg_latency_cycles"
     );
     assert_eq!(
+        a.steady_latency_cycles.to_bits(),
+        b.steady_latency_cycles.to_bits(),
+        "{label}: steady_latency_cycles"
+    );
+    assert_eq!(
         a.p99_latency_cycles.to_bits(),
         b.p99_latency_cycles.to_bits(),
         "{label}: p99_latency_cycles"
@@ -94,16 +131,16 @@ fn every_configuration_is_the_same_simulator() {
     let batched = SimConfig::default();
     for prog in corpus() {
         for (fi, faults) in fault_corpus().iter().enumerate() {
-            let exact = simulate_configured(&nic, &prog, &trace, faults, &wd, &SimConfig::exact())
+            let exact = run(&nic, &prog, &trace, faults, &wd, &SimConfig::exact(), None)
                 .unwrap_or_else(|e| panic!("{} fault#{fi}: exact path failed: {e}", prog.name));
             let label = format!("{} fault#{fi} batched", prog.name);
-            let got = simulate_configured(&nic, &prog, &trace, faults, &wd, &batched)
+            let got = run(&nic, &prog, &trace, faults, &wd, &batched, None)
                 .unwrap_or_else(|e| panic!("{label}: failed: {e}"));
             assert_identical(&label, &got, &exact);
 
             let label = format!("{} fault#{fi} timeline", prog.name);
             let mut instr = SimInstruments::with_timeline(64);
-            let got = simulate_instrumented(&nic, &prog, &trace, faults, &wd, &batched, &mut instr)
+            let got = run(&nic, &prog, &trace, faults, &wd, &batched, Some(&mut instr))
                 .unwrap_or_else(|e| panic!("{label}: failed: {e}"));
             assert_identical(&label, &got, &exact);
             let st = &instr.stats;
@@ -138,8 +175,7 @@ fn every_rate_of_a_shared_body_is_the_same_simulator() {
                 &mut scratch,
                 true,
                 |run| {
-                    let latencies = run.latencies.to_vec();
-                    let result = run.result.map(|r| SimResult { latencies, ..r });
+                    let result = run.result.map(|r| (r, run.latencies.to_vec()));
                     runs.push((run.rate_pps, result, run.stats));
                 },
             );
@@ -147,9 +183,8 @@ fn every_rate_of_a_shared_body_is_the_same_simulator() {
             for (rate, got, stats) in runs {
                 let label = format!("{} fault#{fi} rate {rate}", prog.name);
                 let trace: Trace = body.stream(rate).collect();
-                let exact =
-                    simulate_configured(&nic, &prog, &trace, faults, &wd, &SimConfig::exact())
-                        .unwrap_or_else(|e| panic!("{label}: exact path failed: {e}"));
+                let exact = run(&nic, &prog, &trace, faults, &wd, &SimConfig::exact(), None)
+                    .unwrap_or_else(|e| panic!("{label}: exact path failed: {e}"));
                 let got = got.unwrap_or_else(|e| panic!("{label}: failed: {e}"));
                 assert_identical(&label, &got, &exact);
                 let stats = stats.expect("instrumented");

@@ -6,15 +6,30 @@
 //! checkpoint with only the failed cells re-run.
 
 use clara_core::sim::{
-    simulate_supervised, simulate_with_faults, FaultPlan, MicroOp, NicProgram, SimError, Stage,
-    StageUnit, Watchdog,
+    simulate_streamed, FaultPlan, MicroOp, NicProgram, SimConfig, SimError, SimResult,
+    SimScratch, Stage, StageUnit, Watchdog,
 };
 use clara_core::{
-    nfs, run_sweep, run_sweep_supervised, CellOutcome, CellResult, Clara, PredictOptions,
-    RunClass, SupervisorConfig, SweepScenario, TraceGenerator, WorkloadProfile,
+    nfs, run_sweep, run_sweep_supervised, CellOutcome, CellResult, Clara, Lnic, PredictOptions,
+    RunClass, SupervisorConfig, SweepScenario, Trace, TraceGenerator, WorkloadProfile,
 };
 use std::path::PathBuf;
 use std::sync::OnceLock;
+
+/// `trace` under `faults` and `wd` on the default configuration: the
+/// result and its per-packet latencies.
+fn supervised(
+    nic: &Lnic,
+    prog: &NicProgram,
+    trace: &Trace,
+    faults: &FaultPlan,
+    wd: &Watchdog,
+) -> Result<(SimResult, Vec<u64>), SimError> {
+    let mut scratch = SimScratch::new();
+    let packets = trace.iter().cloned();
+    let r = simulate_streamed(nic, prog, packets, faults, wd, &SimConfig::default(), &mut scratch)?;
+    Ok((r, scratch.latencies().to_vec()))
+}
 
 fn clara() -> &'static Clara {
     static C: OnceLock<Clara> = OnceLock::new();
@@ -99,7 +114,7 @@ fn supervised_sweep_survives_panic_deadline_and_watchdog_and_resumes() {
     // same report.
     let nic = clara_core::profiles::netronome_agilio_cx40();
     let trace = TraceGenerator::new(1).packets(5).generate();
-    match simulate_with_faults(&nic, &adversarial_program(), &trace, &FaultPlan::none()) {
+    match supervised(&nic, &adversarial_program(), &trace, &FaultPlan::none(), &Watchdog::new()) {
         Err(e @ SimError::Watchdog { .. }) => {
             report.record("sim=adversarial", CellOutcome::Failed {
                 error: e.to_string(),
@@ -189,16 +204,21 @@ fn watchdog_composes_with_fault_plans() {
     let trace = TraceGenerator::new(5).packets(200).generate();
     let faults = FaultPlan { corrupt_every: 10, dead_threads: 8, ..FaultPlan::none() };
 
-    let plain = simulate_with_faults(&nic, &prog, &trace, &faults).unwrap();
-    let capped = simulate_supervised(&nic, &prog, &trace, &faults, &Watchdog::new()).unwrap();
-    assert_eq!(plain.latencies, capped.latencies);
+    let uncapped = Watchdog {
+        max_cycles_per_packet: Some(u64::MAX),
+        max_total_cycles: Some(u64::MAX),
+        ..Watchdog::new()
+    };
+    let (plain, plain_latencies) = supervised(&nic, &prog, &trace, &faults, &uncapped).unwrap();
+    let (capped, capped_latencies) =
+        supervised(&nic, &prog, &trace, &faults, &Watchdog::new()).unwrap();
+    assert_eq!(plain_latencies, capped_latencies);
     assert_eq!(plain.corrupt_drops, capped.corrupt_drops);
 
     // The adversarial program trips the watchdog even while faults are
     // dropping part of the trace.
-    let err =
-        simulate_supervised(&nic, &adversarial_program(), &trace, &faults, &Watchdog::new())
-            .unwrap_err();
+    let err = supervised(&nic, &adversarial_program(), &trace, &faults, &Watchdog::new())
+        .unwrap_err();
     assert!(matches!(err, SimError::Watchdog { .. }), "{err}");
 }
 
