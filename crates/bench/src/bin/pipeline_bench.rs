@@ -20,11 +20,14 @@
 //!    allocations, exact per-packet stage costs. Optimized is the
 //!    streamed + batched + scratch-reusing path, checked bit-identical
 //!    to exact on every cell (emitted as `BENCH_nicsim.json`).
-//! 4. **`rates`** (in `BENCH_nicsim.json`) — nat over the validation
-//!    grid on one thread: every cell streamed through the exact oracle
-//!    vs one `simulate_rates` call per trace body, whose later rates
-//!    replay the first rate's recorded service column; checked
-//!    bit-identical to exact on every cell.
+//! 4. **`rates`** (in `BENCH_nicsim.json`) — nat (scalar loop) and hh
+//!    (whole-run batch kernel) over the validation grid on one thread:
+//!    every cell streamed through the exact oracle vs one generated body
+//!    and one `simulate_rates` call per family, which runs one cell in
+//!    full and replays (or hands out again) the others from its recorded
+//!    service column; reports full runs, replayed and reused packets,
+//!    and the time of body generation, the recording run and one replay,
+//!    checked bit-identical to exact on every cell.
 //!
 //! ```text
 //! pipeline_bench [--quick] [-o BENCH_pipeline.json] [--sim-o BENCH_nicsim.json]
@@ -35,11 +38,13 @@
 
 use clara_bench::{solver_stress_model, sweep_grid, sweep_scenarios};
 use clara_core::sim::{
-    simulate_rates, simulate_streamed, simulate_streamed_instrumented, CostCache, FaultPlan,
-    NicProgram, RateRun, SimConfig, SimError, SimInstruments, SimResult, SimScratch, Watchdog,
+    simulate_rates, simulate_streamed, simulate_streamed_instrumented, CellRoute, CostCache,
+    FaultPlan, NicProgram, RateRun, SimConfig, SimError, SimInstruments, SimResult, SimScratch,
+    Watchdog,
 };
 use clara_core::{
-    run_sweep, validation_grid, Prediction, SolveBudget, SolverConfig, Trace, WorkloadProfile,
+    run_sweep, validation_grid, Prediction, SolveBudget, SolverConfig, Trace, ValidationConfig,
+    WorkloadProfile,
 };
 use clara_workload::{BodyKey, TraceBody};
 use std::collections::HashMap;
@@ -483,94 +488,167 @@ fn main() {
          packets {batch_partial_packets}, bit-identical: yes"
     );
 
-    // --- 3c. rate-shared simulation: nat over the validation grid -------
+    // --- 3c. shared simulation: nat and hh over the validation grid ----
     // Baseline: every cell streamed through the exact oracle. Optimized:
-    // one `simulate_rates` call per trace body (the grid's rates share a
-    // body), whose later rates replay the first rate's service column.
-    // nat is one Live all-NPU stage, so its runs take the scalar loop.
+    // one generated body and one `simulate_rates` call per family (the
+    // cells of one flow sequence: every rate and, since neither program
+    // reads the payload through a cache, every payload), which runs one
+    // cell in full and replays or hands out the others. nat is one Live
+    // all-NPU stage, recorded by the scalar loop; hh is all pure,
+    // recorded by the whole-run batch kernel. One thread.
     let rates_grid = validation_grid(per_axis);
-    let rates_packets = 2_000;
-    let nat = clara_core::nfs::nat::ported();
-    let mut bodies: Vec<(BodyKey, Vec<usize>)> = Vec::new();
-    for (i, wl) in rates_grid.iter().enumerate() {
-        let key = BodyKey::of(wl, rates_packets, 42);
-        match bodies.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, cells)) => cells.push(i),
-            None => bodies.push((key, vec![i])),
+    let rates_packets = ValidationConfig::default().packets;
+    let mut rates_sections = Vec::new();
+    for (name, prog) in [
+        ("nat", clara_core::nfs::nat::ported()),
+        ("hh", clara_core::nfs::heavy_hitter::ported(4_096)),
+    ] {
+        let shares = prog.shares_payloads(nic, &faults);
+        let mut families: Vec<(BodyKey, Vec<usize>)> = Vec::new();
+        for (i, wl) in rates_grid.iter().enumerate() {
+            let key = BodyKey::of(wl, rates_packets, 42);
+            let key = if shares { key.family() } else { key };
+            match families.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, cells)) => cells.push(i),
+                None => families.push((key, vec![i])),
+            }
         }
+        eprintln!(
+            "rates: {name}, {} cells in {} families, {rates_packets} packets/cell, one thread",
+            rates_grid.len(),
+            families.len()
+        );
+        let exact_ms = median_ms(sim_runs, || {
+            for wl in &rates_grid {
+                simulate_streamed(
+                    nic,
+                    &prog,
+                    wl.to_trace_stream(rates_packets, 42),
+                    &faults,
+                    &wd,
+                    &SimConfig::exact(),
+                    &mut scratch,
+                )
+                .expect("exact cell simulates");
+            }
+        });
+        // One pass over the families; `each` sees grid indices, and
+        // `phase` the time each body took to generate.
+        let run_families = |scratch: &mut SimScratch,
+                            instrumented: bool,
+                            phase: &mut dyn FnMut(f64),
+                            each: &mut dyn FnMut(usize, RateRun<'_>)| {
+            for (_, cells) in &families {
+                let t = Instant::now();
+                let body = TraceBody::generate(&rates_grid[cells[0]], rates_packets, 42);
+                phase(t.elapsed().as_secs_f64() * 1e6);
+                let family: Vec<(usize, f64)> = cells
+                    .iter()
+                    .map(|&i| (rates_grid[i].payload_len(), rates_grid[i].rate_pps))
+                    .collect();
+                simulate_rates(
+                    nic,
+                    &prog,
+                    &body,
+                    &family,
+                    &faults,
+                    &wd,
+                    &SimConfig::default(),
+                    scratch,
+                    instrumented,
+                    |run| each(cells[run.index], run),
+                );
+            }
+        };
+        let shared_ms = median_ms(sim_runs, || {
+            run_families(&mut scratch, false, &mut |_| {}, &mut |_, run| {
+                run.result.expect("shared cell simulates");
+            })
+        });
+        // Phase times: each cell's time is the gap since the previous
+        // callback (or since its body was generated).
+        let (mut gen_us, mut record_us, mut replay_us) = (Vec::new(), Vec::new(), Vec::new());
+        let mark = std::cell::Cell::new(Instant::now());
+        run_families(
+            &mut scratch,
+            false,
+            &mut |us| {
+                gen_us.push(us);
+                mark.set(Instant::now());
+            },
+            &mut |_, run| {
+                let us = mark.get().elapsed().as_secs_f64() * 1e6;
+                match run.route {
+                    CellRoute::Full => record_us.push(us),
+                    CellRoute::Replayed => replay_us.push(us),
+                    CellRoute::Reused => {}
+                }
+                mark.set(Instant::now());
+            },
+        );
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+        let mut shared: Vec<Option<(SimResult, Vec<u64>)>> = vec![None; rates_grid.len()];
+        let (mut full_runs, mut replayed_packets, mut reused_packets) = (0u64, 0u64, 0u64);
+        run_families(&mut scratch, true, &mut |_| {}, &mut |i, run| {
+            let stats = run.stats.expect("instrumented");
+            match run.route {
+                CellRoute::Full => full_runs += 1,
+                CellRoute::Replayed => replayed_packets += stats.replayed_packets,
+                CellRoute::Reused => reused_packets += stats.replayed_packets,
+            }
+            let r = run.result.expect("shared cell simulates");
+            shared[i] = Some((r, run.latencies.to_vec()));
+        });
+        let mut identical = true;
+        for (wl, got) in rates_grid.iter().zip(&shared) {
+            let (fast, latencies) = got.as_ref().expect("every cell simulated");
+            let (exact, exact_latencies) =
+                exact_run(&prog, &wl.to_trace(rates_packets, 42)).expect("exact cell simulates");
+            identical &= *latencies == exact_latencies
+                && fast.completed == exact.completed
+                && fast.dropped == exact.dropped
+                && fast.flow_cache == exact.flow_cache
+                && fast.emem_cache == exact.emem_cache
+                && fast.energy_mj.to_bits() == exact.energy_mj.to_bits()
+                && fast.achieved_pps.to_bits() == exact.achieved_pps.to_bits()
+                && fast.p99_latency_cycles.to_bits() == exact.p99_latency_cycles.to_bits()
+                && fast.steady_latency_cycles.to_bits() == exact.steady_latency_cycles.to_bits();
+        }
+        assert!(identical, "{name}: shared simulation diverged from the exact path");
+        assert_eq!(full_runs, families.len() as u64, "{name}: one full run per family");
+        assert!(replayed_packets > 0, "{name}: no cell of the grid was replayed");
+        let speedup = exact_ms / shared_ms;
+        let (gen, record, replay) = (mean(&gen_us), mean(&record_us), mean(&replay_us));
+        eprintln!(
+            "  exact per cell {exact_ms:.1} ms  shared per family {shared_ms:.1} ms \
+             ({speedup:.2}x)  full runs {full_runs}, replayed packets {replayed_packets}, \
+             reused packets {reused_packets}; body {gen:.0} us, recording run {record:.0} us, \
+             replay {replay:.0} us; bit-identical: yes"
+        );
+        rates_sections.push(format!(
+            r#"    "{name}": {{
+      "program": "{program}",
+      "families": {families},
+      "full_runs": {full_runs},
+      "replayed_packets": {replayed_packets},
+      "reused_packets": {reused_packets},
+      "body_generation_us": {gen:.1},
+      "recording_run_us": {record:.1},
+      "replay_us": {replay:.1},
+      "exact_ms": {exact_ms:.1},
+      "shared_ms": {shared_ms:.1},
+      "speedup": {speedup:.2},
+      "identical_to_exact": {identical}
+    }}"#,
+            program = if name == "nat" {
+                "one Live NPU stage, flow cache over EMEM (scalar loop records)"
+            } else {
+                "one pure NPU stage over IMEM (whole-run batch kernel records)"
+            },
+            families = families.len(),
+        ));
     }
-    eprintln!(
-        "rates: nat, {} cells in {} bodies, {rates_packets} packets/cell, one thread",
-        rates_grid.len(),
-        bodies.len()
-    );
-    let rates_exact_ms = median_ms(sim_runs, || {
-        for wl in &rates_grid {
-            simulate_streamed(
-                nic,
-                &nat,
-                wl.to_trace_stream(rates_packets, 42),
-                &faults,
-                &wd,
-                &SimConfig::exact(),
-                &mut scratch,
-            )
-            .expect("exact nat cell simulates");
-        }
-    });
-    let run_rates = |scratch: &mut SimScratch,
-                     instrumented: bool,
-                     each: &mut dyn FnMut(usize, RateRun<'_>)| {
-        for (_, cells) in &bodies {
-            let body = TraceBody::generate(&rates_grid[cells[0]], rates_packets, 42);
-            let rates: Vec<f64> = cells.iter().map(|&i| rates_grid[i].rate_pps).collect();
-            simulate_rates(
-                nic,
-                &nat,
-                &body,
-                &rates,
-                &faults,
-                &wd,
-                &SimConfig::default(),
-                scratch,
-                instrumented,
-                |run| each(cells[run.index], run),
-            );
-        }
-    };
-    let rates_shared_ms = median_ms(sim_runs, || {
-        run_rates(&mut scratch, false, &mut |_, run| {
-            run.result.expect("rate-shared nat cell simulates");
-        })
-    });
-    let rates_speedup = rates_exact_ms / rates_shared_ms;
-    let mut shared: Vec<Option<(SimResult, Vec<u64>)>> = vec![None; rates_grid.len()];
-    let mut rates_replayed_packets = 0u64;
-    run_rates(&mut scratch, true, &mut |i, run| {
-        rates_replayed_packets += run.stats.expect("instrumented").replayed_packets;
-        let r = run.result.expect("rate-shared nat cell simulates");
-        shared[i] = Some((r, run.latencies.to_vec()));
-    });
-    let mut rates_identical = true;
-    for (wl, got) in rates_grid.iter().zip(&shared) {
-        let (fast, latencies) = got.as_ref().expect("every cell simulated");
-        let (exact, exact_latencies) = exact_run(&nat, &wl.to_trace(rates_packets, 42))
-            .expect("exact nat cell simulates");
-        rates_identical &= *latencies == exact_latencies
-            && fast.completed == exact.completed
-            && fast.dropped == exact.dropped
-            && fast.flow_cache == exact.flow_cache
-            && fast.emem_cache == exact.emem_cache
-            && fast.energy_mj.to_bits() == exact.energy_mj.to_bits()
-            && fast.achieved_pps.to_bits() == exact.achieved_pps.to_bits()
-            && fast.p99_latency_cycles.to_bits() == exact.p99_latency_cycles.to_bits();
-    }
-    assert!(rates_identical, "rate-shared simulation diverged from the exact path");
-    assert!(rates_replayed_packets > 0, "no rate of the nat grid was replayed");
-    eprintln!(
-        "  exact per cell {rates_exact_ms:.1} ms  rate-shared per body {rates_shared_ms:.1} ms  \
-         ({rates_speedup:.2}x)  replayed packets {rates_replayed_packets}, bit-identical: yes"
-    );
+    let rates_json = rates_sections.join(",\n");
 
     // Perf floor: this PR's acceptance bar. A regression that quietly
     // drops the sweep back toward the scalar path should fail the bench,
@@ -620,16 +698,10 @@ fn main() {
     "identical_to_exact": {partial_identical}
   }},
   "rates": {{
-    "program": "nat (one Live NPU stage, flow cache over EMEM)",
     "cells": {rates_cells},
-    "bodies": {rates_bodies},
     "packets_per_cell": {rates_packets},
     "threads": 1,
-    "exact_per_cell_ms": {rates_exact_ms:.1},
-    "rate_shared_ms": {rates_shared_ms:.1},
-    "speedup": {rates_speedup:.2},
-    "replayed_packets": {rates_replayed_packets},
-    "identical_to_exact": {rates_identical}
+{rates_json}
   }},
   "warm_start": {{
     "cell_hits": {cell_warm_hits},
@@ -640,7 +712,6 @@ fn main() {
         sim_cells = sim_grid.len(),
         trace_bodies = trace_bodies.len(),
         rates_cells = rates_grid.len(),
-        rates_bodies = bodies.len(),
     );
     std::fs::write(sim_out_path, &sim_json).expect("write nicsim benchmark json");
     eprintln!("wrote {sim_out_path}");

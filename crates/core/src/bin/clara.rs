@@ -72,7 +72,7 @@ VALIDATE FLAGS (predicted-vs-simulated error per grid cell):
   -o <file>           write the per-cell JSON report here (`-` = stdout)
 
 PROFILE FLAGS (one-cell predict + instrumented simulate of a corpus NF):
-  --packets <n>       simulated packets, 1..=1000000 (default 2000)
+  --packets <n>       simulated packets, 1..=1000000 (default 4000, as validate)
   --seed <n>          trace-generation seed (default 42)
   --exact             run the simulator's exact oracle path
   --trace-packets <n> packets recorded in the stage timeline (default 32)
@@ -248,12 +248,14 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
-/// `--packets` (or `default`), refused outside `1..=MAX_PACKETS` — the
-/// bound a served validate request has — before any work starts.
-fn packets_flag(args: &[String], default: usize) -> Result<usize, CliError> {
+/// `--packets`, refused outside `1..=MAX_PACKETS` — the bound a served
+/// validate request has — before any work starts. Without the flag,
+/// `validate` and `profile` both simulate a validation cell's default
+/// count, so their default runs of one cell share one ground truth.
+fn packets_flag(args: &[String]) -> Result<usize, CliError> {
     let packets = match flag_value(args, "--packets") {
         Some(v) => v.parse().map_err(|_| CliError::Usage(format!("bad --packets `{v}`")))?,
-        None => default,
+        None => ValidationConfig::default().packets,
     };
     if !(1..=clara_core::MAX_PACKETS).contains(&packets) {
         return Err(CliError::Usage(format!(
@@ -721,7 +723,7 @@ fn validate(args: &[String]) -> Result<(), CliError> {
     let telemetry_path = flag_value(args, "--telemetry");
     let mut config = ValidationConfig {
         threads: num_flag(args, "--threads", 0)? as usize,
-        packets: packets_flag(args, 4_000)?,
+        packets: packets_flag(args)?,
         seed: num_flag(args, "--seed", 42)?,
         telemetry: telemetry_path.is_some(),
         ..ValidationConfig::default()
@@ -845,7 +847,7 @@ fn profile(args: &[String]) -> Result<(), CliError> {
     let nf_name = nf_name_arg(args, "clara profile dpi")?;
     let (source, program) = corpus_nf(&nf_name)?;
     let wl = workload(args)?;
-    let packets = packets_flag(args, 2_000)?;
+    let packets = packets_flag(args)?;
     let seed = num_flag(args, "--seed", 42)?;
     let trace_packets = num_flag(args, "--trace-packets", 32)?;
     let sim_config = if args.iter().any(|a| a == "--exact") {

@@ -64,7 +64,8 @@ use crate::engine::{
 };
 use crate::fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 use crate::memory::MemorySim;
-use crate::program::{MicroOp, NicProgram, StageUnit};
+use crate::program::{MicroOp, NicProgram, Stage, StageUnit};
+use crate::rates::ServiceColumn;
 use crate::watchdog::{Watchdog, DEADLINE_STRIDE};
 use clara_lnic::{Lnic, MemId, UnitId};
 use clara_workload::TracePacket;
@@ -95,9 +96,9 @@ pub(crate) struct BatchScratch {
     /// Unique effective payload lengths, in first-encounter order.
     lens: Vec<u64>,
     /// Cost-equivalence group per thread.
-    tid_group: Vec<u32>,
+    pub(crate) tid_group: Vec<u32>,
     /// Representative `(unit, ctm)` per group.
-    group_reps: Vec<(UnitId, Option<MemId>)>,
+    pub(crate) group_reps: Vec<(UnitId, Option<MemId>)>,
     /// Group per unit index (`u32::MAX` = not yet grouped), rebuilt each
     /// run — a direct-indexed memo while grouping.
     unit_groups: Vec<u32>,
@@ -204,6 +205,8 @@ struct ClassCost {
     computed: bool,
     /// Per-stage costs from the exact scalar `stage_cost`.
     per_stage: Vec<u64>,
+    /// Their saturating sum: a member packet's service cycles.
+    service: u64,
     /// True (unsaturated) ingress + stages + egress total.
     total: u128,
     /// First stage whose saturating running sum crossed the per-packet
@@ -261,6 +264,9 @@ pub(crate) struct BatchRun<'a> {
     /// Accelerator probes (partial kernel only: live accelerator stages
     /// are replayed through the instrumented scalar path).
     pub probes: Option<&'a mut [AccelProbe; 4]>,
+    /// Where a recording run pushes each completed packet's thread and
+    /// service cycles, as the scalar loop does.
+    pub column: Option<&'a mut ServiceColumn>,
 }
 
 /// Counters a completed batch hands back to the engine's epilogue.
@@ -313,10 +319,11 @@ fn cost_equivalent(
     tables.iter().all(|t| mem.raw_latency(a.0, t.mem) == mem.raw_latency(b.0, t.mem))
 }
 
-/// Phase 0 of both kernels: group threads into cost-equivalence unit
-/// groups (see [`cost_equivalent`]), filling `tid_group`, `group_reps`,
-/// and the grouping memo. Returns the group count.
-fn group_units(
+/// Phase 0 of both kernels (and of a shared-service rebuild): group
+/// threads into cost-equivalence unit groups (see [`cost_equivalent`]),
+/// filling `tid_group`, `group_reps`, and the grouping memo. Returns the
+/// group count.
+pub(crate) fn group_units(
     scratch: &mut BatchScratch,
     nic: &Lnic,
     mem: &MemorySim,
@@ -392,6 +399,48 @@ fn resolve_pure_stage(
     Ok(c)
 }
 
+/// The pure part of NPU stage `stage` on `unit` at payload length `len`:
+/// the saturating sum of its Fixed and PayloadPure ops (every op, for a
+/// signature-pure stage). It reads only the unit's cost-equivalence
+/// group and `len`: every access these ops make is to an uncached
+/// region, whose cost is address-free, so any flow hash and payload seed
+/// give the same sum (0 here), and none touches the flow cache.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pure_ops_cost(
+    nic: &Lnic,
+    mem: &mut MemorySim,
+    tables: &mut [TableRt],
+    stage: &Stage,
+    unit: UnitId,
+    ctm: Option<MemId>,
+    len: u64,
+    emem: Option<MemId>,
+) -> u64 {
+    // Pure ops never touch the flow cache or its engine.
+    let (mut fc_hits, mut fc_misses) = (0, 0);
+    let mut part = 0u64;
+    for op in &stage.ops {
+        if matches!(classify_op(op, tables, mem), OpClass::Fixed | OpClass::PayloadPure) {
+            part = part.saturating_add(npu_op_cost(
+                nic,
+                mem,
+                tables,
+                op,
+                unit,
+                ctm,
+                len,
+                0,
+                0,
+                emem,
+                &mut fc_hits,
+                &mut fc_misses,
+                0,
+            ));
+        }
+    }
+    part
+}
+
 /// Run the batched kernel over a packet stream. Ingestion is fused with
 /// the merge: one pass fills the row arena (kept for a potential scalar
 /// replay), costs each class on first sight, and replays the ingress
@@ -441,6 +490,7 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
         island_busy,
         instrumented,
         probes: _,
+        mut column,
     } = run;
 
     // ---- Phase 0: cost-equivalence unit groups --------------------------
@@ -574,6 +624,7 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
                 risk: trip.is_none() && chain as u128 != sum,
                 total: ingress_lat as u128 + sum + egress_lat as u128,
                 per_stage,
+                service: chain,
                 trip,
             };
         }
@@ -621,6 +672,10 @@ pub(crate) fn run_batched<I: Iterator<Item = TracePacket>>(
             });
         }
         scratch.class_count[cid] += 1;
+        if let Some(col) = column.as_deref_mut() {
+            col.tids.push(tid as u32);
+            col.service.push(cls.service);
+        }
         completions.push(fin);
         latencies.push(fin - arrival);
     }
@@ -693,6 +748,7 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
         island_busy,
         instrumented,
         mut probes,
+        mut column,
     } = run;
     let rows: &[TracePacket] = rows;
 
@@ -834,35 +890,9 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
                             )
                         },
                     )?,
-                    StagePlan::Fc => {
-                        // Pure part only; not published to the shared
-                        // cache — a partial sum is not a whole-stage
-                        // signature.
-                        let mut part = 0u64;
-                        for op in &stage.ops {
-                            if matches!(
-                                classify_op(op, tables, mem),
-                                OpClass::Fixed | OpClass::PayloadPure
-                            ) {
-                                part = part.saturating_add(npu_op_cost(
-                                    nic,
-                                    mem,
-                                    tables,
-                                    op,
-                                    unit,
-                                    ctm,
-                                    len,
-                                    flow_hash,
-                                    tp.spec.payload_seed,
-                                    emem,
-                                    fc_hits,
-                                    fc_misses,
-                                    fc_engine_cycles,
-                                ));
-                            }
-                        }
-                        part
-                    }
+                    // Pure part only; not published to the shared cache —
+                    // a partial sum is not a whole-stage signature.
+                    StagePlan::Fc => pure_ops_cost(nic, mem, tables, stage, unit, ctm, len, emem),
                     StagePlan::Scalar => 0,
                 };
                 per_stage.push(c);
@@ -990,6 +1020,10 @@ pub(crate) fn run_partial(run: BatchRun<'_>) -> Result<BatchTally, SimError> {
             cur = cur.saturating_add(cost);
         }
         cur = cur.saturating_add(egress_lat);
+        if let Some(col) = column.as_deref_mut() {
+            col.tids.push(tid as u32);
+            col.service.push(pkt_cycles);
+        }
         threads[tid].free_at = cur;
         if instrumented {
             let busy = &mut island_busy[thread_island[tid]];

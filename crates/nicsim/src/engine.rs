@@ -187,7 +187,7 @@ impl SimConfig {
 /// per-thread state, the pending-start heap, the memory model (its
 /// caches included) and the tables' flow-cache fronts, the batch
 /// kernels' columns and class tables, and the service column
-/// [`crate::simulate_rates`] records for a body's later rates all retain
+/// [`crate::simulate_rates`] records for a family's other cells all retain
 /// their capacity across [`simulate_streamed`] and
 /// [`crate::simulate_rates`] calls. The per-packet arenas take the
 /// trace's length (its `size_hint`) when a run starts, so even a fresh
@@ -197,10 +197,10 @@ impl SimConfig {
 #[derive(Default)]
 pub struct SimScratch {
     /// The memory model, re-initialised from the LNIC at each run.
-    mem: MemorySim,
+    pub(crate) mem: MemorySim,
     /// Per-table runtime state, re-initialised from the program at each
     /// run; a table keeps its flow-cache storage while it has one.
-    tables: Vec<TableRt>,
+    pub(crate) tables: Vec<TableRt>,
     pub(crate) latencies: Vec<u64>,
     pub(crate) completions: Vec<u64>,
     pub(crate) select: Vec<u64>,
@@ -212,12 +212,13 @@ pub struct SimScratch {
     /// when the batch kernel falls back to the scalar loop).
     rows: Vec<TracePacket>,
     /// Column arenas and class tables for [`crate::batch`].
-    batch: crate::batch::BatchScratch,
+    pub(crate) batch: crate::batch::BatchScratch,
     /// Stage-cost cache shared across runs by the batch kernels. `None`
     /// (the default) leaves each run's class table as the only reuse.
     shared_costs: Option<Arc<CostCache>>,
     /// The per-packet service column and end-of-run counters a recording
-    /// run leaves for [`crate::simulate_rates`]'s replays.
+    /// run leaves for [`crate::simulate_rates`]'s replays, and its
+    /// rebuilds at other payloads.
     pub(crate) column: ServiceColumn,
 }
 
@@ -597,11 +598,12 @@ where
     )
 }
 
-/// The engine behind every entry point. With `record`, a run that takes
-/// the scalar loop of an all-NPU program leaves its per-packet service
-/// column in `scratch.column` for [`crate::simulate_rates`] to replay
-/// (marked valid only if no packet was dropped); results never depend
-/// on it.
+/// The engine behind every entry point. With `record`, a run of an
+/// all-NPU program under the fast configuration leaves its per-packet
+/// service column in `scratch.column` for [`crate::simulate_rates`] to
+/// replay, whichever route (scalar loop, whole-run or partial kernel)
+/// costs it; the column is marked valid only if no packet was dropped
+/// and no kernel refused the run. Results never depend on it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
     nic: &Lnic,
@@ -633,12 +635,7 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
 
     mem.reset(nic);
 
-    let emem = nic.memory_named("emem").or_else(|| {
-        nic.memories()
-            .iter()
-            .position(|m| m.kind == MemKind::External)
-            .map(MemId)
-    });
+    let emem = emem_region(nic);
     if faults.disable_emem_cache {
         if let Some(e) = emem {
             mem.disable_cache(e);
@@ -842,24 +839,21 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
     // an exact sequential merge — so the partial kernel flushes the cache
     // inline under the thrash fault and never needs a fallback.
     let partially_batchable = config.batch && any_pure && !all_pure && no_timeline;
-    // Rate-shared recording (`crate::rates`): only the scalar loop of the
-    // fast configuration records, and only for a program whose stage
-    // costs cannot read the clock — every stage on an NPU (an accelerator
-    // queue's wait depends on when the packet reaches it) — and that no
-    // fault drops wholesale. The column is kept only if the run ends
-    // with no drop of any kind.
+    // Shared-service recording (`crate::rates`): every route of the fast
+    // configuration records (the scalar loop and both kernels push each
+    // completed packet's thread and service cycles), but only for a
+    // program whose stage costs cannot read the clock — every stage on an
+    // NPU (an accelerator queue's wait depends on when the packet reaches
+    // it) — and that no fault drops wholesale. The column is kept only if
+    // the run ends with no drop of any kind and no kernel refusal.
+    if record {
+        column.start(expected);
+    }
     let mut recording = record
         && config.batch
-        && !any_pure
         && no_timeline
         && !offline_required
         && prog.stages.iter().all(|s| matches!(s.unit, StageUnit::Npu));
-    if recording {
-        column.tids.clear();
-        column.service.clear();
-        column.tids.reserve(expected);
-        column.service.reserve(expected);
-    }
     enum Source<'r, I> {
         Live(I),
         Rows(std::slice::Iter<'r, TracePacket>),
@@ -937,6 +931,7 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
             island_busy: &mut island_busy,
             instrumented: instruments.is_some(),
             probes: probes.as_mut(),
+            column: recording.then_some(&mut *column),
         };
         let outcome = if batchable {
             crate::batch::run_batched(run, packets)?
@@ -956,6 +951,7 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
                 dropped = tally.overflow_drops;
                 accel_drops = tally.accel_drops;
                 corrupt_drops = tally.corrupt_drops;
+                recording &= dropped + accel_drops + corrupt_drops == 0;
                 truncated = tally.truncated;
                 busy_cycles = tally.busy_cycles;
                 batch_packets = tally.batch_packets;
@@ -971,7 +967,9 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
                 // exact scalar loop over the ingested rows. Rare by
                 // construction; fidelity beats speed here. The class
                 // costs the attempt resolved stay counted and published:
-                // pure costs are fingerprint-determined.
+                // pure costs are fingerprint-determined. What the kernel
+                // recorded stops short of the refusal: no column.
+                recording = false;
                 mem.reset(nic);
                 if faults.disable_emem_cache {
                     if let Some(e) = emem {
@@ -1217,6 +1215,13 @@ impl Hubs {
                 .unwrap_or_else(|| ingress.map(|h| h.queue_capacity).unwrap_or(usize::MAX)),
         }
     }
+}
+
+/// The region the EMEM-cache faults and packet-tail spills address: the
+/// one named `emem`, else the first external memory.
+pub(crate) fn emem_region(nic: &Lnic) -> Option<MemId> {
+    nic.memory_named("emem")
+        .or_else(|| nic.memories().iter().position(|m| m.kind == MemKind::External).map(MemId))
 }
 
 /// A trace timestamp in NIC cycles.

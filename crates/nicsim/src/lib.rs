@@ -70,5 +70,5 @@ pub use engine::{
 pub use fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 pub use memory::{Cache, MemorySim};
 pub use program::{BytesSpec, MicroOp, NicProgram, Stage, StageUnit, TableCfg};
-pub use rates::{simulate_rates, RateRun};
+pub use rates::{simulate_rates, CellRoute, RateRun};
 pub use watchdog::Watchdog;

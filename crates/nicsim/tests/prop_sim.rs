@@ -4,7 +4,7 @@ use clara_lnic::{profiles, Lnic};
 use clara_nicsim::{
     simulate, simulate_rates, simulate_streamed, simulate_streamed_instrumented, AccelKind,
     BytesSpec, CostCache, FaultPlan, MicroOp, NicProgram, SimConfig, SimError, SimInstruments,
-    SimResult, SimScratch, Stage, StageUnit, TableCfg, Watchdog,
+    SimResult, SimScratch, SimStats, Stage, StageUnit, TableCfg, Watchdog,
 };
 use clara_workload::{SizeDist, Trace, TraceBody, TraceGenerator, WorkloadProfile};
 use proptest::prelude::*;
@@ -449,29 +449,57 @@ proptest! {
     }
 }
 
+/// Counters every simulator route reports alike. A batch kernel counts
+/// its own packets and only the accesses of the classes it costed, and a
+/// replay or a handed-out result counts its packets as replayed, so those
+/// counters are compared only between runs on one route.
+fn route_free(s: &SimStats, batched: bool) -> SimStats {
+    SimStats {
+        batch_packets: 0,
+        batch_partial_packets: 0,
+        replayed_packets: 0,
+        memo_hits: 0,
+        memo_misses: 0,
+        mem_levels: if batched { Vec::new() } else { s.mem_levels.clone() },
+        switch_transfers: if batched { 0 } else { s.switch_transfers },
+        ..s.clone()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Rate-shared simulation is the simulator run once per rate: for
-    /// random programs (all-NPU, or with an accelerator stage), random
-    /// trace bodies, one to five rates (some high enough to overflow a
-    /// small ingress queue), random fault plans and watchdog caps, every
-    /// rate's result, latencies and counters equal a fresh instrumented
-    /// run of `body.stream(rate)` under the exact oracle, bit for bit.
-    /// Counters of a run a batch kernel took are checked against a fresh
-    /// run on the same route (their access counts are per class), and a
-    /// drop-free rate after a drop-free run of an all-NPU program on the
-    /// scalar loop must have been replayed. Half the programs touch the
-    /// flow-cached table in every stage, which keeps every stage Live
-    /// (the scalar loop) under most fault plans.
+    /// Shared simulation of a family is the simulator run once per cell:
+    /// for random programs (all-NPU over uncached, cached and
+    /// flow-cache-fronted tables, with payload-pure ops such as
+    /// `ChecksumSw` and table-less `StreamPayload`, sometimes a
+    /// table-walking `StreamPayload` over cached EMEM, which reads the
+    /// payload through the cache, or an accelerator stage), random flow
+    /// sequences at one to four payloads (repeats and 0 included) and one
+    /// to five rates (some high enough to overflow a small ingress
+    /// queue), random fault plans and both watchdog caps (sometimes
+    /// disabled under a cost that pushes the batch kernel into refusing
+    /// the run), every cell's result and latencies equal a fresh run of
+    /// the body generated at its payload under the exact oracle, bit for
+    /// bit, and its counters equal the oracle's under the route-free
+    /// comparison (a fresh default run's, for a program the batch
+    /// kernels take). A program shares payloads exactly when no
+    /// history-coupled op reads them, and a drop-free cell that a
+    /// recorded column can serve must have been replayed or handed out.
     #[test]
     fn rate_shared_runs_match_fresh_exact_runs(
         program in (
             proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
             any::<bool>(),
             any::<bool>(),
+            (0u8..4).prop_map(|k| k == 0),
+            0u8..3,
         ),
-        body in (any::<u64>(), 0usize..250, 1usize..300, 0usize..1500, 0.0f64..1.0, 0.0f64..1.2),
+        body in (any::<u64>(), 0usize..250, 1usize..300, 0.0f64..1.0, 0.0f64..1.2),
+        payloads in proptest::collection::vec(
+            prop_oneof![Just(0usize), Just(64), Just(300), 0usize..1500],
+            1..5,
+        ),
         rates in proptest::collection::vec(
             prop_oneof![10_000.0f64..300_000.0, 1_000_000.0f64..20_000_000.0],
             1..6,
@@ -480,7 +508,9 @@ proptest! {
             any::<bool>(),
             any::<bool>(),
             0u8..3,
-            0u64..5,
+            // A corrupt frame drops at every rate, so no column records:
+            // mostly off, to leave the families something to share.
+            prop_oneof![Just(0u64), Just(0u64), Just(0u64), 1u64..5],
             0u64..5,
             prop_oneof![Just(0usize), 0usize..112, 100usize..500],
         ),
@@ -490,8 +520,11 @@ proptest! {
             prop_oneof![Just(None), (100_000u64..5_000_000).prop_map(Some)],
         ),
     ) {
-        let (stages, with_accel, live) = program;
-        let (seed, packets, flows, payload, tcp_share, zipf_alpha) = body;
+        let (stages, with_accel, live, huge, scan) = program;
+        // The accelerator arm adds clock values unsaturated, so the huge
+        // cost goes to all-NPU programs only.
+        let huge = huge && !with_accel;
+        let (seed, packets, flows, tcp_share, zipf_alpha) = body;
         let (disable_emem, thrash_emem, outage, corrupt_every, truncate_every, dead_threads) =
             fault_knobs;
         let (ingress_capacity, pkt_cap, total_cap) = caps;
@@ -510,6 +543,19 @@ proptest! {
                 })
                 .collect(),
         };
+        // A transition-table walk over the payload: through the EMEM
+        // cache (history-coupled, so payloads cannot share a column) or
+        // over uncached IMEM (payload-pure, with per-byte accesses).
+        if scan > 0 {
+            let table = Some(if scan == 1 { 1 } else { 0 });
+            prog.stages[0].ops.push(MicroOp::StreamPayload { table, loop_overhead: 3 });
+        }
+        if huge {
+            // Near a quarter of `u64`: with both caps disabled, a few
+            // packets on one thread carry the batch kernel's finish times
+            // past its safe bound, and it hands the run to the scalar loop.
+            prog.stages[0].ops.push(MicroOp::Compute { cycles: 1 << 61 });
+        }
         if with_accel {
             prog.stages.insert(1, Stage {
                 name: "csum".into(),
@@ -517,7 +563,7 @@ proptest! {
                 ops: vec![MicroOp::AccelCall { bytes: BytesSpec::Payload }],
             });
         }
-        let wl = WorkloadProfile {
+        let wl = |payload: usize| WorkloadProfile {
             flows,
             avg_payload: payload as f64,
             max_payload: payload,
@@ -525,7 +571,7 @@ proptest! {
             zipf_alpha,
             ..WorkloadProfile::paper_default()
         };
-        let body = TraceBody::generate(&wl, packets, seed);
+        let body = TraceBody::generate(&wl(payloads[0]), packets, seed);
         let faults = FaultPlan {
             accel_outage: match outage {
                 1 => vec![AccelKind::FlowCache],
@@ -540,51 +586,109 @@ proptest! {
             ingress_capacity,
             ..FaultPlan::none()
         };
-        let wd = Watchdog {
-            max_cycles_per_packet: pkt_cap,
-            max_total_cycles: total_cap,
-            ..Watchdog::new()
+        let wd = if huge {
+            Watchdog {
+                max_cycles_per_packet: Some(u64::MAX),
+                max_total_cycles: Some(u64::MAX),
+                ..Watchdog::new()
+            }
+        } else {
+            Watchdog {
+                max_cycles_per_packet: pkt_cap,
+                max_total_cycles: total_cap,
+                ..Watchdog::new()
+            }
         };
-        let fresh = |rate: f64, config: &SimConfig| {
+        // Payload-major on purpose: the family runs rate by rate.
+        let cells: Vec<(usize, f64)> =
+            payloads.iter().flat_map(|&p| rates.iter().map(move |&r| (p, r))).collect();
+        let fresh = |payload: usize, rate: f64, config: &SimConfig| {
+            let generated = TraceBody::generate(&wl(payload), packets, seed);
             let mut scratch = SimScratch::new();
             let mut instr = SimInstruments::new();
             let r = simulate_streamed_instrumented(
-                &nic, &prog, body.stream(rate), &faults, &wd, config, &mut scratch, &mut instr,
+                &nic, &prog, generated.stream(rate), &faults, &wd, config, &mut scratch, &mut instr,
             );
             (r.map(|r| (r, scratch.latencies().to_vec())), instr.stats)
         };
 
+        // The one op that reads the payload through a cache: a transition
+        // table in EMEM (tables 1 and 2), unless the fault removes the cache.
+        let reads_cached_payload = !disable_emem
+            && prog.stages.iter().flat_map(|s| &s.ops).any(|op| {
+                matches!(op, MicroOp::StreamPayload { table: Some(1 | 2), .. })
+            });
+        let shares = !with_accel && !reads_cached_payload;
+        prop_assert_eq!(prog.shares_payloads(&nic, &faults), shares);
+
         let mut runs = Vec::new();
         let mut scratch = SimScratch::new();
         simulate_rates(
-            &nic, &prog, &body, &rates, &faults, &wd, &SimConfig::default(), &mut scratch, true,
-            |run| runs.push((run.index, run.result, run.latencies.to_vec(), run.stats)),
+            &nic, &prog, &body, &cells, &faults, &wd, &SimConfig::default(), &mut scratch, true,
+            |run| {
+                let latencies = run.latencies.to_vec();
+                runs.push((run.index, run.payload, run.rate_pps, run.result, latencies, run.stats))
+            },
         );
-        prop_assert_eq!(runs.len(), rates.len());
-        let mut recorded = false;
-        for (k, (index, result, latencies, stats)) in runs.into_iter().enumerate() {
-            prop_assert_eq!(index, k);
-            let (exact, exact_stats) = fresh(rates[k], &SimConfig::exact());
-            let (_, route_stats) = fresh(rates[k], &SimConfig::default());
-            let mut stats = stats.expect("an instrumented call reports counters");
-            let replayed = std::mem::take(&mut stats.replayed_packets);
+        prop_assert_eq!(runs.len(), cells.len());
+        let mut order: Vec<usize> = runs.iter().map(|run| run.0).collect();
+        let rank = |k: usize| rates.iter().position(|r| r.to_bits() == cells[k].1.to_bits());
+        prop_assert!(order.windows(2).all(|w| rank(w[0]) <= rank(w[1])), "not rate by rate");
+        order.sort_unstable();
+        prop_assert_eq!(order, (0..cells.len()).collect::<Vec<_>>());
+        // The payload of the column a replay can read, as the family rule
+        // has it: recorded by a drop-free full run of an all-NPU program.
+        let mut column: Option<usize> = None;
+        for (k, payload, rate, result, latencies, stats) in runs {
+            prop_assert_eq!((payload, rate.to_bits()), (cells[k].0, cells[k].1.to_bits()));
+            let (exact, exact_stats) = fresh(payload, rate, &SimConfig::exact());
+            let (_, route_stats) = fresh(payload, rate, &SimConfig::default());
             let result = result.map(|r| (r, latencies));
-            prop_assert!(identical(&result, &exact), "rate {} != exact", rates[k]);
-            prop_assert!(steady_is_tail_mean(&result), "rate {} steady-state mean", rates[k]);
-            let Ok((r, _)) = &result else { continue };
+            prop_assert!(identical(&result, &exact), "cell ({payload}, {rate}) != exact");
+            // A `u64` sum of saturated latencies wraps: `tail_mean` holds
+            // only below the huge cost.
+            prop_assert!(
+                huge || steady_is_tail_mean(&result),
+                "cell ({payload}, {rate}) steady-state mean"
+            );
+            let servable = !with_accel && column.is_some_and(|c| shares || c == payload);
+            let Ok((r, _)) = &result else {
+                if !servable {
+                    column = None;
+                }
+                continue;
+            };
+            let stats = stats.expect("an instrumented call reports counters");
             // A batched run counts its packets in the kernel counters; one
-            // that completed none still costed classes, so it is told
-            // apart by its completions.
-            let scalar = r.completed > 0
-                && route_stats.batch_packets + route_stats.batch_partial_packets == 0;
-            if scalar {
-                prop_assert_eq!(&stats, &exact_stats, "rate {} counters", rates[k]);
+            // that completed none still costed classes, so it is told apart
+            // by its completions.
+            let batched = r.completed == 0
+                || route_stats.batch_packets + route_stats.batch_partial_packets > 0;
+            let oracle = if batched { &route_stats } else { &exact_stats };
+            prop_assert_eq!(
+                route_free(&stats, batched),
+                route_free(oracle, batched),
+                "cell ({}, {}) counters", payload, rate
+            );
+            let drop_free = r.dropped + r.corrupt_drops + r.accel_drops == 0;
+            let replayed = stats.replayed_packets;
+            prop_assert!(
+                replayed == 0 || replayed == r.completed as u64,
+                "cell ({payload}, {rate})"
+            );
+            if !huge {
+                let expect = if servable && drop_free { r.completed } else { 0 };
+                prop_assert_eq!(
+                    replayed,
+                    expect as u64,
+                    "cell ({}, {}) replayed packets",
+                    payload,
+                    rate
+                );
             }
-            prop_assert_eq!(&stats, &route_stats, "rate {} counters vs its route", rates[k]);
-            let replayable = !with_accel && scalar;
-            let expect = if replayable && recorded && r.dropped == 0 { r.completed } else { 0 };
-            prop_assert_eq!(replayed, expect as u64, "rate {} replayed packets", rates[k]);
-            recorded |= replayable && r.dropped + r.corrupt_drops + r.accel_drops == 0;
+            if !servable && !with_accel {
+                column = drop_free.then_some(payload);
+            }
         }
     }
 }

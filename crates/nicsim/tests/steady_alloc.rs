@@ -155,26 +155,35 @@ fn a_fresh_scratch_sizes_its_packet_arenas_once() {
 
 #[test]
 fn rate_shared_runs_on_a_reused_scratch_allocate_alike_at_any_length() {
-    // A body's later rates replay into the same arenas (latencies,
-    // completions, the recorded service column), so four rates of nat
-    // cost as many allocations at 64,000 packets as at 4,000.
+    // A family's later cells replay into the same arenas (latencies,
+    // completions, the recorded service column) and rebuild the column
+    // per payload from per-class prices, so sixteen cells of nat (four
+    // payloads at four rates) cost as many allocations at 64,000 packets
+    // as at 4,000.
     let nic = profiles::netronome_agilio_cx40();
     let prog = clara_nfs::nat::ported();
     let (faults, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
-    let rates = [20_000.0, 60_000.0, 200_000.0, 600_000.0];
+    let payloads = [100, 300, 700, 1400];
+    let cells: Vec<(usize, f64)> = [20_000.0, 60_000.0, 200_000.0, 600_000.0]
+        .into_iter()
+        .flat_map(|rate| payloads.map(|payload| (payload, rate)))
+        .collect();
     let per_packets: Vec<u64> = [PACKETS, 16 * PACKETS]
         .into_iter()
         .map(|packets| {
-            let body = TraceBody::generate(&WorkloadProfile::paper_default(), packets, 1);
+            let wl = WorkloadProfile { avg_payload: 100.0, ..WorkloadProfile::paper_default() };
+            let body = TraceBody::generate(&wl, packets, 1);
             let mut scratch = SimScratch::new();
             let sweep = |scratch: &mut SimScratch| {
-                let mut done = 0;
+                let mut replayed = 0;
                 let each = |run: RateRun<'_>| {
-                    run.result.expect("nat simulates");
-                    done += 1;
+                    let r = run.result.expect("nat simulates");
+                    replayed += run.stats.expect("instrumented").replayed_packets;
+                    assert_eq!(r.completed, packets);
                 };
-                simulate_rates(&nic, &prog, &body, &rates, &faults, &wd, &cfg, scratch, false, each);
-                assert_eq!(done, rates.len());
+                simulate_rates(&nic, &prog, &body, &cells, &faults, &wd, &cfg, scratch, true, each);
+                // One full run; every other cell is replayed.
+                assert_eq!(replayed, (cells.len() as u64 - 1) * packets as u64);
             };
             sweep(&mut scratch);
             let before = ALLOCATIONS.with(Cell::get);
@@ -183,5 +192,5 @@ fn rate_shared_runs_on_a_reused_scratch_allocate_alike_at_any_length() {
         })
         .collect();
     assert_eq!(per_packets[0], per_packets[1], "allocations grow with packets");
-    assert!(per_packets[0] <= 4 * STEADY_ALLOCATIONS, "{per_packets:?}");
+    assert!(per_packets[0] <= 16 * STEADY_ALLOCATIONS, "{per_packets:?}");
 }

@@ -340,6 +340,12 @@ pub(crate) fn predict_prepared_limited(
     predict_prepared_seeded(module, params, workload, options, prepared, deadline, None)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mapping solves started on this thread, for tests that count them.
+    pub(crate) static MAPPING_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// [`predict_prepared_limited`] with an optional cross-cell ILP
 /// warm-start seed (the `mapping.ilp_seed` of a structurally similar
 /// prediction — see [`crate::sweep`]'s star topology). The seed only
@@ -385,6 +391,8 @@ pub(crate) fn predict_prepared_seeded(
         forbid_accels: options.software_only,
         pinned: resolve_pins(options, module, params)?,
     };
+    #[cfg(test)]
+    MAPPING_SOLVES.with(|n| n.set(n.get() + 1));
     let mapping = solve_mapping_seeded(&input, &options.budget, &options.solver, deadline, seed)
         .map_err(|e| match e {
             // A cell stopped by the shared cancel token was abandoned,

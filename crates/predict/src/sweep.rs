@@ -65,7 +65,9 @@ pub struct SweepScenario<'a> {
 /// (with the panic test hook stripped), computed on first demand under a
 /// `OnceLock` — so seeding decisions are identical for every thread
 /// schedule, and a masked-out (panicking) donor still yields the seed
-/// its healthy twin would have.
+/// its healthy twin would have. A donor cell whose solve cannot depend
+/// on timing fills that `OnceLock` with its own seed, so the group's
+/// donor is solved once instead of twice.
 pub(crate) struct PrepShare {
     /// Scenario index → prep group.
     prep_of: Vec<usize>,
@@ -152,6 +154,33 @@ impl PrepShare {
             })
             .clone()
     }
+
+    /// Offer donor cell `i`'s own prediction as its group's seed. It is
+    /// the solve [`Self::seed_for`] would run — same scenario, same
+    /// prepared inputs, no seed — only when nothing timed can have cut
+    /// it short: no panic hook, no wall-clock deadline in the cell's
+    /// options or on the cell, and no cancel token. Otherwise (a
+    /// supervised cell, a cell with a deadline) `seed_for` solves the
+    /// donor itself, as before.
+    fn publish(
+        &self,
+        scenarios: &[SweepScenario<'_>],
+        i: usize,
+        deadline: &RunDeadline,
+        prediction: &Result<Prediction, PredictError>,
+    ) {
+        let group = self.prep_of[i];
+        let options = &scenarios[i].options;
+        if self.donor_of[group] == i
+            && !options.inject_panic
+            && options.deadline_ms.is_none()
+            && deadline.is_unlimited()
+        {
+            let seed = prediction.as_ref().ok().and_then(|p| p.mapping.ilp_seed.clone());
+            // Another worker may have solved the donor first: same seed.
+            let _ = self.seeds[group].set(seed);
+        }
+    }
 }
 
 /// Run scenario `i` under `deadline` with panics contained to the cell.
@@ -168,7 +197,7 @@ pub(crate) fn run_cell(
         let sc = &scenarios[i];
         let prepared = share.prepared(scenarios, i);
         let seed = share.seed_for(scenarios, i);
-        predict_prepared_seeded(
+        let prediction = predict_prepared_seeded(
             sc.module,
             sc.params,
             &sc.workload,
@@ -176,7 +205,9 @@ pub(crate) fn run_cell(
             prepared,
             deadline,
             seed.as_ref(),
-        )
+        );
+        share.publish(scenarios, i, deadline, &prediction);
+        prediction
     })
     .unwrap_or_else(|payload| Err(PredictError::Panicked { cell: i, payload }))
 }

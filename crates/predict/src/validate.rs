@@ -12,21 +12,27 @@
 //! becomes [`SweepScenario`]s, and the predicted side runs through
 //! [`crate::sweep`]'s prep groups and cell runner (one `Prepared` and one
 //! ILP warm-start donor per workload class). The simulated side is
-//! grouped by trace body: cells whose workloads differ only in offered
-//! rate simulate the same packets ([`BodyKey`]), so the `fanout.rs`
-//! executor hands out bodies, not cells. The worker that claims a body
-//! predicts its cells in grid order, generates the body once
-//! ([`TraceBody`], 24 bytes a packet) and simulates every rate with one
-//! [`simulate_rates`] call, which replays only the queueing at a rate
-//! wherever the simulator can (an all-NPU program on the scalar loop).
-//! A body's work is panic-isolated, so a bad (workload, program) pairing
-//! degrades to failed cells instead of killing the run. Each worker owns
-//! a single [`SimScratch`] reused across all the bodies it claims, and
-//! steady-state simulation allocates O(1) per body. Healthy-cell results
-//! are bit-identical between a sequential run (`threads: 1`), any
-//! parallel schedule, [`SimConfig::exact`] streaming each cell's trace,
-//! and [`crate::run_sweep`] over the same scenarios: cells are pure, and
-//! neither scratch reuse nor replay changes simulator output.
+//! grouped by family: cells whose workloads differ only in offered rate
+//! simulate the same packets ([`BodyKey`]), and cells that differ only in
+//! payload too, by relabelling, when the program lets one recorded
+//! service column serve several payloads
+//! ([`NicProgram::shares_payloads`]; [`BodyKey::family`]). The
+//! `fanout.rs` executor hands out families, not cells: 4 per lookup NF on
+//! the 64-cell grid, one per flow count, and 16 for dpi and vnf, whose
+//! automaton walks read the payload through the EMEM cache. The worker
+//! that claims a family predicts its cells in grid order (each prep
+//! group's donor first), generates one body ([`TraceBody`], 24 bytes a
+//! packet) and simulates every cell with one [`simulate_rates`] call,
+//! which runs one cell in full and replays only the queueing at the
+//! others wherever the simulator can (an all-NPU program). A family's
+//! work is panic-isolated, so a bad (workload, program) pairing degrades
+//! to failed cells instead of killing the run. Each worker owns a single
+//! [`SimScratch`] reused across all the families it claims, and
+//! steady-state simulation allocates O(1) per family. Healthy-cell
+//! results are bit-identical between a sequential run (`threads: 1`),
+//! any parallel schedule, [`SimConfig::exact`] streaming each cell's
+//! trace, and [`crate::run_sweep`] over the same scenarios: cells are
+//! pure, and neither scratch reuse nor replay changes simulator output.
 
 use crate::fanout::{contain, fan_out};
 use crate::predictor::{PredictOptions, Prediction};
@@ -278,8 +284,9 @@ fn cell_label(wl: &WorkloadProfile) -> String {
 /// ported form the simulator executes on `nic`. Both sides of a cell see
 /// the same [`WorkloadProfile`] — the predictor through its closed-form
 /// pipeline, the simulator through a seeded trace, generated once per
-/// trace body and timestamped per rate. A cell whose simulation
-/// completes no packet is `Failed`: it has no latency to compare.
+/// family, relabelled per payload and timestamped per rate. A cell whose
+/// simulation completes no packet is `Failed`: it has no latency to
+/// compare.
 pub fn run_validation_sweep(
     module: &CirModule,
     params: &NicParameters,
@@ -305,17 +312,21 @@ pub fn run_validation_sweep(
         })
         .collect();
     let share = PrepShare::build(&scenarios);
-    // Cells grouped by trace body (every input of the trace but the
-    // rate), each group in grid order, groups in order of first cell.
-    let mut body_ids: HashMap<BodyKey, usize> = HashMap::new();
-    let mut bodies: Vec<Vec<usize>> = Vec::new();
+    // Cells grouped by family (every input of the trace but the rate, and
+    // but the payload when the program shares payloads), each family in
+    // grid order, families in order of first cell. A family holds whole
+    // prep groups, so each donor is predicted before its siblings.
+    let shares = program.shares_payloads(nic, &faults);
+    let mut family_ids: HashMap<BodyKey, usize> = HashMap::new();
+    let mut families: Vec<Vec<usize>> = Vec::new();
     for (i, wl) in grid.iter().enumerate() {
-        let n = bodies.len();
-        let b = *body_ids.entry(BodyKey::of(wl, config.packets, config.seed)).or_insert(n);
-        if b == n {
-            bodies.push(Vec::new());
+        let key = BodyKey::of(wl, config.packets, config.seed);
+        let n = families.len();
+        let f = *family_ids.entry(if shares { key.family() } else { key }).or_insert(n);
+        if f == n {
+            families.push(Vec::new());
         }
-        bodies[b].push(i);
+        families[f].push(i);
     }
     let new_scratch = || {
         let mut scratch = SimScratch::new();
@@ -323,9 +334,9 @@ pub fn run_validation_sweep(
         scratch
     };
 
-    let run = BodyRun { scenarios: &scenarios, share: &share, nic, program, faults: &faults };
-    let per_body = fan_out(bodies.len(), config.threads, new_scratch, |b, scratch| {
-        let cells = &bodies[b];
+    let run = FamilyRun { scenarios: &scenarios, share: &share, nic, program, faults: &faults };
+    let per_family = fan_out(families.len(), config.threads, new_scratch, |f, scratch| {
+        let cells = &families[f];
         let mut out: Vec<Option<ValidationResult>> = vec![None; cells.len()];
         if let Err(payload) = contain(|| run.validate(cells, config, scratch, &mut out)) {
             // Cells already reported keep their results.
@@ -336,13 +347,13 @@ pub fn run_validation_sweep(
         out
     });
     let mut cells: Vec<Option<ValidationResult>> = vec![None; grid.len()];
-    for (members, results) in bodies.iter().zip(per_body) {
+    for (members, results) in families.iter().zip(per_family) {
         for (&i, result) in members.iter().zip(results) {
             cells[i] = result;
         }
     }
     let cells: Vec<ValidationResult> =
-        cells.into_iter().map(|c| c.expect("every cell belongs to one body")).collect();
+        cells.into_iter().map(|c| c.expect("every cell belongs to one family")).collect();
 
     let mut report = RunReport::default();
     for (sc, cell) in scenarios.iter().zip(&cells) {
@@ -363,8 +374,8 @@ pub fn run_validation_sweep(
     ValidationSweep { cells, report }
 }
 
-/// What every body of one validation sweep shares.
-struct BodyRun<'s, 'a> {
+/// What every family of one validation sweep shares.
+struct FamilyRun<'s, 'a> {
     scenarios: &'s [SweepScenario<'a>],
     share: &'s PrepShare,
     nic: &'s Lnic,
@@ -372,8 +383,8 @@ struct BodyRun<'s, 'a> {
     faults: &'s FaultPlan,
 }
 
-impl BodyRun<'_, '_> {
-    /// Predict and simulate the cells of one trace body (grid indices, in
+impl FamilyRun<'_, '_> {
+    /// Predict and simulate the cells of one family (grid indices, in
     /// grid order), filling each cell's slot in `out` as it completes.
     fn validate(
         &self,
@@ -396,15 +407,18 @@ impl BodyRun<'_, '_> {
             config.packets,
             config.seed,
         );
-        let rates: Vec<f64> = predicted
+        let family_cells: Vec<(usize, f64)> = predicted
             .iter()
-            .map(|&(slot, _)| self.scenarios[cells[slot]].workload.rate_pps)
+            .map(|&(slot, _)| {
+                let wl = &self.scenarios[cells[slot]].workload;
+                (wl.payload_len(), wl.rate_pps)
+            })
             .collect();
         simulate_rates(
             self.nic,
             self.program,
             &body,
-            &rates,
+            &family_cells,
             self.faults,
             &config.watchdog,
             &config.sim,
@@ -661,9 +675,12 @@ mod tests {
 
     #[test]
     fn exact_sim_config_matches_memoized_default() {
-        // Two rates per body, so the default path replays the second
-        // rate of every all-NPU scalar-loop program (nat, firewall, lpm,
-        // dpi) and batches hh; the exact oracle streams every cell.
+        // Two payloads and two rates per flow count. nat, firewall, lpm
+        // and hh share payloads, so each of their two families runs one
+        // cell in full and replays (or hands out) the other three; dpi's
+        // automaton walk reads the payload through the EMEM cache, so its
+        // four bodies each replay only their second rate. The exact
+        // oracle streams every cell.
         let nic = profiles::netronome_agilio_cx40();
         let params = extract_parameters(&nic);
         let grid = validation_grid(2);
@@ -674,6 +691,13 @@ mod tests {
             let fast = run_validation_sweep(&module, &params, &nic, &program, &grid, &cfg);
             let exact_cfg = ValidationConfig { sim: SimConfig::exact(), ..cfg };
             let exact = run_validation_sweep(&module, &params, &nic, &program, &grid, &exact_cfg);
+            // A replayed cell reports no kernel counters, so a program's
+            // route is read off the cells it ran in full.
+            let batched = fast.cells.iter().any(|c| {
+                let ValidationResult::Ok(c) = c else { return false };
+                let s = c.sim_stats.as_ref().unwrap();
+                s.batch_packets + s.batch_partial_packets > 0
+            });
             let mut replayed = 0;
             for (a, b) in fast.cells.iter().zip(&exact.cells) {
                 let (ValidationResult::Ok(a), ValidationResult::Ok(b)) = (a, b) else {
@@ -682,14 +706,64 @@ mod tests {
                 assert_eq!(a.actual_cycles.to_bits(), b.actual_cycles.to_bits(), "{name}");
                 assert_eq!(a.completed, b.completed, "{name}");
                 let (sa, sb) = (a.sim_stats.as_ref().unwrap(), b.sim_stats.as_ref().unwrap());
-                let batched = sa.batch_packets + sa.batch_partial_packets > 0;
                 assert_eq!(route_free(sa, batched), route_free(sb, batched), "{name} {}", a.label);
                 assert_eq!(sb.replayed_packets, 0, "{name}: the exact oracle never replays");
                 replayed += sa.replayed_packets;
             }
-            // Four bodies of two rates: the second rate of each replays.
-            let want = if name == "hh" { 0 } else { 4 * 300 };
+            assert_eq!(batched, name == "hh", "{name}: route");
+            let want = if name == "dpi" { 4 * 300 } else { 6 * 300 };
             assert_eq!(replayed, want, "{name}: replayed packets");
+        }
+    }
+
+    /// Mapping solves `f` starts on this thread.
+    fn solves(f: impl FnOnce()) -> usize {
+        crate::predictor::MAPPING_SOLVES.with(|n| n.set(0));
+        f();
+        crate::predictor::MAPPING_SOLVES.with(|n| n.get())
+    }
+
+    #[test]
+    fn each_prep_group_donor_is_solved_once() {
+        use crate::supervisor::{run_sweep_supervised, CellResult, SupervisorConfig};
+        let nic = profiles::netronome_agilio_cx40();
+        let params = extract_parameters(&nic);
+        let module = nat_module();
+        let grid = validation_grid(4);
+        let cfg = ValidationConfig { packets: 100, ..small_config(1) };
+        let mut sweep = None;
+        let solved = solves(|| {
+            sweep = Some(run_validation_sweep(&module, &params, &nic, &nat_program(), &grid, &cfg))
+        });
+        // One solve per cell: each of the 16 donors publishes its own seed.
+        assert_eq!(solved, grid.len());
+        // A supervised sweep with a deadline keeps the old path (every
+        // donor solved again for its group's seed), with the same bits.
+        let scenarios: Vec<SweepScenario<'_>> = grid
+            .iter()
+            .map(|wl| SweepScenario {
+                label: cell_label(wl),
+                module: &module,
+                params: &params,
+                workload: wl.clone(),
+                options: PredictOptions::default(),
+            })
+            .collect();
+        let supervisor = SupervisorConfig {
+            threads: 1,
+            deadline_ms: Some(600_000),
+            ..SupervisorConfig::default()
+        };
+        let mut supervised = None;
+        let solved = solves(|| supervised = Some(run_sweep_supervised(&scenarios, &supervisor)));
+        assert_eq!(solved, grid.len() + 16);
+        let supervised = supervised.unwrap().expect("no checkpoint to write");
+        for (cell, result) in sweep.unwrap().cells.iter().zip(&supervised.results) {
+            let (ValidationResult::Ok(c), CellResult::Fresh(p)) = (cell, result) else {
+                panic!("expected healthy cells, got {cell:?} and {result:?}")
+            };
+            assert_eq!(c.predicted_cycles.to_bits(), p.avg_latency_cycles.to_bits(), "{}", c.label);
+            assert_eq!(c.quality, p.mapping.quality.to_string(), "{}", c.label);
         }
     }
 

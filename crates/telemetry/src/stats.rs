@@ -148,10 +148,11 @@ pub struct SimStats {
     /// present; pure stages columnized, live ones replayed). Disjoint
     /// from `batch_packets` — a run takes one kernel or the other.
     pub batch_partial_packets: u64,
-    /// Packets whose service came from a recorded column: a later rate
-    /// of a trace body replayed by `clara-nicsim`'s `simulate_rates`
-    /// (equals `completed` for such a run, 0 on every other path).
-    /// Disjoint from both batch counters.
+    /// Packets not simulated in full: a cell of a family that
+    /// `clara-nicsim`'s `simulate_rates` replayed from a recorded service
+    /// column, or handed the previous cell's equal result (equals
+    /// `completed` for such a cell, 0 on every other path). Disjoint from
+    /// both batch counters.
     pub replayed_packets: u64,
     /// Class stage costs the batch kernels resolved from a shared
     /// cross-run cost cache (`clara-nicsim`'s `CostCache`) without

@@ -1,34 +1,42 @@
-//! Cross-rate trace-body sharing for sweep grids.
+//! Cross-rate and cross-payload trace-body sharing for sweep grids.
 //!
-//! Sweep grids vary offered rate as one axis, and [`WorkloadProfile::
-//! to_trace_stream`] always spaces packets with [`Arrival::Constant`]
-//! gaps. Under constant spacing the inter-arrival gap consumes no RNG
-//! draws, so the random draw sequence — and with it every flow choice,
-//! payload size, protocol, and SYN decision — is a pure function of the
-//! *rate-independent* profile fields plus `(packets, seed)`. Two cells
-//! that differ only in `rate_pps` therefore generate byte-identical
-//! packet *bodies*; only the timestamps differ, and those are a cheap
-//! deterministic accumulation (`ts += 1e9/rate` with the same `as u64`
-//! truncation and monotonicity clamp the generator applies).
+//! Sweep grids vary offered rate and payload size as two of their axes,
+//! and [`WorkloadProfile::to_trace_stream`] always spaces packets with
+//! [`Arrival::Constant`] gaps and draws sizes from
+//! [`SizeDist::Fixed`]. Neither consumes an RNG draw, so the random draw
+//! sequence — and with it every flow choice, protocol, and SYN decision
+//! — is a pure function of the profile's other fields plus
+//! `(packets, seed)`. Two cells that differ only in `rate_pps` therefore
+//! generate byte-identical packet *bodies*; only the timestamps differ,
+//! and those are a cheap deterministic accumulation (`ts += 1e9/rate`
+//! with the same `as u64` truncation and monotonicity clamp the
+//! generator applies). Two cells that differ only in payload generate
+//! bodies that differ only in `payload_len`: every packet but a SYN
+//! carries the profile's payload, and a SYN carries none at any payload.
 //!
-//! [`TraceBody`] exploits that: it materializes the body (the
-//! [`PacketSpec`] column, 24 bytes a packet) once and replays it per
-//! rate with freshly computed timestamps; profiles with equal
-//! rate-independent [`BodyKey`]s share one body, which a caller keeps in
-//! its own map (a validation sweep holds one per key for the sweep's
-//! length). The replayed stream is packet-for-packet identical to
-//! `to_trace_stream` — the parity test below and the simulator's
-//! bit-identity checks both pin this — so swapping a body in can never
-//! change a result, only the time spent generating it. A materialized
-//! body is also what lets the simulator share a body's per-packet
-//! service work across its rates (`clara_nicsim::simulate_rates`).
+//! [`TraceBody`] exploits both: it materializes the body (the
+//! [`PacketSpec`] column, 24 bytes a packet) once, replays it per rate
+//! with freshly computed timestamps, and [`TraceBody::relabel`]s it to
+//! another payload by rewriting lengths alone. Profiles with equal
+//! rate-independent [`BodyKey`]s share one body, and profiles with equal
+//! [`BodyKey::family`] keys share one body up to relabelling; a caller
+//! keeps bodies in its own map (a validation sweep holds one per family
+//! for the sweep's length). The replayed stream is packet-for-packet
+//! identical to `to_trace_stream`, and a relabelled body to the one
+//! [`TraceBody::generate`] gives at that payload — the parity tests below
+//! and the simulator's bit-identity checks pin both — so swapping a body
+//! in can never change a result, only the time spent generating it. A
+//! materialized body is also what lets the simulator share a body's
+//! per-packet service work across its rates and payloads
+//! (`clara_nicsim::simulate_rates`).
 //!
 //! [`Arrival::Constant`]: crate::gen::Arrival::Constant
+//! [`SizeDist::Fixed`]: crate::gen::SizeDist::Fixed
 //! [`WorkloadProfile::to_trace_stream`]: crate::profile::WorkloadProfile::to_trace_stream
 
 use crate::profile::WorkloadProfile;
 use crate::trace::TracePacket;
-use clara_packet::PacketSpec;
+use clara_packet::{PacketSpec, TcpFlags};
 use std::sync::Arc;
 
 /// The rate-independent identity of a trace body: every input of
@@ -41,7 +49,8 @@ pub struct BodyKey {
     flows: usize,
     tcp_share: u64,
     zipf_alpha: u64,
-    avg_payload: u64,
+    /// `None` in a [`BodyKey::family`] key.
+    avg_payload: Option<u64>,
     syn_on_first: bool,
 }
 
@@ -54,9 +63,15 @@ impl BodyKey {
             flows: profile.flows.max(1),
             tcp_share: profile.tcp_share.clamp(0.0, 1.0).to_bits(),
             zipf_alpha: profile.zipf_alpha.to_bits(),
-            avg_payload: profile.avg_payload.round().to_bits(),
+            avg_payload: Some(profile.avg_payload.round().to_bits()),
             syn_on_first: profile.syn_share > 0.0,
         }
+    }
+
+    /// The key of this body's family: every body that differs from it
+    /// only in payload, each the [`TraceBody::relabel`] of any other.
+    pub fn family(&self) -> Self {
+        BodyKey { avg_payload: None, ..self.clone() }
     }
 }
 
@@ -66,6 +81,8 @@ impl BodyKey {
 #[derive(Debug, Clone)]
 pub struct TraceBody {
     specs: Arc<Vec<PacketSpec>>,
+    /// The payload every packet but a SYN carries.
+    payload: usize,
 }
 
 impl TraceBody {
@@ -74,7 +91,45 @@ impl TraceBody {
     pub fn generate(profile: &WorkloadProfile, packets: usize, seed: u64) -> Self {
         TraceBody {
             specs: Arc::new(profile.to_trace_stream(packets, seed).map(|p| p.spec).collect()),
+            payload: profile.payload_len(),
         }
+    }
+
+    /// The payload this body's packets carry
+    /// ([`WorkloadProfile::payload_len`]); a SYN carries none.
+    pub fn payload(&self) -> usize {
+        self.payload
+    }
+
+    /// Whether a packet of a generated body carries the body's payload:
+    /// every packet does but a SYN, which is empty at any payload.
+    /// Relabelling rewrites exactly these packets' lengths.
+    pub fn carries_payload(spec: &PacketSpec) -> bool {
+        spec.tcp_flags != TcpFlags(TcpFlags::SYN)
+    }
+
+    /// This body at another payload: what [`TraceBody::generate`] gives
+    /// for the same profile with a `payload_len` of `payload`, made
+    /// by rewriting each carrying packet's length instead of drawing the
+    /// flows again. A clone (no copy) when `payload` is this body's.
+    pub fn relabel(&self, payload: usize) -> Self {
+        if payload == self.payload {
+            return self.clone();
+        }
+        let specs = self
+            .specs
+            .iter()
+            .map(|spec| PacketSpec {
+                payload_len: if Self::carries_payload(spec) { payload } else { 0 },
+                ..spec.clone()
+            })
+            .collect();
+        TraceBody { specs: Arc::new(specs), payload }
+    }
+
+    /// The packets, in arrival order.
+    pub fn specs(&self) -> &[PacketSpec] {
+        &self.specs
     }
 
     /// The packet stream `to_trace_stream` yields for this body's
@@ -199,6 +254,26 @@ mod tests {
         assert_eq!(a, wl.to_trace_stream(400, 1).collect::<Vec<_>>());
         assert_eq!(b, syn.to_trace_stream(400, 1).collect::<Vec<_>>());
         assert_eq!(c, wl.to_trace_stream(400, 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_family_relabels_to_every_payload_of_its_key() {
+        let wl =
+            WorkloadProfile { syn_share: 0.5, tcp_share: 0.7, ..profile(60_000.0, 300.0, 500) };
+        let body = TraceBody::generate(&wl, 900, 3);
+        assert_eq!(body.payload(), 300);
+        assert!(body.specs().iter().any(|s| !TraceBody::carries_payload(s)), "no SYN drawn");
+        for payload in [300.0, 0.0, 64.0, 1400.4] {
+            let other = WorkloadProfile { avg_payload: payload, ..wl.clone() };
+            let key = BodyKey::of(&other, 900, 3);
+            assert_eq!(key.family(), BodyKey::of(&wl, 900, 3).family());
+            assert_eq!(key == BodyKey::of(&wl, 900, 3), payload == 300.0);
+            let generated = TraceBody::generate(&other, 900, 3);
+            let relabelled = body.relabel(payload.round() as usize);
+            assert_eq!(relabelled.payload(), generated.payload());
+            assert_eq!(relabelled.specs(), generated.specs(), "payload={payload}");
+        }
+        assert_ne!(BodyKey::of(&wl, 900, 3).family(), BodyKey::of(&wl, 900, 4).family());
     }
 
     #[test]

@@ -214,9 +214,15 @@ impl WorkloadProfile {
             .zipf(self.zipf_alpha)
             .rate_pps(self.rate_pps.max(1.0))
             .tcp_share(self.tcp_share.clamp(0.0, 1.0))
-            .sizes(SizeDist::Fixed(self.avg_payload.round() as usize))
+            .sizes(SizeDist::Fixed(self.payload_len()))
             .syn_on_first(self.syn_share > 0.0)
             .stream()
+    }
+
+    /// The payload every generated packet but a SYN carries:
+    /// `avg_payload` rounded to whole bytes.
+    pub fn payload_len(&self) -> usize {
+        self.avg_payload.round() as usize
     }
 
     /// Expected wire bytes per packet (payload + IPv4/transport/Ethernet

@@ -1,7 +1,7 @@
 //! Property tests: pcap round-trips and generator invariants.
 
 use clara_workload::pcap::{read_pcap, write_pcap};
-use clara_workload::{SizeDist, TraceGenerator};
+use clara_workload::{SizeDist, TraceBody, TraceGenerator, WorkloadProfile};
 use proptest::prelude::*;
 
 proptest! {
@@ -70,6 +70,39 @@ proptest! {
             prop_assert!((lo..=lo + width).contains(&p.spec.payload_len));
         }
         prop_assert!(trace.stats().flows <= flows);
+    }
+
+    /// Relabelling a body to another payload is generating it there: for
+    /// mixed TCP/UDP flows with and without SYNs, skewed or uniform, the
+    /// relabelled body's packets and payload equal a freshly generated
+    /// body's, and its stream equals the generator's at any rate.
+    #[test]
+    fn relabelling_a_body_is_generating_it(
+        seed in any::<u64>(),
+        packets in 0usize..400,
+        flows in 1usize..300,
+        tcp_share in prop_oneof![Just(1.0f64), Just(0.0f64), 0.0f64..1.0],
+        syn_share in prop_oneof![Just(0.0f64), 0.01f64..1.0],
+        zipf_alpha in prop_oneof![Just(0.0f64), 0.1f64..1.5],
+        payloads in (0usize..1500, 0usize..1500),
+        rate in 1_000.0f64..2_000_000.0,
+    ) {
+        let at = |payload: usize| WorkloadProfile {
+            flows,
+            tcp_share,
+            syn_share,
+            zipf_alpha,
+            avg_payload: payload as f64,
+            max_payload: payload,
+            rate_pps: rate,
+        };
+        let (from, to) = payloads;
+        let relabelled = TraceBody::generate(&at(from), packets, seed).relabel(to);
+        let generated = TraceBody::generate(&at(to), packets, seed);
+        prop_assert_eq!(relabelled.payload(), to);
+        prop_assert_eq!(relabelled.specs(), generated.specs());
+        let streamed: Vec<_> = relabelled.stream(rate).collect();
+        prop_assert_eq!(streamed, at(to).to_trace_stream(packets, seed).collect::<Vec<_>>());
     }
 
     /// Zipf mass is a monotone CDF for any (n, alpha).

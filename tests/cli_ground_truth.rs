@@ -3,9 +3,10 @@
 //! the run's per-packet latencies. On the paper-default cell both
 //! commands simulate the same trace, so the profile's `vs simulated`
 //! figure is the validate cell's `actual_cycles` and its `rel. error` is
-//! the `err` column, character for character. firewall runs on the
-//! scalar loop; CI pins the whole-run batch kernel the same way with
-//! dpi-imem.
+//! the `err` column, character for character, with `--packets` given and
+//! without it (both commands default to one packet count). firewall runs
+//! on the scalar loop; CI pins the whole-run batch kernel the same way
+//! with dpi-imem.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -30,15 +31,24 @@ fn between<'a>(line: &'a str, start: &str, end: &str) -> &'a str {
     &line[from..from + len]
 }
 
-#[test]
-fn profile_and_validate_report_one_ground_truth() {
+/// `clara profile` and a one-cell `clara validate` of the paper-default
+/// cell, each given `packets` (`None`: each command's default), agree on
+/// the simulated figure and the error.
+fn assert_one_ground_truth(packets: Option<&str>) {
     let params = params();
     let params = params.to_str().expect("utf-8 path");
-    let profile = clara(&["profile", "firewall", "--params", params, "--packets", "4000"]);
-    let validate = clara(&[
-        "validate", "firewall", "--params", params, "--rates", "60000", "--payloads", "300",
-        "--flows", "1000", "--packets", "4000", "-o", "-",
-    ]);
+    let packets: Vec<&str> = packets.map(|n| vec!["--packets", n]).unwrap_or_default();
+    let profile = clara(&[&["profile", "firewall", "--params", params][..], &packets].concat());
+    let validate = clara(
+        &[
+            &[
+                "validate", "firewall", "--params", params, "--rates", "60000", "--payloads",
+                "300", "--flows", "1000", "-o", "-",
+            ][..],
+            &packets,
+        ]
+        .concat(),
+    );
 
     let line = profile
         .lines()
@@ -57,4 +67,14 @@ fn profile_and_validate_report_one_ground_truth() {
 
     assert_eq!(simulated, format!("{actual:.0}"), "profile:\n{profile}\nvalidate:\n{validate}");
     assert_eq!(profile_err, validate_err, "profile:\n{profile}\nvalidate:\n{validate}");
+}
+
+#[test]
+fn profile_and_validate_report_one_ground_truth() {
+    assert_one_ground_truth(Some("4000"));
+}
+
+#[test]
+fn profile_and_validate_default_to_one_packet_count() {
+    assert_one_ground_truth(None);
 }

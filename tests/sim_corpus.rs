@@ -8,10 +8,11 @@
 //! `clara profile --trace` takes, which sends the run through the scalar
 //! loop). Each must agree with the oracle bit-for-bit on every
 //! observable: a faster configuration is never a different simulator.
-//! A rates lane simulates one trace body at four rates with
-//! `simulate_rates` (later rates of an all-NPU scalar-loop program are
-//! replayed from the first one's service column) against the oracle at
-//! each rate.
+//! A families lane simulates one flow sequence at three payloads and
+//! four rates with `simulate_rates` (the other cells of an all-NPU
+//! program are replayed from the first one's service column, rebuilt per
+//! payload where no cached op reads it) against the oracle on the body
+//! generated at each cell's payload.
 
 use clara_core::nfs;
 use clara_core::sim::{
@@ -151,14 +152,24 @@ fn every_configuration_is_the_same_simulator() {
 
 #[test]
 fn every_rate_of_a_shared_body_is_the_same_simulator() {
+    // The families lane: one flow sequence at three payloads and four
+    // rates per (program, fault plan), against the exact oracle on the
+    // body generated at each cell's payload.
     let nic = clara_core::profiles::netronome_agilio_cx40();
     let wd = Watchdog::new();
-    let wl = WorkloadProfile { flows: 128, ..WorkloadProfile::paper_default() };
-    let body = TraceBody::generate(&wl, 600, 42);
+    let wl = |payload: usize| WorkloadProfile {
+        flows: 128,
+        avg_payload: payload as f64,
+        max_payload: payload,
+        ..WorkloadProfile::paper_default()
+    };
+    let body = TraceBody::generate(&wl(300), 600, 42);
     // The second rate overflows the shrunken ingress queue of the last
-    // fault plan, so its replay falls back to a full run, which leaves
-    // its own memory-model state behind for the replays after it.
+    // fault plan, so its replays fall back to full runs, which leave
+    // their own memory-model state behind for the replays after them.
     let rates = [20_000.0, 5_000_000.0, 80_000.0, 600_000.0];
+    let cells: Vec<(usize, f64)> =
+        rates.iter().flat_map(|&r| [300, 64, 1400].map(|p| (p, r))).collect();
     let mut replayed = 0;
     let mut scratch = SimScratch::new();
     for prog in corpus() {
@@ -168,7 +179,7 @@ fn every_rate_of_a_shared_body_is_the_same_simulator() {
                 &nic,
                 &prog,
                 &body,
-                &rates,
+                &cells,
                 faults,
                 &wd,
                 &SimConfig::default(),
@@ -176,13 +187,14 @@ fn every_rate_of_a_shared_body_is_the_same_simulator() {
                 true,
                 |run| {
                     let result = run.result.map(|r| (r, run.latencies.to_vec()));
-                    runs.push((run.rate_pps, result, run.stats));
+                    runs.push((run.payload, run.rate_pps, result, run.stats));
                 },
             );
-            assert_eq!(runs.len(), rates.len());
-            for (rate, got, stats) in runs {
-                let label = format!("{} fault#{fi} rate {rate}", prog.name);
-                let trace: Trace = body.stream(rate).collect();
+            assert_eq!(runs.len(), cells.len());
+            for (payload, rate, got, stats) in runs {
+                let label = format!("{} fault#{fi} payload {payload} rate {rate}", prog.name);
+                let trace: Trace =
+                    TraceBody::generate(&wl(payload), 600, 42).stream(rate).collect();
                 let exact = run(&nic, &prog, &trace, faults, &wd, &SimConfig::exact(), None)
                     .unwrap_or_else(|e| panic!("{label}: exact path failed: {e}"));
                 let got = got.unwrap_or_else(|e| panic!("{label}: failed: {e}"));
@@ -193,5 +205,5 @@ fn every_rate_of_a_shared_body_is_the_same_simulator() {
             }
         }
     }
-    assert!(replayed > 0, "no rate of any corpus program was replayed");
+    assert!(replayed > 0, "no cell of any corpus program was replayed");
 }
