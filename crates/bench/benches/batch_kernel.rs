@@ -1,8 +1,8 @@
-//! Criterion benchmarks of the batched stage-cost kernel: the same
-//! 64-cell DPI simulation grid the `pipeline_bench` emitter times,
-//! measured per configuration so the speedup decomposes — exact
-//! per-packet costing, the batched struct-of-arrays kernel, and the
-//! batched kernel fed by rate-independent trace bodies. Every
+//! Criterion benchmarks of planned stage costs: the same 64-cell DPI
+//! simulation grid the `pipeline_bench` emitter times, measured per
+//! configuration so the speedup decomposes — exact per-packet costing,
+//! the pure stage plan (one price per unit group and payload length),
+//! and the pure plan fed by rate-independent trace bodies. Every
 //! variant is bit-identical to exact (pinned by the identity corpus and
 //! property tests); only the time differs.
 

@@ -20,8 +20,9 @@
 //!    allocations, exact per-packet stage costs. Optimized is the
 //!    streamed + batched + scratch-reusing path, checked bit-identical
 //!    to exact on every cell (emitted as `BENCH_nicsim.json`).
-//! 4. **`rates`** (in `BENCH_nicsim.json`) — nat (scalar loop) and hh
-//!    (whole-run batch kernel) over the validation grid on one thread:
+//! 4. **`rates`** (in `BENCH_nicsim.json`) — nat (every stage priced per
+//!    packet) and hh (every stage on the pure plan) over the validation
+//!    grid on one thread:
 //!    every cell streamed through the exact oracle vs one generated body
 //!    and one `simulate_rates` call per family, which runs one cell in
 //!    full and replays (or hands out again) the others from its recorded
@@ -362,23 +363,24 @@ fn main() {
     }
     assert!(tele_identical, "instrumented simulation diverged from the uninstrumented path");
     assert!(tele_conserved, "telemetry counters failed packet conservation");
-    // Silent-fallback guard: the batched stage-cost kernel must have
-    // actually costed packets, or `optimized_ms` is measuring the
-    // scalar path while claiming the batched one.
+    // Silent-fallback guard: the pure stage plan must have actually
+    // costed packets, or `optimized_ms` is measuring the per-packet path
+    // while claiming the planned one.
     let batch_used = batch_packets > 0;
-    assert!(batch_used, "batched stage-cost kernel was never used (batch_packets=0)");
+    assert!(batch_used, "the pure stage plan was never used (batch_packets=0)");
     eprintln!(
         "  instrumented {sim_tele_ms:.0} ms, bit-identical to uninstrumented: yes, conserved: yes"
     );
 
     // --- 3b. partial batching: mixed pure/live program -------------------
-    // The full-batch kernel refuses any program with a live stage; the
-    // partial kernel splits the run instead: Fixed/PayloadPure stages go
-    // through the column kernel, the flow-cache stage replays only its
-    // hit/miss branch per packet. This program is the shape every
-    // history-coupled NF has — pure parse + pure payload scan + one
-    // flow-cache-fronted table — and the whole-run fallback would
-    // re-pay the O(payload) scan per packet.
+    // A program with a live stage is planned stage by stage: its
+    // Fixed/PayloadPure stages are priced once per class, every other
+    // stage per packet. This program is the shape every history-coupled
+    // NF has — pure parse + pure payload scan + one flow-cache-fronted
+    // table. Its `flow` table sits in EMEM, which is cached under this
+    // bench's fault plan, so `bind` is priced per packet (`Scalar`) and
+    // only `parse` and `scan` per class; pricing every stage per packet
+    // would re-pay the O(payload) scan for each packet.
     use clara_core::sim::{MicroOp, NicProgram, Stage, StageUnit, TableCfg};
     let partial_program = NicProgram {
         name: "dpi-fc-mixed".into(),
@@ -442,9 +444,9 @@ fn main() {
     let partial_speedup = partial_base_ms / partial_fast_ms;
 
     // Fidelity + engagement: every cell bit-identical to exact, and the
-    // partial kernel (not the scalar fallback) must have costed the
-    // packets — `batch_partial_packets` is disjoint from `batch_packets`
-    // by construction, so nonzero means the split actually ran.
+    // mixed plan (not the per-packet path) must have costed the packets
+    // — `batch_partial_packets` is disjoint from `batch_packets` by
+    // construction, so nonzero means the split actually ran.
     let mut partial_identical = true;
     let mut batch_partial_runs = 0u64;
     let mut batch_partial_packets = 0u64;
@@ -480,7 +482,7 @@ fn main() {
     assert!(partial_identical, "partial-batched simulation diverged from the exact path");
     assert!(
         batch_partial_runs > 0,
-        "partial kernel never engaged on a mixed program (batch_partial_runs=0)"
+        "the mixed plan never engaged on a mixed program (batch_partial_runs=0)"
     );
     eprintln!(
         "  baseline(exact) {partial_base_ms:.0} ms  optimized {partial_fast_ms:.0} ms  \
@@ -494,8 +496,8 @@ fn main() {
     // cells of one flow sequence: every rate and, since neither program
     // reads the payload through a cache, every payload), which runs one
     // cell in full and replays or hands out the others. nat is one Live
-    // all-NPU stage, recorded by the scalar loop; hh is all pure,
-    // recorded by the whole-run batch kernel. One thread.
+    // all-NPU stage, priced per packet as it records; hh is all pure,
+    // recorded on its pure plan. One thread.
     let rates_grid = validation_grid(per_axis);
     let rates_packets = ValidationConfig::default().packets;
     let mut rates_sections = Vec::new();
@@ -641,9 +643,9 @@ fn main() {
       "identical_to_exact": {identical}
     }}"#,
             program = if name == "nat" {
-                "one Live NPU stage, flow cache over EMEM (scalar loop records)"
+                "one Live NPU stage, flow cache over EMEM (priced per packet as it records)"
             } else {
-                "one pure NPU stage over IMEM (whole-run batch kernel records)"
+                "one pure NPU stage over IMEM (pure plan records)"
             },
             families = families.len(),
         ));

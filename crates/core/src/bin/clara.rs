@@ -876,10 +876,11 @@ fn profile(args: &[String]) -> Result<(), CliError> {
     let faults = FaultPlan::none();
     let watchdog = Watchdog::new();
     let mut scratch = SimScratch::new();
-    // A packet timeline needs the per-packet scalar replay, which
-    // disables the batched stage-cost kernel — only pay that when the
-    // user actually asked for a `--trace` export. A default profile run
-    // exercises (and reports, via `batch=`) the batched path.
+    // A packet timeline leaves every stage unplanned, priced per packet
+    // through the exact stage costs — only pay that when the user
+    // actually asked for a `--trace` export. A default profile run
+    // exercises the planned path and reports it on its `batch kernel:`
+    // line.
     let mut instr = if flag_value(args, "--trace").is_some() {
         SimInstruments::with_timeline(trace_packets)
     } else {

@@ -65,7 +65,7 @@ pub fn by_name(name: &str) -> Option<(String, NicProgram)> {
         "nat" => (nat::source(), nat::ported()),
         "dpi" => (dpi::source(65_536), dpi::ported(65_536, "emem")),
         // The automaton in uncached IMEM: every stage is signature-pure,
-        // so this variant exercises the batched stage-cost kernel.
+        // so this variant exercises the simulator's pure stage plan.
         "dpi-imem" => (dpi::source(65_536), dpi::ported(65_536, "imem")),
         "firewall" | "fw" => (firewall::source(65_536), firewall::ported(65_536, "emem")),
         "lpm" => (lpm::source(10_000), lpm::ported_flow_cache(10_000)),

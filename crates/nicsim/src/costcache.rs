@@ -1,6 +1,6 @@
 //! Shared, concurrency-safe stage-cost caches.
 //!
-//! The batch kernels cost each (unit group, payload length) class once
+//! A planned run prices each (unit group, payload length) class once
 //! per run, in a class table the next run clears: without sharing, every
 //! sweep cell, every validate worker, and every `clara serve` request
 //! re-pays the expensive classes (a 1400-byte DFA payload walk is ~1400
@@ -19,7 +19,7 @@
 //!   same `(NF, NIC, faults)`. The encoding is binary (`u64` tokens in
 //!   a fixed traversal order, length-prefixed), not a formatted string:
 //!   fingerprints are built once per run on the sweep hot path, and
-//!   `fmt` machinery there costs more than the whole batched kernel.
+//!   `fmt` machinery there costs more than pricing the run's classes.
 //! - Each fingerprint interns one [`CostView`]: sharded read-mostly
 //!   maps from hash-consed signatures (`stage` and `unit` packed into
 //!   one word, payload length alongside) to the cost the exact scalar
@@ -33,7 +33,7 @@
 //! Nothing here weakens the fidelity contract. The shared path only
 //! *replays* costs that the exact `stage_cost` produced under the same
 //! fingerprint. Without a cache, each run's class table is its only
-//! reuse, and [`crate::SimConfig::exact`] (the scalar loop) reads
+//! reuse, and [`crate::SimConfig::exact`] (which plans nothing) reads
 //! neither.
 
 use std::collections::HashMap;
@@ -49,7 +49,7 @@ const SHARDS: usize = 8;
 /// One fingerprint's cost tables.
 ///
 /// Obtained from `CostCache::view`; the engine resolves a view once
-/// per batched run, and the kernels consult it when a class first
+/// per planned run, and the run consults it when a class first
 /// appears.
 pub struct CostView {
     shards: Vec<RwLock<ViewShard>>,
@@ -165,8 +165,8 @@ impl CostCache {
         }
     }
 
-    /// Shared-layer hits since creation: class stage costs a batch
-    /// kernel found here instead of computing. A run resolves each class
+    /// Shared-layer hits since creation: class stage costs a planned
+    /// run found here instead of computing. A run resolves each class
     /// once, so this measures *cross-run* reuse.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

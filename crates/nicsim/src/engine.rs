@@ -9,6 +9,7 @@
 //! and packet rate all shape the measured latencies, exactly the factors
 //! §2.1 lists as making offloaded performance hard to predict.
 
+use crate::batch::StagePlan;
 use crate::costcache::CostCache;
 use crate::fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 use crate::memory::{Cache, MemorySim};
@@ -151,18 +152,13 @@ pub(crate) struct AccelRt {
 /// the default is the fast path, and the exact oracle is one call away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Cost signature-pure stages through the batch kernels (the `batch`
-    /// module): once per (cost-equivalent unit, payload length) class
-    /// over column arenas instead of once per packet. Two gates are
-    /// checked before any kernel runs and send the run to the scalar
-    /// loop: every stage is Live, or a stage timeline is recorded. The
-    /// cache-thrash fault is no gate: a pure stage touches no cached
-    /// region, so a flush cannot change its cost, and the partial kernel
-    /// flushes inline for its Live stages. Once running, the whole-run
-    /// kernel refuses only a saturation-risk class or a finish time at or
-    /// past `SAFE_CYCLES`, and the engine then replays the scalar loop;
-    /// the partial kernel never refuses. Results are bit-identical to
-    /// [`SimConfig::exact`] either way.
+    /// Plan each stage once per run (the `batch` module): a
+    /// signature-pure stage is priced once per (cost-equivalent unit
+    /// group, payload length) class, and every other stage runs per
+    /// packet. A run is planned only when it has a pure stage and
+    /// records no stage timeline; either way it takes the one
+    /// per-packet loop, and results are bit-identical to
+    /// [`SimConfig::exact`].
     pub batch: bool,
 }
 
@@ -173,8 +169,9 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The exact oracle: the scalar loop, every stage cost recomputed
-    /// for every packet. Every fast path is checked against it.
+    /// The exact oracle: no stage planned, every stage of every packet
+    /// priced through `stage_cost`. Every fast path is checked against
+    /// it.
     pub fn exact() -> Self {
         SimConfig { batch: false }
     }
@@ -185,8 +182,8 @@ impl SimConfig {
 /// A sweep of N runs performs O(1) heap allocations per run instead of
 /// O(packets) or O(flows): latencies, completions, percentile scratch,
 /// per-thread state, the pending-start heap, the memory model (its
-/// caches included) and the tables' flow-cache fronts, the batch
-/// kernels' columns and class tables, and the service column
+/// caches included) and the tables' flow-cache fronts, the stage plans,
+/// class table and flow LUT, and the service column
 /// [`crate::simulate_rates`] records for a family's other cells all retain
 /// their capacity across [`simulate_streamed`] and
 /// [`crate::simulate_rates`] calls. The per-packet arenas take the
@@ -208,13 +205,12 @@ pub struct SimScratch {
     pub(crate) pending: BinaryHeap<Reverse<u64>>,
     pub(crate) threads: Vec<ThreadRt>,
     classes: Vec<StageClass>,
-    /// Ingested trace rows for the batched path (also the replay source
-    /// when the batch kernel falls back to the scalar loop).
-    rows: Vec<TracePacket>,
-    /// Column arenas and class tables for [`crate::batch`].
+    /// Stage plans, unit groups, class table and flow LUT
+    /// ([`crate::batch`]).
     pub(crate) batch: crate::batch::BatchScratch,
-    /// Stage-cost cache shared across runs by the batch kernels. `None`
-    /// (the default) leaves each run's class table as the only reuse.
+    /// Stage-cost cache shared across runs by planned runs' pure stages.
+    /// `None` (the default) leaves each run's class table as the only
+    /// reuse.
     shared_costs: Option<Arc<CostCache>>,
     /// The per-packet service column and end-of-run counters a recording
     /// run leaves for [`crate::simulate_rates`]'s replays, and its
@@ -236,7 +232,7 @@ impl SimScratch {
         &self.latencies
     }
 
-    /// Attach a shared [`CostCache`]: subsequent batched runs resolve
+    /// Attach a shared [`CostCache`]: subsequent planned runs resolve
     /// each class's pure stage costs through it (keyed by the run's
     /// post-fault fingerprint) and publish what they compute.
     /// Sharing one cache across sweep cells, fan-out workers, and serve
@@ -289,9 +285,9 @@ pub(crate) struct AccelProbe {
     inflight: VecDeque<u64>,
 }
 
-/// How a stage's cost may vary across packets, decided once per run
-/// (after fault application — e.g. disabling the EMEM cache makes its
-/// tables signature-pure).
+/// How a stage's (or one NPU op's) cost may vary across packets,
+/// decided once per run (after fault application — e.g. disabling the
+/// EMEM cache makes its tables signature-pure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum StageClass {
     /// Cost depends only on the executing unit: cost key (stage, unit).
@@ -304,70 +300,50 @@ pub(crate) enum StageClass {
     Live,
 }
 
-/// How a single NPU micro-op's cost may vary across packets — the
-/// op-granular refinement of [`StageClass`] that partial-run batching
-/// needs: a stage whose only live ops are flow-cache table accesses can
-/// have its pure ops costed per class and only the flow-cache branch
-/// replayed per packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpClass {
-    /// Cost depends only on the executing unit.
-    Fixed,
-    /// Cost additionally depends on the (truncated) payload length.
-    PayloadPure,
-    /// A table access through a flow-cache front over an *uncached*
-    /// backing region: cost is one of two per-(unit, table) constants,
-    /// decided by the flow cache's hit/miss state.
-    FlowCacheOnly,
-    /// Reads or writes shared mutable state beyond the flow cache
-    /// (a memory-level cache, an accelerator queue).
-    Live,
-}
-
 /// Classify one NPU op. This is the single source of truth the stage
-/// classifier folds over, so the partial kernel's per-op plan can never
-/// disagree with the per-stage classes.
-pub(crate) fn classify_op(op: &MicroOp, tables: &[TableRt], mem: &MemorySim) -> OpClass {
+/// classifier folds over, so a stage's plan can never disagree with its
+/// class.
+pub(crate) fn classify_op(op: &MicroOp, tables: &[TableRt], mem: &MemorySim) -> StageClass {
     match op {
         MicroOp::Compute { .. }
         | MicroOp::ParseHeader
         | MicroOp::MetadataMod { .. }
         | MicroOp::Hash { .. }
-        | MicroOp::FloatOps { .. } => OpClass::Fixed,
+        | MicroOp::FloatOps { .. } => StageClass::Fixed,
         MicroOp::TableLookup { table } | MicroOp::TableWrite { table } => {
             let t = &tables[*table];
-            if mem.has_cache(t.mem) {
-                OpClass::Live
-            } else if t.fc.is_none() {
-                OpClass::Fixed
+            if mem.has_cache(t.mem) || t.fc.is_some() {
+                StageClass::Live
             } else {
-                OpClass::FlowCacheOnly
+                StageClass::Fixed
             }
         }
         MicroOp::CounterUpdate { table } | MicroOp::LinearScan { table } => {
             if mem.has_cache(tables[*table].mem) {
-                OpClass::Live
+                StageClass::Live
             } else {
-                OpClass::Fixed
+                StageClass::Fixed
             }
         }
         // Payload streaming and software checksums read the packet's
         // residence (raw latency + bulk rate, never a cache), so they
         // are pure in (unit, payload_len). A transition table adds a
         // per-byte access, pure only if its region is uncached.
-        MicroOp::StreamPayload { table: None, .. } | MicroOp::ChecksumSw => OpClass::PayloadPure,
+        MicroOp::StreamPayload { table: None, .. } | MicroOp::ChecksumSw => {
+            StageClass::PayloadPure
+        }
         MicroOp::StreamPayload { table: Some(t), .. } => {
             if mem.has_cache(tables[*t].mem) {
-                OpClass::Live
+                StageClass::Live
             } else {
-                OpClass::PayloadPure
+                StageClass::PayloadPure
             }
         }
-        MicroOp::AccelCall { .. } => OpClass::Live,
+        MicroOp::AccelCall { .. } => StageClass::Live,
     }
 }
 
-/// Classify a stage for the batch kernels. A stage is pure only if
+/// Classify a stage for stage planning. A stage is pure only if
 /// *every* op in it is signature-pure; a single live op (flow-cache accesses
 /// included — their hit/miss state is shared) makes the whole stage
 /// live. Accesses to uncached regions cost `raw + bulk·(bytes − 64)`
@@ -377,16 +353,7 @@ fn classify_stage(stage: &Stage, tables: &[TableRt], mem: &MemorySim) -> StageCl
     if !matches!(stage.unit, StageUnit::Npu) {
         return StageClass::Live; // accelerator queues are stateful
     }
-    let mut class = StageClass::Fixed;
-    for op in &stage.ops {
-        let op_class = match classify_op(op, tables, mem) {
-            OpClass::Fixed => StageClass::Fixed,
-            OpClass::PayloadPure => StageClass::PayloadPure,
-            OpClass::FlowCacheOnly | OpClass::Live => StageClass::Live,
-        };
-        class = class.max(op_class);
-    }
-    class
+    stage.ops.iter().map(|op| classify_op(op, tables, mem)).max().unwrap_or(StageClass::Fixed)
 }
 
 /// Render every input a *pure* stage cost can read — after fault
@@ -407,7 +374,7 @@ fn classify_stage(stage: &Stage, tables: &[TableRt], mem: &MemorySim) -> StageCl
 /// in a fixed traversal order, so distinct configurations cannot
 /// produce equal streams. The binary form replaces an earlier formatted
 /// string: fingerprints are built once per run on the sweep hot path,
-/// where `fmt` machinery cost more than the batched kernel itself.
+/// where `fmt` machinery cost more than pricing a run's classes.
 fn run_fingerprint(
     nic: &Lnic,
     prog: &NicProgram,
@@ -598,17 +565,20 @@ where
     )
 }
 
-/// The engine behind every entry point. With `record`, a run of an
-/// all-NPU program under the fast configuration leaves its per-packet
-/// service column in `scratch.column` for [`crate::simulate_rates`] to
-/// replay, whichever route (scalar loop, whole-run or partial kernel)
-/// costs it; the column is marked valid only if no packet was dropped
-/// and no kernel refused the run. Results never depend on it.
+/// The engine behind every entry point: one per-packet loop for every
+/// full run. A run of the fast configuration with a pure stage and no
+/// stage timeline plans its stages ([`crate::batch::StagePlan`]); every
+/// other run prices every stage of every packet through [`stage_cost`].
+/// With `record`, a run of an all-NPU program under the fast
+/// configuration leaves its per-packet service column in
+/// `scratch.column` for [`crate::simulate_rates`] to replay; the column
+/// is marked valid only if no packet was dropped. Results never depend
+/// on it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
     nic: &Lnic,
     prog: &NicProgram,
-    mut packets: I,
+    packets: I,
     faults: &FaultPlan,
     watchdog: &Watchdog,
     config: &SimConfig,
@@ -627,8 +597,7 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
         pending,
         threads,
         classes,
-        rows,
-        batch: batch_scratch,
+        batch,
         shared_costs,
         column,
     } = scratch;
@@ -757,25 +726,19 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
     // uninstrumented path pays a single `is_some()` check per packet.
     let mut probes: Option<[AccelProbe; 4]> =
         instruments.is_some().then(<[AccelProbe; 4]>::default);
-    let (thread_island, island_threads) =
-        if instruments.is_some() { island_layout(nic, threads) } else { Default::default() };
-    let mut island_busy = vec![0u64; island_threads.len()];
+    let no_timeline = instruments.as_ref().is_none_or(|i| i.timeline.is_none());
     // Stage unit labels, precomputed only when a timeline will use them.
-    let stage_unit_labels: Vec<String> =
-        if instruments.as_ref().is_some_and(|i| i.timeline.is_some()) {
-            prog.stages
-                .iter()
-                .map(|s| match s.unit {
-                    StageUnit::Npu => "npu".to_string(),
-                    StageUnit::Accel(kind) => kind.to_string(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-    let Hubs { ingress_lat, egress_lat, ingress_capacity } = Hubs::of(nic, faults);
-    let freq = nic.freq_ghz;
+    let stage_unit_labels: Vec<String> = if no_timeline {
+        Vec::new()
+    } else {
+        prog.stages
+            .iter()
+            .map(|s| match s.unit {
+                StageUnit::Npu => "npu".to_string(),
+                StageUnit::Accel(kind) => kind.to_string(),
+            })
+            .collect()
+    };
 
     // Fault stalls are per-stage constants; resolve them once.
     let stage_stalls: Vec<u64> =
@@ -783,95 +746,18 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
 
     // Stage classes are decided once per run, after faults have been
     // applied to the memory system (a disabled EMEM cache makes its
-    // tables signature-pure). Only the batch kernels read them.
+    // tables signature-pure), and each stage is planned from its class.
     classes.clear();
     classes.extend(prog.stages.iter().map(|s| classify_stage(s, tables, mem)));
-    // Class-cost resolutions by the batch kernels: a hit was answered by
-    // the shared cache, a miss was computed (and published, when a cache
-    // is attached). They count class work, not per-packet replays.
-    let mut memo_hits = 0u64;
-    let mut memo_misses = 0u64;
-
-    latencies.clear();
-    completions.clear();
-    // Per-packet arenas are sized for the whole trace before its first
-    // packet (`TraceStream` reports its exact length) rather than grown
-    // by doubling from a small first block. glibc can hand a thread a
-    // small block that another thread's arena owns, and `realloc` grows
-    // a block inside its owner, so a doubling chain could settle in a
-    // sweep worker's arena and keep its pages resident: the process's
-    // peak RSS then depended on which thread had freed what last.
-    let expected = packets.size_hint().0;
-    latencies.reserve(expected);
-    completions.reserve(expected);
-    stage_totals.clear();
-    stage_totals.resize(prog.stages.len(), 0u64);
-    pending.clear();
-    let mut dropped = 0usize;
-    let mut accel_drops = 0usize;
-    let mut corrupt_drops = 0usize;
-    let mut truncated = 0usize;
-    let mut busy_cycles = 0u64;
-    let mut offered = 0usize;
-    let mut last_arrival = 0u64;
-    let mut fc_hits = 0u64;
-    let mut fc_misses = 0u64;
-    let pkt_limit = watchdog.packet_limit();
-    let total_limit = watchdog.total_limit();
-
-    // Batched struct-of-arrays path: when every stage is signature-pure
-    // and no stage timeline needs the scalar replay, the whole trace is
-    // ingested into column arenas and evaluated per (unit-group,
-    // payload-length) class instead of per packet. The cache-thrash fault
-    // needs no replay here: a pure stage touches no cached region, and a
-    // flush keeps the cache's hit/miss counters. A run the kernel refuses (a saturation-risk
-    // class, a finish time near `u64` saturation) falls back to the
-    // scalar loop below, replayed over the same rows.
-    let mut batch_packets = 0u64;
-    let mut partial_packets = 0u64;
     let all_pure = classes.iter().all(|c| *c != StageClass::Live);
-    let any_pure = classes.iter().any(|c| *c != StageClass::Live);
-    let no_timeline = instruments.as_ref().is_none_or(|i| i.timeline.is_none());
-    let batchable = config.batch && all_pure && no_timeline;
-    // Partial-run batching: Live stages no longer poison the whole run.
-    // Pure stages are costed once per (unit-group, payload-length) class
-    // and the genuinely history-coupled stages are replayed per packet in
-    // an exact sequential merge — so the partial kernel flushes the cache
-    // inline under the thrash fault and never needs a fallback.
-    let partially_batchable = config.batch && any_pure && !all_pure && no_timeline;
-    // Shared-service recording (`crate::rates`): every route of the fast
-    // configuration records (the scalar loop and both kernels push each
-    // completed packet's thread and service cycles), but only for a
-    // program whose stage costs cannot read the clock — every stage on an
-    // NPU (an accelerator queue's wait depends on when the packet reaches
-    // it) — and that no fault drops wholesale. The column is kept only if
-    // the run ends with no drop of any kind and no kernel refusal.
-    if record {
-        column.start(expected);
-    }
-    let mut recording = record
-        && config.batch
-        && no_timeline
-        && !offline_required
-        && prog.stages.iter().all(|s| matches!(s.unit, StageUnit::Npu));
-    enum Source<'r, I> {
-        Live(I),
-        Rows(std::slice::Iter<'r, TracePacket>),
-    }
-    impl<I: Iterator<Item = TracePacket>> Iterator for Source<'_, I> {
-        type Item = TracePacket;
-        fn next(&mut self) -> Option<TracePacket> {
-            match self {
-                Source::Live(i) => i.next(),
-                Source::Rows(r) => r.next().cloned(),
-            }
-        }
-    }
-    let source;
-    if batchable || partially_batchable {
-        // The shared cost-cache view, resolved once per batched run from
-        // the post-fault fingerprint.
-        let shared_view = shared_costs.as_ref().map(|cache| {
+    let planned =
+        config.batch && no_timeline && (all_pure || classes.iter().any(|c| *c != StageClass::Live));
+    // The shared cost-cache view, resolved once per planned run from the
+    // post-fault fingerprint.
+    let mut shared_view = None;
+    if planned {
+        batch.plan_run(nic, classes, mem, tables, threads, emem);
+        shared_view = shared_costs.as_ref().map(|cache| {
             cache.view(&run_fingerprint(
                 nic,
                 prog,
@@ -882,143 +768,64 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
                 fc_engine_cycles,
             ))
         });
-        if partially_batchable {
-            // The partial kernel replays per-packet state, so it wants
-            // the rows materialized up front. The full kernel ingests
-            // inside its own fused column pass instead.
-            rows.clear();
-            rows.reserve(expected);
-            for (idx, tp) in packets.by_ref().enumerate() {
-                // Same supervision cadence the scalar loop polls at.
-                if idx % DEADLINE_STRIDE == 0 && watchdog.expired() {
-                    return Err(SimError::TimedOut);
-                }
-                rows.push(tp);
-            }
-        }
-        let run = crate::batch::BatchRun {
-            nic,
-            prog,
-            faults,
-            watchdog,
-            rows: &mut *rows,
-            emem,
-            fc_engine_cycles,
-            offline_required,
-            ingress_lat,
-            egress_lat,
-            ingress_capacity,
-            stage_stalls: &stage_stalls,
-            freq,
-            pkt_limit,
-            total_limit,
-            classes: &classes[..],
-            shared: shared_view.as_deref(),
-            memo_hits: &mut memo_hits,
-            memo_misses: &mut memo_misses,
-            mem: &mut *mem,
-            tables: &mut *tables,
-            accels: &mut accels,
-            threads: &mut threads[..],
-            pending: &mut *pending,
-            latencies: &mut *latencies,
-            completions: &mut *completions,
-            stage_totals: &mut stage_totals[..],
-            fc_hits: &mut fc_hits,
-            fc_misses: &mut fc_misses,
-            scratch: &mut *batch_scratch,
-            thread_island: &thread_island,
-            island_busy: &mut island_busy,
-            instrumented: instruments.is_some(),
-            probes: probes.as_mut(),
-            column: recording.then_some(&mut *column),
-        };
-        let outcome = if batchable {
-            crate::batch::run_batched(run, packets)?
-        } else {
-            // The partial kernel replays per-packet state exactly, so it
-            // never refuses a run the way the full kernel can.
-            Some(crate::batch::run_partial(run)?)
-        };
-        // Fold this run's class-cost tallies into the cache-wide atomics
-        // (once per run, not per lookup — the kernels stay atomics-free).
-        if let Some(cache) = shared_costs.as_ref() {
-            cache.record(memo_hits, memo_misses);
-        }
-        match outcome {
-            Some(tally) => {
-                offered = tally.offered;
-                dropped = tally.overflow_drops;
-                accel_drops = tally.accel_drops;
-                corrupt_drops = tally.corrupt_drops;
-                recording &= dropped + accel_drops + corrupt_drops == 0;
-                truncated = tally.truncated;
-                busy_cycles = tally.busy_cycles;
-                batch_packets = tally.batch_packets;
-                partial_packets = tally.partial_packets;
-                // Outputs are already in the arenas; the scalar loop
-                // below sees an empty source and falls through.
-                source = Source::Rows(std::slice::Iter::default());
-            }
-            None => {
-                // Fallback: the kernel refused the run (a saturation-risk
-                // class, a finish time near `u64` saturation). Reset
-                // every piece of state the attempt touched and replay the
-                // exact scalar loop over the ingested rows. Rare by
-                // construction; fidelity beats speed here. The class
-                // costs the attempt resolved stay counted and published:
-                // pure costs are fingerprint-determined. What the kernel
-                // recorded stops short of the refusal: no column.
-                recording = false;
-                mem.reset(nic);
-                if faults.disable_emem_cache {
-                    if let Some(e) = emem {
-                        mem.disable_cache(e);
-                    }
-                }
-                for (t, cfg) in tables.iter_mut().zip(&prog.tables) {
-                    t.base = mem.alloc(t.mem, cfg.size_bytes() as u64);
-                }
-                for t in threads.iter_mut() {
-                    t.free_at = 0;
-                }
-                for b in island_busy.iter_mut() {
-                    *b = 0;
-                }
-                latencies.clear();
-                completions.clear();
-                for s in stage_totals.iter_mut() {
-                    *s = 0;
-                }
-                pending.clear();
-                fc_hits = 0;
-                fc_misses = 0;
-                source = Source::Rows(rows.iter());
-            }
-        }
     } else {
-        source = Source::Live(packets);
+        batch.plan_scalar(prog.stages.len());
     }
+    // Pure-stage class prices: (hits answered by the shared cache, misses
+    // computed and published when a cache is attached). They count class
+    // work, not packets.
+    let mut memo = (0u64, 0u64);
+    // Fault injection: a co-tenant wipes the EMEM cache between packets,
+    // so no working set survives. Only a `Scalar` stage can see it: a
+    // pure op touches no cached region, and a flush keeps the cache's
+    // hit/miss counters.
+    let thrash = faults.thrash_emem_cache && batch.plan.contains(&StagePlan::Scalar);
 
-    for (pkt_idx, tp) in source.enumerate() {
-        offered += 1;
-        // Wall-clock supervision is polled on a stride: cheap enough to
-        // leave on for every run, fine-grained enough that a cancelled
-        // simulation stops within ~a thousand packets.
-        if pkt_idx % DEADLINE_STRIDE == 0 && watchdog.expired() {
-            return Err(SimError::TimedOut);
-        }
-        // Arrivals from a Trace or TraceStream are already monotone; the
-        // clamp is a no-op there and makes raw iterators behave as if
-        // they had been materialized through Trace::push first.
-        let arrival = to_cycles(tp.ts_ns, freq).max(last_arrival);
-        last_arrival = arrival;
+    stage_totals.clear();
+    stage_totals.resize(prog.stages.len(), 0u64);
+    let expected = packets.size_hint().0;
+    // Shared-service recording (`crate::rates`): the fast configuration
+    // records each completed packet's thread and service cycles, but only
+    // for a program whose stage costs cannot read the clock — every stage
+    // on an NPU (an accelerator queue's wait depends on when the packet
+    // reaches it) — and that no fault drops wholesale. The column is kept
+    // only if the run ends with no drop of any kind.
+    if record {
+        column.start(expected);
+    }
+    let recording = record
+        && config.batch
+        && no_timeline
+        && !offline_required
+        && prog.stages.iter().all(|s| matches!(s.unit, StageUnit::Npu));
+    let mut queue = Queueing::new(
+        nic,
+        faults,
+        watchdog,
+        threads,
+        pending,
+        latencies,
+        completions,
+        expected,
+        instruments.is_some(),
+        recording.then_some(&mut *column),
+    );
+    let ingress_lat = queue.hubs.ingress_lat;
+    let n_threads = queue.threads.len() as u64;
+    let mut accel_drops = 0usize;
+    let mut corrupt_drops = 0usize;
+    let mut truncated = 0usize;
+    let mut fc_hits = 0u64;
+    let mut fc_misses = 0u64;
+    let pkt_limit = watchdog.packet_limit();
 
+    for (pkt_idx, tp) in packets.enumerate() {
+        let arrival = queue.arrive(pkt_idx, tp.ts_ns)?;
         // Fault injection: corrupt frames fail the ingress CRC check and
         // are discarded before queueing.
         if faults.corrupt_every > 0 && (pkt_idx as u64 + 1).is_multiple_of(faults.corrupt_every) {
             corrupt_drops += 1;
-            recording = false;
+            queue.column = None;
             continue;
         }
         // Fault injection: a packet that needs an offline engine cannot
@@ -1027,33 +834,22 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
             accel_drops += 1;
             continue;
         }
-
-        // Ingress queue: packets that arrived earlier but have not started.
-        while pending.peek().is_some_and(|&Reverse(s)| s <= arrival) {
-            pending.pop();
-        }
-        if pending.len() >= ingress_capacity {
-            dropped += 1;
-            recording = false;
+        if !queue.admit(arrival) {
             continue;
         }
 
         // RSS-style dispatch: a flow is pinned to a thread by its hash
         // (packets of one flow must not be reordered). Skewed flows
         // therefore concentrate on hot threads, as on real hardware.
-        let flow_hash = tp.spec.flow.hash64();
-        let tid = (mix(flow_hash ^ 0x5a5a) % threads.len() as u64) as usize;
-        let start = arrival.max(threads[tid].free_at);
-        // Only future starts can ever occupy the queue: arrivals are
-        // monotone, so an entry with `start <= arrival` would be drained
-        // by the pop loop above before any later capacity check could see
-        // it. Skipping the push is therefore exact, and in the unloaded
-        // case the heap stays empty entirely.
-        if start > arrival {
-            pending.push(Reverse(start));
-        }
-        let unit = threads[tid].unit;
-        let ctm = threads[tid].ctm;
+        let (flow_hash, tid) = if planned {
+            batch.flow_hash_tid(&tp.spec.flow)
+        } else {
+            let hash = tp.spec.flow.hash64();
+            (hash, crate::batch::dispatch(hash, n_threads))
+        };
+        let tid = tid as usize;
+        let start = queue.start(tid, arrival);
+        let (unit, ctm) = (queue.threads[tid].unit, queue.threads[tid].ctm);
 
         let mut payload_len = tp.spec.payload_len as u64;
         let mut wire_len = tp.spec.wire_len() as u64;
@@ -1066,38 +862,54 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
             wire_len = headers + payload_len;
         }
         let payload_seed = tp.spec.payload_seed;
-
-        // Fault injection: a co-tenant wipes the EMEM cache between
-        // packets, so no working set survives.
-        if faults.thrash_emem_cache {
+        if thrash {
             if let Some(e) = emem {
                 mem.flush_cache(e);
             }
         }
+        let parts = if planned {
+            batch.class_parts(
+                tid,
+                payload_len,
+                nic,
+                mem,
+                tables,
+                prog,
+                classes,
+                emem,
+                shared_view.as_deref(),
+                &mut memo,
+            )
+        } else {
+            0
+        };
 
         let mut cur = start.saturating_add(ingress_lat);
         let mut pkt_cycles = 0u64;
         for (si, stage) in prog.stages.iter().enumerate() {
-            let cost = stage_cost(
-                nic,
-                mem,
-                tables,
-                &mut accels,
-                stage,
-                unit,
-                ctm,
-                cur,
-                payload_len,
-                wire_len,
-                flow_hash,
-                payload_seed,
-                emem,
-                &mut fc_hits,
-                &mut fc_misses,
-                fc_engine_cycles,
-                stage_stalls[si],
-                probes.as_mut(),
-            )?;
+            let cost = match batch.plan[si] {
+                StagePlan::Pure => batch.parts[parts + si],
+                StagePlan::Scalar => stage_cost(
+                    nic,
+                    mem,
+                    tables,
+                    &mut accels,
+                    stage,
+                    unit,
+                    ctm,
+                    cur,
+                    payload_len,
+                    wire_len,
+                    flow_hash,
+                    payload_seed,
+                    emem,
+                    &mut fc_hits,
+                    &mut fc_misses,
+                    fc_engine_cycles,
+                    stage_stalls[si],
+                    probes.as_mut(),
+                )?,
+            };
             // Saturating accumulation: an adversarial stage can produce
             // costs near u64::MAX; the watchdog must see "huge", not a
             // wrapped-around small number.
@@ -1129,33 +941,10 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
             }
             cur = cur.saturating_add(cost);
         }
-        cur = cur.saturating_add(egress_lat);
-        if recording {
-            // Rate-independent: the thread is the flow's, and every
-            // stage cost read only the packet and the memory model.
-            column.tids.push(tid as u32);
-            column.service.push(pkt_cycles);
-        }
-
-        threads[tid].free_at = cur;
-        if instruments.is_some() {
-            let busy = &mut island_busy[thread_island[tid]];
-            *busy = busy.saturating_add(cur - start);
-        }
-        busy_cycles = busy_cycles.saturating_add(cur - start);
-        if busy_cycles > total_limit {
-            return Err(SimError::Watchdog {
-                packet: pkt_idx,
-                stage: "<run total>".into(),
-                cycles: busy_cycles,
-                limit: total_limit,
-            });
-        }
-        completions.push(cur);
-        latencies.push(cur - arrival);
+        queue.complete(pkt_idx, tid, arrival, start, pkt_cycles)?;
     }
 
-    if recording {
+    if let Some(column) = queue.column.take() {
         // Every packet completed: keep the end-of-run counters a replay
         // reports in place of re-running the memory model.
         column.stage_totals.clear();
@@ -1167,44 +956,247 @@ pub(crate) fn run_sim<I: Iterator<Item = TracePacket>>(
         column.truncated = truncated;
         column.valid = true;
     }
+    // Fold this run's class-price tallies into the cache-wide atomics
+    // (once per run, not per lookup).
+    if let Some(cache) = shared_costs.as_ref() {
+        cache.record(memo.0, memo.1);
+    }
 
+    let completed = queue.latencies.len() as u64;
     let tally = Tally {
-        offered,
-        dropped,
+        offered: queue.offered,
+        dropped: queue.dropped,
         accel_drops,
         corrupt_drops,
         truncated,
-        busy_cycles,
+        busy_cycles: queue.busy_cycles,
         stage_totals,
         flow_cache: (fc_hits, fc_misses),
         emem_cache: emem.and_then(|e| mem.cache_stats(e)),
         accesses: mem.access_counts(),
-        batch_packets,
-        partial_packets,
-        memo_hits,
-        memo_misses,
+        batch_packets: if planned && all_pure { completed } else { 0 },
+        partial_packets: if planned && !all_pure { completed } else { 0 },
+        memo_hits: memo.0,
+        memo_misses: memo.1,
         replayed_packets: 0,
     };
-    let observed = instruments.map(|instruments| Observation {
-        instruments,
-        probes: probes.take(),
-        island_busy: &island_busy,
-        island_threads: &island_threads,
-    });
-    Ok(finish(nic, prog, latencies, completions, select, tally, observed))
+    Ok(queue.finish(nic, prog, select, tally, instruments, probes))
+}
+
+/// The queueing step every full run ([`run_sim`]) and every rate replay
+/// (`rates::replay`) shares, packet by packet: the deadline poll and
+/// arrival clamp ([`Queueing::arrive`]), the ingress queue's drain and
+/// capacity check ([`Queueing::admit`]), the start on the packet's
+/// thread and its pending entry ([`Queueing::start`]), and the finish
+/// ([`Queueing::complete`]): the thread's `free_at`, busy cycles against
+/// the total cap, the completion and latency arenas, and a recording
+/// run's service-column push. A packet's stage costs are the caller's;
+/// this step sees only their saturating sum, its service cycles.
+pub(crate) struct Queueing<'a> {
+    freq: f64,
+    hubs: Hubs,
+    watchdog: &'a Watchdog,
+    threads: &'a mut [ThreadRt],
+    pending: &'a mut BinaryHeap<Reverse<u64>>,
+    latencies: &'a mut Vec<u64>,
+    completions: &'a mut Vec<u64>,
+    /// Where a recording run pushes each completed packet's thread and
+    /// service cycles; `None` once a packet drops.
+    column: Option<&'a mut ServiceColumn>,
+    /// Island per thread, and thread count and busy cycles per island:
+    /// kept for an instrumented run only (observation).
+    thread_island: Vec<usize>,
+    island_threads: Vec<u64>,
+    island_busy: Vec<u64>,
+    last_arrival: u64,
+    /// Packets offered so far.
+    pub(crate) offered: usize,
+    /// Packets dropped at the full ingress queue so far.
+    dropped: usize,
+    /// Summed occupancy (start to completion) of completed packets.
+    pub(crate) busy_cycles: u64,
+}
+
+impl<'a> Queueing<'a> {
+    /// The queueing of a run of `expected` packets on `nic` under `faults`
+    /// and `watchdog`: every thread idle, the ingress queue and the
+    /// per-packet arenas empty.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        nic: &Lnic,
+        faults: &FaultPlan,
+        watchdog: &'a Watchdog,
+        threads: &'a mut [ThreadRt],
+        pending: &'a mut BinaryHeap<Reverse<u64>>,
+        latencies: &'a mut Vec<u64>,
+        completions: &'a mut Vec<u64>,
+        expected: usize,
+        observe: bool,
+        column: Option<&'a mut ServiceColumn>,
+    ) -> Self {
+        for t in threads.iter_mut() {
+            t.free_at = 0;
+        }
+        pending.clear();
+        latencies.clear();
+        completions.clear();
+        // Per-packet arenas are sized for the whole trace before its first
+        // packet (`TraceStream` reports its exact length) rather than grown
+        // by doubling from a small first block. glibc can hand a thread a
+        // small block that another thread's arena owns, and `realloc` grows
+        // a block inside its owner, so a doubling chain could settle in a
+        // sweep worker's arena and keep its pages resident: the process's
+        // peak RSS then depended on which thread had freed what last.
+        latencies.reserve(expected);
+        completions.reserve(expected);
+        let (thread_island, island_threads) =
+            if observe { island_layout(nic, threads) } else { Default::default() };
+        let island_busy = vec![0; island_threads.len()];
+        Queueing {
+            freq: nic.freq_ghz,
+            hubs: Hubs::of(nic, faults),
+            watchdog,
+            threads,
+            pending,
+            latencies,
+            completions,
+            column,
+            thread_island,
+            island_threads,
+            island_busy,
+            last_arrival: 0,
+            offered: 0,
+            dropped: 0,
+            busy_cycles: 0,
+        }
+    }
+
+    /// Offer packet `pkt_idx`, stamped `ts_ns`: its arrival cycle. The
+    /// wall-clock deadline is polled on a stride, cheap enough to leave on
+    /// for every run and fine-grained enough that a cancelled simulation
+    /// stops within about a thousand packets. Arrivals from a [`Trace`] or
+    /// `TraceStream` are already monotone; the clamp to the running
+    /// maximum is a no-op there and makes raw iterators behave as if they
+    /// had been materialized through [`Trace::push`] first.
+    #[inline]
+    pub(crate) fn arrive(&mut self, pkt_idx: usize, ts_ns: u64) -> Result<u64, SimError> {
+        self.offered += 1;
+        if pkt_idx.is_multiple_of(DEADLINE_STRIDE) && self.watchdog.expired() {
+            return Err(SimError::TimedOut);
+        }
+        let arrival = to_cycles(ts_ns, self.freq).max(self.last_arrival);
+        self.last_arrival = arrival;
+        Ok(arrival)
+    }
+
+    /// Drain the packets that have started by `arrival` from the ingress
+    /// queue, and whether it has room for one arriving then. A full queue
+    /// drops the packet: counted, and a recording run stops recording.
+    #[inline]
+    pub(crate) fn admit(&mut self, arrival: u64) -> bool {
+        while self.pending.peek().is_some_and(|&Reverse(s)| s <= arrival) {
+            self.pending.pop();
+        }
+        if self.pending.len() >= self.hubs.ingress_capacity {
+            self.dropped += 1;
+            self.column = None;
+            return false;
+        }
+        true
+    }
+
+    /// Start an admitted packet on thread `tid`: when it arrives or when
+    /// the thread frees up, whichever is later. Only future starts can
+    /// ever occupy the ingress queue: arrivals are monotone, so an entry
+    /// with `start <= arrival` would be drained by the next admission
+    /// before any capacity check could see it. Skipping its push is
+    /// therefore exact, and in the unloaded case the heap stays empty.
+    #[inline]
+    pub(crate) fn start(&mut self, tid: usize, arrival: u64) -> u64 {
+        let start = arrival.max(self.threads[tid].free_at);
+        if start > arrival {
+            self.pending.push(Reverse(start));
+        }
+        start
+    }
+
+    /// Complete packet `pkt_idx` on thread `tid` after `service` cycles
+    /// of stages: at `start ⊕ ingress ⊕ service ⊕ egress` in saturating
+    /// adds, which equals the per-stage chain's finish for any costs,
+    /// since a saturating sum of non-negative terms does not depend on
+    /// grouping. Trips the watchdog when the run's busy cycles pass its
+    /// total cap.
+    #[inline]
+    pub(crate) fn complete(
+        &mut self,
+        pkt_idx: usize,
+        tid: usize,
+        arrival: u64,
+        start: u64,
+        service: u64,
+    ) -> Result<(), SimError> {
+        let Hubs { ingress_lat, egress_lat, .. } = self.hubs;
+        let cur =
+            start.saturating_add(ingress_lat).saturating_add(service).saturating_add(egress_lat);
+        if let Some(column) = self.column.as_deref_mut() {
+            // Rate-independent: the thread is the flow's, and every stage
+            // cost read only the packet and the memory model.
+            column.tids.push(tid as u32);
+            column.service.push(service);
+        }
+        self.threads[tid].free_at = cur;
+        if let Some(&island) = self.thread_island.get(tid) {
+            let busy = &mut self.island_busy[island];
+            *busy = busy.saturating_add(cur - start);
+        }
+        self.busy_cycles = self.busy_cycles.saturating_add(cur - start);
+        let limit = self.watchdog.total_limit();
+        if self.busy_cycles > limit {
+            return Err(SimError::Watchdog {
+                packet: pkt_idx,
+                stage: "<run total>".into(),
+                cycles: self.busy_cycles,
+                limit,
+            });
+        }
+        self.completions.push(cur);
+        self.latencies.push(cur - arrival);
+        Ok(())
+    }
+
+    /// End the run: the statistics pass ([`finish`]) over the arenas, and
+    /// for an instrumented run its [`SimStats`] with the accelerator
+    /// `probes` and the island occupancy this step kept.
+    pub(crate) fn finish(
+        self,
+        nic: &Lnic,
+        prog: &NicProgram,
+        select: &mut Vec<u64>,
+        tally: Tally<'_>,
+        instruments: Option<&mut SimInstruments>,
+        probes: Option<[AccelProbe; 4]>,
+    ) -> SimResult {
+        let observed = instruments.map(|instruments| Observation {
+            instruments,
+            probes,
+            island_busy: &self.island_busy,
+            island_threads: &self.island_threads,
+        });
+        finish(nic, prog, self.latencies, self.completions, select, tally, observed)
+    }
 }
 
 /// The ingress and egress hubs' latencies and the ingress queue's
 /// capacity, which a fault plan may shrink: the first hub is ingress,
 /// the second (if any) egress.
-pub(crate) struct Hubs {
-    pub(crate) ingress_lat: u64,
-    pub(crate) egress_lat: u64,
-    pub(crate) ingress_capacity: usize,
+struct Hubs {
+    ingress_lat: u64,
+    egress_lat: u64,
+    ingress_capacity: usize,
 }
 
 impl Hubs {
-    pub(crate) fn of(nic: &Lnic, faults: &FaultPlan) -> Self {
+    fn of(nic: &Lnic, faults: &FaultPlan) -> Self {
         let ingress = nic.hubs().first();
         let egress = nic.hubs().get(1).or(ingress);
         Hubs {
@@ -1225,13 +1217,13 @@ pub(crate) fn emem_region(nic: &Lnic) -> Option<MemId> {
 }
 
 /// A trace timestamp in NIC cycles.
-pub(crate) fn to_cycles(ns: u64, freq_ghz: f64) -> u64 {
+fn to_cycles(ns: u64, freq_ghz: f64) -> u64 {
     (ns as f64 * freq_ghz).round() as u64
 }
 
 /// Each thread's island and every island's thread count: the layout an
 /// instrumented run tallies busy cycles by (observation only).
-pub(crate) fn island_layout(nic: &Lnic, threads: &[ThreadRt]) -> (Vec<usize>, Vec<u64>) {
+fn island_layout(nic: &Lnic, threads: &[ThreadRt]) -> (Vec<usize>, Vec<u64>) {
     let mut thread_island = Vec::with_capacity(threads.len());
     let mut island_threads: Vec<u64> = Vec::new();
     for t in threads {
@@ -1268,20 +1260,20 @@ pub(crate) struct Tally<'a> {
 }
 
 /// What an instrumented run observed beyond its [`Tally`].
-pub(crate) struct Observation<'a> {
-    pub(crate) instruments: &'a mut SimInstruments,
-    pub(crate) probes: Option<[AccelProbe; 4]>,
-    pub(crate) island_busy: &'a [u64],
-    pub(crate) island_threads: &'a [u64],
+struct Observation<'a> {
+    instruments: &'a mut SimInstruments,
+    probes: Option<[AccelProbe; 4]>,
+    island_busy: &'a [u64],
+    island_threads: &'a [u64],
 }
 
 /// The statistics pass every run ends with, whichever route costed its
-/// packets (scalar loop, whole-run or partial kernel, rate replay): the
+/// packets (the per-packet loop or a rate replay): the
 /// mean and steady-state mean and order statistics over `latencies`
 /// (arrival order, left in the scratch), the output rate over
 /// `completions`, the per-stage means, and, when the run is
 /// instrumented, its [`SimStats`].
-pub(crate) fn finish(
+fn finish(
     nic: &Lnic,
     prog: &NicProgram,
     latencies: &[u64],
@@ -1482,29 +1474,33 @@ pub(crate) fn stage_cost(
             let mut probe = probes.map(|p| &mut p[kind as usize]);
             let mut total = 0u64;
             let mut server_free = accel.free_at;
+            // Clock values saturate, as in the NPU arm and the packet
+            // loop: with the watchdog caps disabled, a near-`u64` cost
+            // ahead of this stage pins `stage_start` at the top of the
+            // range, and a wrapped sum would read as a small one.
             for op in &stage.ops {
                 let MicroOp::AccelCall { bytes } = op else { continue };
                 let n = bytes.resolve(payload_len, wire_len);
                 // A wedged engine stalls for extra cycles on every call.
-                let service = curve.service_cycles(n as usize) + accel_stall;
-                let submit = stage_start + total;
+                let service = curve.service_cycles(n as usize).saturating_add(accel_stall);
+                let submit = stage_start.saturating_add(total);
                 let begin = submit.max(server_free);
                 let wait = begin - submit;
-                server_free = begin + service;
+                server_free = begin.saturating_add(service);
                 if let Some(p) = probe.as_deref_mut() {
                     p.calls += 1;
-                    p.busy_cycles += service;
-                    p.hol_stall_cycles += wait;
+                    p.busy_cycles = p.busy_cycles.saturating_add(service);
+                    p.hol_stall_cycles = p.hol_stall_cycles.saturating_add(wait);
                     // Queue depth at submission: earlier calls not yet
                     // drained, plus this one (the entry in service
                     // counts).
                     while p.inflight.front().is_some_and(|&t| t <= submit) {
                         p.inflight.pop_front();
                     }
-                    p.inflight.push_back(begin + service);
+                    p.inflight.push_back(server_free);
                     p.queue_highwater = p.queue_highwater.max(p.inflight.len() as u64);
                 }
-                total += wait + service;
+                total = total.saturating_add(wait).saturating_add(service);
             }
             accel.free_at = server_free;
             Ok(total)
@@ -1534,11 +1530,10 @@ pub(crate) fn stage_cost(
 }
 
 /// Cost of a single NPU micro-op — the body of [`stage_cost`]'s NPU
-/// arm, split out so the partial batch kernel can cost a Live stage's
-/// pure ops once per class while replaying only its flow-cache ops per
-/// packet. A saturating sum of these per-op costs in any association
-/// equals `min(true_sum, u64::MAX)`, i.e. exactly the scalar in-order
-/// chain.
+/// arm, split out so a planned run and a rate replay's payload rebuild
+/// can sum a stage's pure ops on their own. A saturating sum of
+/// these per-op costs in any association equals `min(true_sum,
+/// u64::MAX)`, i.e. exactly the in-order chain.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn npu_op_cost(
     nic: &Lnic,
@@ -2750,7 +2745,7 @@ mod tests {
     #[test]
     fn watchdog_trips_identically_with_memoization() {
         // The per-packet cap must see the same saturating totals on the
-        // batched path, including the stage attribution.
+        // planned path, including the stage attribution.
         let nic = nic();
         let prog = npu_stage(vec![MicroOp::StreamPayload {
             table: None,
@@ -2772,8 +2767,8 @@ mod tests {
     fn thrash_fault_keeps_pure_programs_batched() {
         // dpi-imem's one stage is pure (its automaton sits in uncached
         // IMEM), so flushing the EMEM cache before every packet can change
-        // neither a cost nor a cache counter: the whole-run kernel keeps
-        // the run and agrees with the exact oracle.
+        // neither a cost nor a cache counter: the run keeps its pure plan,
+        // flushes nothing and agrees with the exact oracle.
         let nic = nic();
         let prog = NicProgram {
             name: "dpi".into(),
@@ -2800,7 +2795,7 @@ mod tests {
         let mut instr = SimInstruments::new();
         let (fast, fast_lat) =
             run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), Some(&mut instr)).unwrap();
-        assert_eq!(instr.stats.batch_packets, t.len() as u64, "the whole run is batched");
+        assert_eq!(instr.stats.batch_packets, t.len() as u64, "the whole run is on its pure plan");
         assert_bit_identical(&fast, &exact, "dpi-imem under the thrash fault");
         assert_eq!(fast_lat, exact_lat);
     }
@@ -2810,8 +2805,8 @@ mod tests {
         // With both watchdog caps disabled, a saturating stage cost pins
         // finish times at `u64::MAX`: the hub adds and the island
         // occupancy sums must saturate rather than overflow. The default
-        // configuration reaches the same scalar loop through the whole-run
-        // kernel's refusal, so it must agree with the exact oracle.
+        // configuration keeps the run on its pure plan, and its saturating
+        // chain must agree with the exact oracle.
         let nic = nic();
         let prog = npu_stage(vec![MicroOp::StreamPayload {
             table: None,
@@ -2836,7 +2831,56 @@ mod tests {
         let (seen, _) =
             run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), Some(&mut instr)).unwrap();
         assert_bit_identical(&seen, &exact, "saturated, instrumented");
-        assert_eq!(instr.stats.batch_packets, 0, "the kernel refuses a saturating run");
+        assert_eq!(instr.stats.batch_packets, 10, "a saturating run stays on its pure plan");
+        assert!(instr.stats.conserved());
+    }
+
+    #[test]
+    fn saturated_costs_ahead_of_an_accelerator_finish_identically() {
+        // A near-quarter-`u64` NPU cost ahead of a checksum-accelerator
+        // stage, with both watchdog caps disabled: one flow keeps every
+        // packet on one thread, so within a few packets the accelerator
+        // stage starts at the top of the clock's range. Its submit,
+        // service and queue sums must saturate as the NPU arm's do.
+        let nic = nic();
+        let prog = NicProgram {
+            name: "huge-then-csum".into(),
+            tables: vec![],
+            stages: vec![
+                Stage {
+                    name: "huge".into(),
+                    unit: StageUnit::Npu,
+                    ops: vec![MicroOp::Compute { cycles: 1 << 61 }],
+                },
+                Stage {
+                    name: "csum".into(),
+                    unit: StageUnit::Accel(AccelKind::Checksum),
+                    ops: vec![MicroOp::AccelCall { bytes: BytesSpec::Frame }],
+                },
+            ],
+        };
+        let t = TraceGenerator::new(29)
+            .packets(16)
+            .flows(1)
+            .sizes(SizeDist::Fixed(300))
+            .syn_on_first(false)
+            .generate();
+        let wd = Watchdog {
+            max_cycles_per_packet: Some(u64::MAX),
+            max_total_cycles: Some(u64::MAX),
+            ..Watchdog::new()
+        };
+        let fp = FaultPlan::none();
+        let (exact, exact_lat) = run(&nic, &prog, &t, &fp, &wd, &SimConfig::exact(), None).unwrap();
+        let mut instr = SimInstruments::new();
+        let (fast, fast_lat) =
+            run(&nic, &prog, &t, &fp, &wd, &SimConfig::default(), Some(&mut instr)).unwrap();
+        assert_bit_identical(&fast, &exact, "saturated ahead of an accelerator");
+        assert_eq!(fast_lat, exact_lat);
+        assert_eq!(exact.completed, 16);
+        // The last packet finishes at the top of the clock's range.
+        let arrival = to_cycles(t.packets()[15].ts_ns, nic.freq_ghz);
+        assert_eq!(exact_lat[15], u64::MAX - arrival);
         assert!(instr.stats.conserved());
     }
 }

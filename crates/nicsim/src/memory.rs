@@ -260,8 +260,8 @@ impl MemorySim {
     }
 
     /// Accesses issued against `region` so far. Counts *computed*
-    /// accesses: the batch kernels cost each class once and replay it
-    /// without re-touching the memory model, so batched runs report
+    /// accesses: a planned run prices each class's pure stages once and
+    /// reads them back without re-touching the memory model, so it reports
     /// fewer accesses than [`crate::SimConfig::exact`] runs.
     pub fn access_count(&self, region: MemId) -> u64 {
         self.accesses[region.0]
@@ -274,8 +274,8 @@ impl MemorySim {
 
     /// Whether `region` currently has a cache in front of it. Accesses to
     /// uncached regions are history- and address-independent (raw latency
-    /// plus the bulk rate), which is what lets the batch kernels cost
-    /// them once per class.
+    /// plus the bulk rate), which is what lets a planned run price them
+    /// once per class.
     #[inline]
     pub fn has_cache(&self, region: MemId) -> bool {
         self.cached[region.0]

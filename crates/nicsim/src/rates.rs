@@ -14,8 +14,8 @@
 //! rate. Only accelerator stages read the clock (their single-server
 //! queues).
 //!
-//! Payload enters a packet's service in two ways. The ops the batch
-//! kernels call pure (Fixed and PayloadPure, see `engine::classify_op`)
+//! Payload enters a packet's service in two ways. The ops stage planning
+//! calls pure (Fixed and PayloadPure, see `engine::classify_op`)
 //! read nothing but the unit's cost-equivalence group and the effective
 //! payload length. The history-coupled ops (cached tables, the flow
 //! cache) read the memory model, and only one of them reads the payload
@@ -27,46 +27,46 @@
 //! accesses of a table-walking `StreamPayload` over an uncached region.
 //!
 //! [`simulate_rates`] therefore runs a family's first cell through the
-//! ordinary engine while every route (the scalar loop and both batch
-//! kernels) records each packet's thread and service cycles (the
-//! saturating sum of its stage costs) plus the run's end-of-run
-//! counters. Every other cell is a queueing-only replay of that column,
-//! rebuilt for the cell's payload when it differs: the arrival clamp,
-//! the pending-start heap and its ingress-capacity check, each thread's
-//! `free_at`, the hub latencies with the scalar loop's saturating adds,
-//! both watchdog limits and the deadline poll, then the engine's own
-//! statistics pass. Rates form the outer loop; a cell whose rebuilt
-//! column, stage totals and access counts equal those of the previous
-//! cell at its rate is handed that cell's result again. Wherever
-//! recording, rebuilding or replay would not be exact, that cell runs in
-//! full instead, so every cell's result is bit-identical to
-//! [`crate::simulate_streamed`] of `body.relabel(payload).stream(rate)`.
+//! engine's per-packet loop, which records each packet's thread and
+//! service cycles (the saturating sum of its stage costs, whatever the
+//! stages' plans) plus the run's end-of-run counters. Every other cell is
+//! a queueing-only replay of that column, rebuilt for the cell's payload
+//! when it differs: the engine's own queueing step (`engine::Queueing`:
+//! the deadline poll and arrival clamp, the pending-start heap and its
+//! ingress-capacity check, each thread's `free_at`, the hub latencies in
+//! saturating adds, the total cycle cap) fed the recorded service, the
+//! per-packet cycle cap, then the engine's statistics pass. Rates form
+//! the outer loop; a cell whose rebuilt column, stage totals and access
+//! counts equal those of the previous cell at its rate is handed that
+//! cell's result again. Wherever recording, rebuilding or replay would
+//! not be exact, that cell runs in full instead, so every cell's result
+//! is bit-identical to [`crate::simulate_streamed`] of
+//! `body.relabel(payload).stream(rate)`.
 //!
 //! Recording happens only when all of these hold: the run takes the fast
 //! configuration (never [`SimConfig::exact`]), every stage runs on an
 //! NPU, no stage timeline is kept, no offline engine drops packets
-//! wholesale, no kernel refuses the run, and the run ends `Ok` with no
-//! drop of any kind. A cell whose replay would drop a packet (or trip the
-//! per-packet cycle cap) runs in full, and so does one whose rebuild
-//! would start from a saturated service or stage total. A replay never
-//! reads the memory model, which a full run between two replays
-//! overwrites; it reports the recorded snapshot of stage totals,
-//! flow-cache and EMEM-cache counters, per-region access counts and
-//! truncations, rebuilt for its payload.
+//! wholesale, and the run ends `Ok` with no drop of any kind. A cell
+//! whose replay would drop a packet (or trip the per-packet cycle cap)
+//! runs in full, and so does one whose rebuild would start from a
+//! saturated service or stage total. A replay never reads the memory
+//! model, which a full run between two replays overwrites; it reports
+//! the recorded snapshot of stage totals, flow-cache and EMEM-cache
+//! counters, per-region access counts and truncations, rebuilt for its
+//! payload.
 
 use crate::batch::{group_units, pure_ops_cost};
 use crate::engine::{
-    emem_region, finish, island_layout, run_sim, to_cycles, Hubs, Observation, SimConfig, SimError,
-    SimInstruments, SimResult, SimScratch, Tally,
+    emem_region, run_sim, Queueing, SimConfig, SimError, SimInstruments, SimResult, SimScratch,
+    Tally,
 };
 use crate::fault::{FaultPlan, TRUNCATED_PAYLOAD_BYTES};
 use crate::program::{MicroOp, NicProgram, StageUnit};
-use crate::watchdog::{Watchdog, DEADLINE_STRIDE};
+use crate::watchdog::Watchdog;
 use clara_lnic::Lnic;
 use clara_packet::PacketSpec;
 use clara_telemetry::SimStats;
 use clara_workload::TraceBody;
-use std::cmp::Reverse;
 
 /// The packet kinds a rebuild prices apart within a unit group: bit 1 is
 /// set when the packet carries the family's payload
@@ -313,6 +313,7 @@ pub fn simulate_rates(
                 rebuilt,
                 instruments.as_mut(),
             )
+            .transpose()
         } else {
             None
         };
@@ -463,9 +464,9 @@ fn rebuild(
 }
 
 /// `body` at `rate_pps` from the recorded column, rebuilt for another
-/// payload by `column.rebuilds[rebuilt]` when given: the scalar loop's
-/// queueing with each packet's thread and service cycles read back.
-/// `None` when a packet would be dropped at ingress or trip the
+/// payload by `column.rebuilds[rebuilt]` when given: the engine's
+/// queueing step with each packet's thread and service cycles read back.
+/// `Ok(None)` when a packet would be dropped at ingress or trip the
 /// per-packet cycle cap, or a rebuild would start from a saturated sum;
 /// the caller then runs the cell in full, which resets every arena this
 /// attempt touched.
@@ -480,93 +481,59 @@ fn replay(
     scratch: &mut SimScratch,
     rebuilt: Option<usize>,
     instruments: Option<&mut SimInstruments>,
-) -> Option<Result<SimResult, SimError>> {
+) -> Result<Option<SimResult>, SimError> {
     let SimScratch { latencies, completions, select, pending, threads, column, .. } = scratch;
     let rebuilt = rebuilt.map(|i| &column.rebuilds[i]);
     if rebuilt.is_some_and(|r| !r.exact) {
-        return None;
+        return Ok(None);
     }
-    let Hubs { ingress_lat, egress_lat, ingress_capacity } = Hubs::of(nic, faults);
-    let (pkt_limit, total_limit) = (watchdog.packet_limit(), watchdog.total_limit());
-    let freq = nic.freq_ghz;
+    let pkt_limit = watchdog.packet_limit();
     // The recording run set the threads up for this (NIC, fault plan);
-    // only their clocks carry over from whichever run came last.
-    for t in threads.iter_mut() {
-        t.free_at = 0;
-    }
-    let observe = instruments.is_some();
-    let (thread_island, island_threads) =
-        if observe { island_layout(nic, threads) } else { Default::default() };
-    let mut island_busy = vec![0u64; island_threads.len()];
-    latencies.clear();
-    completions.clear();
-    latencies.reserve(body.len());
-    completions.reserve(body.len());
-    pending.clear();
-    let mut offered = 0usize;
-    let mut last_arrival = 0u64;
-    let mut busy_cycles = 0u64;
+    // only their clocks carry over from whichever run came last, and the
+    // queueing step idles them.
+    let mut queue = Queueing::new(
+        nic,
+        faults,
+        watchdog,
+        threads,
+        pending,
+        latencies,
+        completions,
+        body.len(),
+        instruments.is_some(),
+        None,
+    );
     for (pkt_idx, tp) in body.stream(rate_pps).enumerate() {
-        offered += 1;
-        if pkt_idx % DEADLINE_STRIDE == 0 && watchdog.expired() {
-            return Some(Err(SimError::TimedOut));
-        }
-        let arrival = to_cycles(tp.ts_ns, freq).max(last_arrival);
-        last_arrival = arrival;
-        while pending.peek().is_some_and(|&Reverse(s)| s <= arrival) {
-            pending.pop();
-        }
-        if pending.len() >= ingress_capacity {
-            return None;
+        let arrival = queue.arrive(pkt_idx, tp.ts_ns)?;
+        if !queue.admit(arrival) {
+            return Ok(None);
         }
         let tid = column.tids[pkt_idx] as usize;
-        let mut pkt_cycles = column.service[pkt_idx];
+        let mut service = column.service[pkt_idx];
         if let Some(r) = rebuilt {
             // Below saturation the recorded sum is exact, so its pure
             // part can be swapped for the one at this payload.
-            if pkt_cycles == u64::MAX {
-                return None;
+            if service == u64::MAX {
+                return Ok(None);
             }
             let (from, to) =
                 r.pure[column.slots[tid] as usize + kind_of(&tp.spec, pkt_idx, faults)];
-            pkt_cycles =
-                u64::try_from(u128::from(pkt_cycles - from) + u128::from(to)).unwrap_or(u64::MAX);
+            service =
+                u64::try_from(u128::from(service - from) + u128::from(to)).unwrap_or(u64::MAX);
         }
-        if pkt_cycles > pkt_limit {
-            return None;
+        if service > pkt_limit {
+            return Ok(None);
         }
-        let start = arrival.max(threads[tid].free_at);
-        if start > arrival {
-            pending.push(Reverse(start));
-        }
-        let cur = start
-            .saturating_add(ingress_lat)
-            .saturating_add(pkt_cycles)
-            .saturating_add(egress_lat);
-        threads[tid].free_at = cur;
-        if observe {
-            let busy = &mut island_busy[thread_island[tid]];
-            *busy = busy.saturating_add(cur - start);
-        }
-        busy_cycles = busy_cycles.saturating_add(cur - start);
-        if busy_cycles > total_limit {
-            return Some(Err(SimError::Watchdog {
-                packet: pkt_idx,
-                stage: "<run total>".into(),
-                cycles: busy_cycles,
-                limit: total_limit,
-            }));
-        }
-        completions.push(cur);
-        latencies.push(cur - arrival);
+        let start = queue.start(tid, arrival);
+        queue.complete(pkt_idx, tid, arrival, start, service)?;
     }
     let tally = Tally {
-        offered,
+        offered: queue.offered,
         dropped: 0,
         accel_drops: 0,
         corrupt_drops: 0,
         truncated: column.truncated,
-        busy_cycles,
+        busy_cycles: queue.busy_cycles,
         stage_totals: rebuilt.map_or(&column.stage_totals, |r| &r.stage_totals),
         flow_cache: column.flow_cache,
         emem_cache: column.emem_cache,
@@ -575,13 +542,8 @@ fn replay(
         partial_packets: 0,
         memo_hits: 0,
         memo_misses: 0,
-        replayed_packets: latencies.len() as u64,
+        // No packet dropped, so every one completed.
+        replayed_packets: body.len() as u64,
     };
-    let observed = instruments.map(|instruments| Observation {
-        instruments,
-        probes: None,
-        island_busy: &island_busy,
-        island_threads: &island_threads,
-    });
-    Some(Ok(finish(nic, prog, latencies, completions, select, tally, observed)))
+    Ok(Some(queue.finish(nic, prog, select, tally, instruments, None)))
 }

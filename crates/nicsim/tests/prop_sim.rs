@@ -359,15 +359,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The batched default and the exact per-packet oracle are one
+    /// The planned default and the exact per-packet oracle are one
     /// simulator: on random (program, trace, fault-plan, watchdog)
     /// quadruples both must agree bit-for-bit on every observable — the
     /// same latencies, counters and energy bits, and the same error when
-    /// a tight cycle cap trips — whether the run takes the whole-run
-    /// kernel (ingress-overflow drops and cache thrash included), the
-    /// partial kernel (Live stages), or the scalar loop (every stage
-    /// Live, or a kernel refusal). On every route the steady-state mean
-    /// is the later-half mean of the run's latencies, bit for bit.
+    /// a tight cycle cap trips — whether the run's stages are all pure
+    /// (ingress-overflow drops and cache thrash included), mixed with
+    /// flow-cache-fronted and history-coupled ones, or all `Live`. On every
+    /// route the steady-state mean is the later-half mean of the run's
+    /// latencies, bit for bit.
     #[test]
     fn batch_scalar_and_exact_agree(
         stages in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..4), 1..3),
@@ -449,10 +449,11 @@ proptest! {
     }
 }
 
-/// Counters every simulator route reports alike. A batch kernel counts
-/// its own packets and only the accesses of the classes it costed, and a
-/// replay or a handed-out result counts its packets as replayed, so those
-/// counters are compared only between runs on one route.
+/// Counters every simulator route reports alike. A planned run counts its
+/// packets in the batch counters and a pure stage's accesses only where it
+/// priced a class, and a replay or a handed-out result counts its packets
+/// as replayed, so those counters are compared only between runs on one
+/// route.
 fn route_free(s: &SimStats, batched: bool) -> SimStats {
     SimStats {
         batch_packets: 0,
@@ -478,12 +479,12 @@ proptest! {
     /// sequences at one to four payloads (repeats and 0 included) and one
     /// to five rates (some high enough to overflow a small ingress
     /// queue), random fault plans and both watchdog caps (sometimes
-    /// disabled under a cost that pushes the batch kernel into refusing
-    /// the run), every cell's result and latencies equal a fresh run of
-    /// the body generated at its payload under the exact oracle, bit for
-    /// bit, and its counters equal the oracle's under the route-free
-    /// comparison (a fresh default run's, for a program the batch
-    /// kernels take). A program shares payloads exactly when no
+    /// disabled under a cost that saturates a thread's clock, accelerator
+    /// stage or not), every cell's result and latencies equal a fresh run
+    /// of the body generated at its payload under the exact oracle, bit
+    /// for bit, and its counters equal the oracle's under the route-free
+    /// comparison (a fresh default run's, for a program with a planned
+    /// stage). A program shares payloads exactly when no
     /// history-coupled op reads them, and a drop-free cell that a
     /// recorded column can serve must have been replayed or handed out.
     #[test]
@@ -521,9 +522,6 @@ proptest! {
         ),
     ) {
         let (stages, with_accel, live, huge, scan) = program;
-        // The accelerator arm adds clock values unsaturated, so the huge
-        // cost goes to all-NPU programs only.
-        let huge = huge && !with_accel;
         let (seed, packets, flows, tcp_share, zipf_alpha) = body;
         let (disable_emem, thrash_emem, outage, corrupt_every, truncate_every, dead_threads) =
             fault_knobs;
@@ -552,8 +550,8 @@ proptest! {
         }
         if huge {
             // Near a quarter of `u64`: with both caps disabled, a few
-            // packets on one thread carry the batch kernel's finish times
-            // past its safe bound, and it hands the run to the scalar loop.
+            // packets on one thread saturate its clock, ahead of the
+            // accelerator stage when there is one.
             prog.stages[0].ops.push(MicroOp::Compute { cycles: 1 << 61 });
         }
         if with_accel {
@@ -659,9 +657,9 @@ proptest! {
                 continue;
             };
             let stats = stats.expect("an instrumented call reports counters");
-            // A batched run counts its packets in the kernel counters; one
-            // that completed none still costed classes, so it is told apart
-            // by its completions.
+            // A planned run counts its packets in the batch counters; one
+            // that completed none may still have priced classes, so it is
+            // told apart by its completions.
             let batched = r.completed == 0
                 || route_stats.batch_packets + route_stats.batch_partial_packets > 0;
             let oracle = if batched { &route_stats } else { &exact_stats };

@@ -3,13 +3,14 @@
 //! of it) allocates a small constant, however many flows its trace has,
 //! and reuse never changes a bit, whatever fault plan ran before.
 //!
-//! Allocations are counted per thread by a counting global allocator,
-//! so tests running side by side do not see each other's.
+//! Allocations, and the bytes they request, are counted per thread by a
+//! counting global allocator, so tests running side by side do not see
+//! each other's.
 
 use clara_lnic::profiles;
 use clara_nicsim::{
-    simulate_rates, simulate_streamed, FaultPlan, NicProgram, RateRun, SimConfig, SimResult,
-    SimScratch, Watchdog,
+    simulate_rates, simulate_streamed, simulate_streamed_instrumented, FaultPlan, NicProgram,
+    RateRun, SimConfig, SimInstruments, SimResult, SimScratch, Watchdog,
 };
 use clara_workload::{TraceBody, WorkloadProfile};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,27 +20,30 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one allocation of `bytes` (a reallocation counts its new size).
+fn bump(bytes: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialised thread local, which never allocates.
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialised thread locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -130,27 +134,44 @@ fn reuse_after_any_fault_plan_is_bit_identical() {
 
 #[test]
 fn a_fresh_scratch_sizes_its_packet_arenas_once() {
-    // The per-packet arenas (latencies, completions, the batch kernels'
-    // rows and columns) take the trace's length before its first packet,
-    // so a longer trace costs no extra allocation. Grown by doubling, 16×
-    // the packets made four more reallocations per arena.
+    // The per-packet arenas (latencies, completions, the order-statistic
+    // copy; 8 bytes a packet each) take the trace's length before its
+    // first packet, so a longer trace costs no extra allocation, and no
+    // run keeps a copy of its packets (a 32-byte `TracePacket` each).
+    // Grown by doubling, 16× the packets made four more reallocations
+    // per arena.
     let nic = profiles::netronome_agilio_cx40();
     let (faults, wd, cfg) = (FaultPlan::none(), Watchdog::new(), SimConfig::default());
     for name in ["nat", "firewall", "lpm", "hh"] {
         let (_, prog) = clara_nfs::by_name(name).expect("corpus NF");
-        let per_packets: Vec<u64> = [PACKETS, 16 * PACKETS]
-            .into_iter()
-            .map(|packets| {
-                let stream = WorkloadProfile::paper_default().to_trace_stream(packets, 1);
-                let mut scratch = SimScratch::new();
-                let before = ALLOCATIONS.with(Cell::get);
-                simulate_streamed(&nic, &prog, stream, &faults, &wd, &cfg, &mut scratch)
-                    .expect("corpus NF simulates");
-                ALLOCATIONS.with(Cell::get) - before
-            })
-            .collect();
-        assert_eq!(per_packets[0], per_packets[1], "{name}: allocations grow with packets");
+        let [(allocs, bytes), (allocs_16x, bytes_16x)] = [PACKETS, 16 * PACKETS].map(|packets| {
+            let stream = WorkloadProfile::paper_default().to_trace_stream(packets, 1);
+            let mut scratch = SimScratch::new();
+            let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+            simulate_streamed(&nic, &prog, stream, &faults, &wd, &cfg, &mut scratch)
+                .expect("corpus NF simulates");
+            (ALLOCATIONS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
+        });
+        assert_eq!(allocs, allocs_16x, "{name}: allocations grow with packets");
+        let per_packet = (bytes_16x - bytes) as f64 / (15 * PACKETS) as f64;
+        assert!(per_packet < 32.0, "{name}: {per_packet} bytes per added packet");
     }
+    // Every stage of hh is pure, so its run takes the pure plan.
+    let (_, hh) = clara_nfs::by_name("hh").expect("corpus NF");
+    let stream = WorkloadProfile::paper_default().to_trace_stream(PACKETS, 1);
+    let mut instr = SimInstruments::new();
+    let r = simulate_streamed_instrumented(
+        &nic,
+        &hh,
+        stream,
+        &faults,
+        &wd,
+        &cfg,
+        &mut SimScratch::new(),
+        &mut instr,
+    )
+    .expect("hh simulates");
+    assert_eq!(instr.stats.batch_packets, r.completed as u64, "hh: every packet on the pure plan");
 }
 
 #[test]

@@ -658,8 +658,9 @@ mod tests {
         }
     }
 
-    /// The counters every simulator route reports alike: a batch kernel
-    /// counts its own packets and the accesses of the classes it costed.
+    /// The counters every simulator route reports alike: a planned run
+    /// counts its own packets and a pure stage's accesses only where it
+    /// priced a class.
     fn route_free(s: &SimStats, batched: bool) -> SimStats {
         SimStats {
             batch_packets: 0,
@@ -691,7 +692,7 @@ mod tests {
             let fast = run_validation_sweep(&module, &params, &nic, &program, &grid, &cfg);
             let exact_cfg = ValidationConfig { sim: SimConfig::exact(), ..cfg };
             let exact = run_validation_sweep(&module, &params, &nic, &program, &grid, &exact_cfg);
-            // A replayed cell reports no kernel counters, so a program's
+            // A replayed cell reports no batch counters, so a program's
             // route is read off the cells it ran in full.
             let batched = fast.cells.iter().any(|c| {
                 let ValidationResult::Ok(c) = c else { return false };

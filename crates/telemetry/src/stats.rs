@@ -92,11 +92,11 @@ impl IslandStats {
 
 /// Access count of one memory level.
 ///
-/// Counts *computed* accesses: the simulator's batch kernels cost each
-/// class of packets once and replay that cost without re-touching the
-/// memory model, so batched runs legitimately report fewer accesses
-/// than exact runs. EMEM *cache* statistics are exact in both modes
-/// (cached regions are always simulated live).
+/// Counts *computed* accesses: a planned simulator run prices each
+/// class of packets' pure stages once and reads the price back without
+/// re-touching the memory model, so planned runs legitimately report
+/// fewer accesses than exact runs. EMEM *cache* statistics are exact in
+/// both modes (cached regions are always simulated live).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemLevelStats {
     /// Region name (`lmem`, `ctm0`, `imem`, `emem`, ...).
@@ -140,13 +140,15 @@ pub struct SimStats {
     /// that observed the watchdog error; a tripped run reports no other
     /// counters).
     pub watchdog_trips: u64,
-    /// Packets whose costs came from the batched struct-of-arrays
-    /// kernel (equals `completed` when the batch path ran, 0 when the
-    /// scalar loop did — a silent fallback is visible here).
+    /// Packets of a run whose every stage is pure, priced once per
+    /// (unit group, payload length) class (`clara-nicsim`'s stage plans;
+    /// equals `completed` when the run was planned, 0 when the exact
+    /// path or a stage timeline priced every stage per packet — a lost
+    /// plan is visible here).
     pub batch_packets: u64,
-    /// Packets completed by the partial-run batch kernel (Live stages
-    /// present; pure stages columnized, live ones replayed). Disjoint
-    /// from `batch_packets` — a run takes one kernel or the other.
+    /// Packets of a planned run with some stage not pure: its pure stages
+    /// priced per class, the rest priced per packet. Disjoint from
+    /// `batch_packets` — a planned run counts in one or the other.
     pub batch_partial_packets: u64,
     /// Packets not simulated in full: a cell of a family that
     /// `clara-nicsim`'s `simulate_rates` replayed from a recorded service
@@ -154,12 +156,13 @@ pub struct SimStats {
     /// `completed` for such a cell, 0 on every other path). Disjoint from
     /// both batch counters.
     pub replayed_packets: u64,
-    /// Class stage costs the batch kernels resolved from a shared
+    /// Pure class stage costs a planned run resolved from a shared
     /// cross-run cost cache (`clara-nicsim`'s `CostCache`) without
-    /// recomputation. Zero when no cache is attached or no kernel ran.
+    /// recomputation. Zero when no cache is attached or the run was not
+    /// planned.
     pub memo_hits: u64,
-    /// Class stage costs the batch kernels had to compute by the exact
-    /// path this run (then published when a shared cache was attached).
+    /// Pure class stage costs a planned run had to compute this run (then
+    /// published when a shared cache was attached).
     pub memo_misses: u64,
     /// Per-island thread occupancy.
     pub islands: Vec<IslandStats>,
@@ -185,9 +188,9 @@ impl SimStats {
     }
 
     /// Packet conservation: every injected packet either completed or
-    /// is accounted to exactly one drop cause, and the batch kernels and
-    /// replays never claim more packets than actually completed (each
-    /// covers whole runs, and a run takes at most one of them).
+    /// is accounted to exactly one drop cause, and the planned-run and
+    /// replay counters never claim more packets than actually completed
+    /// (each covers whole runs, and a run counts in at most one of them).
     pub fn conserved(&self) -> bool {
         self.injected == self.completed + self.dropped_total()
             && self.batch_packets + self.batch_partial_packets + self.replayed_packets
@@ -316,8 +319,8 @@ mod tests {
             ..SimStats::default()
         };
         assert!(a.conserved());
-        // Full and partial kernels are disjoint: together they can never
-        // claim more packets than completed.
+        // The all-pure and mixed plan counters are disjoint: together
+        // they can never claim more packets than completed.
         let double = SimStats { batch_packets: 1, ..a.clone() };
         assert!(!double.conserved());
         let b = SimStats {

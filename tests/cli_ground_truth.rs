@@ -4,9 +4,9 @@
 //! commands simulate the same trace, so the profile's `vs simulated`
 //! figure is the validate cell's `actual_cycles` and its `rel. error` is
 //! the `err` column, character for character, with `--packets` given and
-//! without it (both commands default to one packet count). firewall runs
-//! on the scalar loop; CI pins the whole-run batch kernel the same way
-//! with dpi-imem.
+//! without it (both commands default to one packet count). firewall's
+//! stages are all priced per packet; CI pins the pure stage plan the
+//! same way with dpi-imem.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -24,9 +24,9 @@ use clara_workload::TraceBody;
 
 fn corpus() -> Vec<NicProgram> {
     vec![
-        // Signature-pure: the whole run goes through the batched kernel.
+        // Signature-pure: every stage on the pure plan.
         nfs::dpi::ported(65_536, "imem"),
-        // Live EMEM cache: classified unbatchable, scalar loop all the way.
+        // Live EMEM cache: no pure stage, so every stage priced per packet.
         nfs::dpi::ported(65_536, "emem"),
         // Flow-cache accelerator: live queues, unbatchable.
         nfs::nat::ported(),
