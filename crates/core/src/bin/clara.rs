@@ -15,11 +15,12 @@
 //! failed — the sweep itself completes and reports either way.
 
 use clara_core::{
-    exit_codes, json_escape, predict_with_sink, run_sweep_supervised, run_validation_sweep,
+    exit_codes, predict_with_sink, run_sweep_supervised, run_validation_sweep,
     CellOutcome, CellResult, Clara, ClaraError, PredictOptions, RunClass, Sink, SolveStats,
     SupervisorConfig, SweepScenario, TelemetryReport, ValidationConfig, ValidationResult,
     WorkloadProfile,
 };
+use clara_core::serve::json::{ObjBuilder, Value};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -660,58 +661,44 @@ fn validation_json(
     config: &ValidationConfig,
     sweep: &clara_core::ValidationSweep,
 ) -> String {
-    let mut cells = String::new();
-    for (i, cell) in sweep.cells.iter().enumerate() {
-        if i > 0 {
-            cells.push_str(",\n");
+    let cells = sweep.cells.iter().map(|cell| match cell {
+        ValidationResult::Ok(c) => ObjBuilder::new()
+            .str("status", "ok")
+            .num("rate_pps", c.rate_pps)
+            .num("payload", c.avg_payload)
+            .uint("flows", c.flows as u64)
+            .num("predicted_cycles", c.predicted_cycles)
+            .num("actual_cycles", c.actual_cycles)
+            .num("rel_error", c.rel_error())
+            .str("quality", &c.quality)
+            .uint("completed", c.completed as u64)
+            .build(),
+        ValidationResult::Failed(e) => {
+            ObjBuilder::new().str("status", "failed").str("error", e).build()
         }
-        match cell {
-            ValidationResult::Ok(c) => cells.push_str(&format!(
-                "    {{\"status\": \"ok\", \"rate_pps\": {}, \"payload\": {}, \"flows\": {}, \
-                 \"predicted_cycles\": {:.3}, \"actual_cycles\": {:.3}, \"rel_error\": {:.6}, \
-                 \"quality\": \"{}\", \"completed\": {}}}",
-                c.rate_pps,
-                c.avg_payload,
-                c.flows,
-                c.predicted_cycles,
-                c.actual_cycles,
-                c.rel_error(),
-                json_escape(&c.quality),
-                c.completed,
-            )),
-            ValidationResult::Failed(e) => cells.push_str(&format!(
-                "    {{\"status\": \"failed\", \"error\": \"{}\"}}",
-                json_escape(e)
-            )),
-        }
-    }
-    let opt = |v: Option<f64>| match v {
-        Some(e) => format!("{e:.6}"),
-        None => "null".into(),
-    };
+    });
+    let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Num);
     let s = sweep.error_summary();
-    let summary = format!(
-        "{{\"ok_cells\": {}, \"failed_cells\": {}, \"rel_error\": {{\"mean\": {}, \
-         \"p50\": {}, \"p95\": {}, \"max\": {}}}}}",
-        s.ok_cells,
-        s.failed_cells,
-        opt(s.mean),
-        opt(s.p50),
-        opt(s.p95),
-        opt(s.max),
-    );
-    format!(
-        "{{\n  \"nf\": \"{}\",\n  \"nic\": \"{}\",\n  \"packets_per_cell\": {},\n  \
-         \"seed\": {},\n  \"sim_path\": \"{}\",\n  \"mean_abs_rel_error\": {},\n  \
-         \"summary\": {summary},\n  \
-         \"cells\": [\n{cells}\n  ]\n}}\n",
-        json_escape(nf),
-        json_escape(nic),
-        config.packets,
-        config.seed,
-        if config.sim.batch { "batched" } else { "exact" },
-        opt(sweep.mean_error()),
-    )
+    let rel_error = ObjBuilder::new()
+        .put("mean", opt(s.mean))
+        .put("p50", opt(s.p50))
+        .put("p95", opt(s.p95))
+        .put("max", opt(s.max));
+    let summary = ObjBuilder::new()
+        .uint("ok_cells", s.ok_cells as u64)
+        .uint("failed_cells", s.failed_cells as u64)
+        .put("rel_error", rel_error.build());
+    ObjBuilder::new()
+        .str("nf", nf)
+        .str("nic", nic)
+        .uint("packets_per_cell", config.packets as u64)
+        .uint("seed", config.seed)
+        .str("sim_path", if config.sim.batch { "batched" } else { "exact" })
+        .put("mean_abs_rel_error", opt(sweep.mean_error()))
+        .put("summary", summary.build())
+        .put("cells", Value::Arr(cells.collect()))
+        .build()
+        .to_json_pretty()
 }
 
 fn validate(args: &[String]) -> Result<(), CliError> {
@@ -1115,9 +1102,7 @@ fn fmt_us(us: u64) -> String {
 /// One dashboard frame from a `stats` reply (and, when available, an
 /// `events` reply). Pure string building so it is unit-testable without
 /// a daemon.
-fn render_top(addr: &str, stats: &clara_core::serve::json::Value, events: Option<&clara_core::serve::json::Value>) -> String {
-    use clara_core::serve::json::Value;
-
+fn render_top(addr: &str, stats: &Value, events: Option<&Value>) -> String {
     let u = |key: &str| stats.get(key).and_then(Value::as_u64).unwrap_or(0);
     let rate = |key: &str| -> f64 {
         stats

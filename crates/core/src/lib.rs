@@ -52,7 +52,7 @@ pub use clara_lnic::{AccelKind, Lnic};
 pub use clara_map::{Mapping, MappingQuality, RunDeadline, SolveBudget, SolverConfig, UnitChoice};
 pub use clara_microbench::{extract_parameters, NicParameters};
 pub use clara_predict::{
-    json_escape, predict_partial, predict_sliced, predict_with_sink, run_sweep,
+    predict_partial, predict_sliced, predict_with_sink, run_sweep,
     run_sweep_supervised, run_validation_sweep, validation_grid, CellOutcome, CellReport,
     CellResult, CellSummary, Checkpoint, ClassPrediction, ErrorSummary, HostParams, PartialPlan,
     PredictOptions, Prediction, RunClass, RunReport, SliceSpec, Sink, SimStats, SolveStats,

@@ -2,27 +2,34 @@
 //! hash, persisted as JSON so an interrupted sweep can resume without
 //! re-solving finished cells.
 //!
-//! The format is deliberately tiny and hand-rolled (the workspace takes
-//! no serde dependency): a versioned header and one flat JSON object per
-//! cell, one per line. Writing is atomic (temp file + rename), and the
-//! reader is a *salvaging* scanner — a checkpoint truncated mid-write by
-//! a crash or Ctrl-C yields every complete cell it contains, and
-//! unparseable garbage degrades to an empty checkpoint rather than an
-//! error. Losing checkpoint state can only cost re-computation, never
-//! correctness, so the reader prefers salvage over strictness.
+//! The file is one JSON document written through the workspace codec
+//! (`clara_telemetry::json`): a header line, then one compact cell
+//! object per line, then a closing line. Writing is atomic (temp file +
+//! rename), and the reader *salvages*: it parses the file line by line
+//! and keeps every line that is a complete cell, so a checkpoint clipped
+//! mid-write by a crash or Ctrl-C yields every complete cell it
+//! contains, and unparseable garbage degrades to an empty checkpoint
+//! rather than an error. Losing checkpoint state can only cost
+//! re-computation, never correctness, so the reader prefers salvage
+//! over strictness.
+//!
+//! A finite float is a JSON number written as `{:?}`, so it reads back
+//! bit for bit. JSON has no NaN or Infinity, so a non-finite float (the
+//! infinite throughput of a cell with no offered load) is the string
+//! `"inf"`, `"-inf"` or `"NaN"`, and reads back as the same value.
 
 use crate::predictor::Prediction;
 use crate::sweep::SweepScenario;
-use clara_telemetry::json_escape;
+use clara_telemetry::json::{self, ObjBuilder, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-/// Format version written to (and required in spirit from) the header.
-/// Unknown versions still parse — cells a future format renames simply
-/// fail the per-cell field check and are dropped.
-const VERSION: u32 = 1;
+/// The first line of a checkpoint file, which carries the format
+/// version; cell lines follow, then [`TAIL`].
+const HEAD: &str = r#"{"version":1,"cells":["#;
+/// The last line of a checkpoint file.
+const TAIL: &str = "]}";
 
 /// The checkpointed numbers of one completed cell: enough to print the
 /// sweep table without re-solving, keyed by [`scenario_hash`].
@@ -62,6 +69,51 @@ impl CellSummary {
             quality: p.mapping.quality.to_string(),
         }
     }
+
+    /// The cell as one JSON object (the hash in 16 hex digits).
+    fn to_value(&self) -> Value {
+        ObjBuilder::new()
+            .str("hash", &format!("{:016x}", self.hash))
+            .str("label", &self.label)
+            .put("avg_latency_cycles", float_value(self.avg_latency_cycles))
+            .put("avg_latency_ns", float_value(self.avg_latency_ns))
+            .put("throughput_pps", float_value(self.throughput_pps))
+            .put("energy_nj_per_packet", float_value(self.energy_nj_per_packet))
+            .str("bottleneck", &self.bottleneck)
+            .str("quality", &self.quality)
+            .build()
+    }
+
+    /// Read a cell object; `None` when any field is missing or malformed.
+    fn from_value(v: &Value) -> Option<CellSummary> {
+        let text = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
+        let float = |key: &str| v.get(key).and_then(read_float);
+        Some(CellSummary {
+            hash: u64::from_str_radix(&text("hash")?, 16).ok()?,
+            label: text("label")?,
+            avg_latency_cycles: float("avg_latency_cycles")?,
+            avg_latency_ns: float("avg_latency_ns")?,
+            throughput_pps: float("throughput_pps")?,
+            energy_nj_per_packet: float("energy_nj_per_packet")?,
+            bottleneck: text("bottleneck")?,
+            quality: text("quality")?,
+        })
+    }
+}
+
+/// A finite float as a JSON number; a non-finite one as its name.
+fn float_value(x: f64) -> Value {
+    if x.is_finite() {
+        Value::Num(x)
+    } else {
+        Value::Str(x.to_string())
+    }
+}
+
+/// The inverse of [`float_value`]: a number, or `"inf"`, `"-inf"` or
+/// `"NaN"`.
+fn read_float(v: &Value) -> Option<f64> {
+    v.as_f64().or_else(|| v.as_str()?.parse().ok().filter(|x: &f64| !x.is_finite()))
 }
 
 /// A set of completed cells keyed by scenario hash.
@@ -125,140 +177,37 @@ impl Checkpoint {
             .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
     }
 
-    /// The JSON form: a header line, then one cell object per line. The
-    /// one-object-per-line layout is what makes truncation salvage
-    /// effective: a partial write clips at most the last line.
+    /// The JSON form: a header line, one compact cell object per line,
+    /// then a closing line. The one-object-per-line layout is what makes
+    /// truncation salvage effective: a partial write clips at most the
+    /// last line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"version\":{VERSION},\"cells\":[");
+        let mut out = String::from(HEAD);
         for (i, cell) in self.cells.values().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "{{\"hash\":\"{:016x}\",\"label\":\"{}\",\"avg_latency_cycles\":{:?},\
-                 \"avg_latency_ns\":{:?},\"throughput_pps\":{:?},\
-                 \"energy_nj_per_packet\":{:?},\"bottleneck\":\"{}\",\"quality\":\"{}\"}}",
-                cell.hash,
-                json_escape(&cell.label),
-                cell.avg_latency_cycles,
-                cell.avg_latency_ns,
-                cell.throughput_pps,
-                cell.energy_nj_per_packet,
-                json_escape(&cell.bottleneck),
-                json_escape(&cell.quality),
-            );
+            out.push_str(&cell.to_value().to_json());
         }
-        out.push_str("\n]}\n");
+        out.push('\n');
+        out.push_str(TAIL);
+        out.push('\n');
         out
     }
 
-    /// Salvaging parser: scan for the `"cells"` array and collect every
-    /// *complete* `{...}` object inside it that carries a valid hash.
-    /// Anything else — a clipped trailing object, garbage, a missing
-    /// array — contributes nothing. Never errors.
+    /// Salvaging parser: every line that parses as a complete cell
+    /// object (its separating comma dropped) is a cell. Anything else —
+    /// the header and closing lines, a clipped trailing line, garbage —
+    /// contributes nothing. Never errors.
     pub fn parse(text: &str) -> Checkpoint {
         let mut ck = Checkpoint::new();
-        let Some(start) = text.find("\"cells\"") else { return ck };
-        let bytes = text.as_bytes();
-        let mut i = start;
-        while i < bytes.len() {
-            if bytes[i] == b'{' {
-                // Cell objects are flat (no nested braces outside
-                // strings), so the matching close is the next unquoted
-                // '}'. No close before EOF = truncated object: stop.
-                match find_object_end(text, i) {
-                    Some(end) => {
-                        if let Some(cell) = parse_cell(&text[i..=end]) {
-                            ck.insert(cell);
-                        }
-                        i = end + 1;
-                    }
-                    None => break,
-                }
-            } else {
-                i += 1;
+        for line in text.lines() {
+            let line = line.trim_end();
+            let line = line.strip_suffix(',').unwrap_or(line);
+            if let Some(cell) = json::parse(line).ok().as_ref().and_then(CellSummary::from_value) {
+                ck.insert(cell);
             }
         }
         ck
     }
-}
-
-/// Index of the `}` closing the object that opens at `open` (a `{`),
-/// honoring strings and escapes. `None` if the object never closes.
-fn find_object_end(text: &str, open: usize) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut in_str = false;
-    let mut escaped = false;
-    for (off, &b) in bytes[open + 1..].iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == b'}' {
-            return Some(open + 1 + off);
-        }
-    }
-    None
-}
-
-/// Parse one flat cell object; `None` when any required field is
-/// missing or malformed.
-fn parse_cell(obj: &str) -> Option<CellSummary> {
-    let hash = u64::from_str_radix(&field_str(obj, "hash")?, 16).ok()?;
-    Some(CellSummary {
-        hash,
-        label: field_str(obj, "label")?,
-        avg_latency_cycles: field_f64(obj, "avg_latency_cycles")?,
-        avg_latency_ns: field_f64(obj, "avg_latency_ns")?,
-        throughput_pps: field_f64(obj, "throughput_pps")?,
-        energy_nj_per_packet: field_f64(obj, "energy_nj_per_packet")?,
-        bottleneck: field_str(obj, "bottleneck")?,
-        quality: field_str(obj, "quality")?,
-    })
-}
-
-/// Value of `"key":"..."` in a flat object, unescaped.
-fn field_str(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj.get(at..)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let code: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None // unterminated string
-}
-
-/// Value of `"key":<number>` in a flat object. `{:?}`-formatted floats
-/// (including `inf` and `NaN`) round-trip through `str::parse`.
-fn field_f64(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj.get(at..)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// Content hash identifying a scenario across processes: FNV-1a over the
@@ -353,20 +302,73 @@ mod tests {
         let mut ck = Checkpoint::new();
         ck.insert(cell(0xdead_beef, "rate=600k payload=1400"));
         ck.insert(cell(42, "weird \"label\"\twith\nescapes\\"));
+        // Every control character, a quote and a backslash.
+        let nasty: String = (0u8..0x20).map(char::from).chain(['"', '\\']).collect();
+        ck.insert(CellSummary { bottleneck: nasty.clone(), quality: nasty.clone(), ..cell(7, &nasty) });
         let parsed = Checkpoint::parse(&ck.to_json());
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed.get(42).unwrap(), ck.get(42).unwrap());
-        assert_eq!(parsed.get(0xdead_beef).unwrap(), ck.get(0xdead_beef).unwrap());
+        assert_eq!(parsed.len(), 3);
+        for hash in [42, 0xdead_beef, 7] {
+            assert_eq!(parsed.get(hash).unwrap(), ck.get(hash).unwrap());
+        }
     }
 
     #[test]
     fn roundtrip_preserves_infinity() {
         let mut c = cell(7, "unloaded");
         c.throughput_pps = f64::INFINITY;
+        c.avg_latency_ns = f64::NEG_INFINITY;
+        c.energy_nj_per_packet = f64::NAN;
         let mut ck = Checkpoint::new();
         ck.insert(c);
-        let parsed = Checkpoint::parse(&ck.to_json());
-        assert_eq!(parsed.get(7).unwrap().throughput_pps, f64::INFINITY);
+        ck.insert(cell(8, "loaded"));
+        let text = ck.to_json();
+        // The whole file and every cell line are valid JSON.
+        json::parse(&text).expect("the file parses as one JSON document");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        for line in &lines[1..3] {
+            let line = line.strip_suffix(',').unwrap_or(line);
+            json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        let parsed = Checkpoint::parse(&text);
+        let back = parsed.get(7).unwrap();
+        assert_eq!(back.throughput_pps, f64::INFINITY);
+        assert_eq!(back.avg_latency_ns, f64::NEG_INFINITY);
+        assert!(back.energy_nj_per_packet.is_nan());
+        assert_eq!(back.avg_latency_cycles, 1234.5);
+        assert_eq!(parsed.get(8), ck.get(8));
+    }
+
+    #[test]
+    fn files_in_the_earlier_key_order_still_load() {
+        // Cells written with their keys in declaration order, as
+        // checkpoints recorded before the keys were sorted are.
+        let text = concat!(
+            r#"{"version":1,"cells":["#,
+            "\n",
+            r#"{"hash":"000000000000002a","label":"rate=600k \"q\"","avg_latency_cycles":1234.5,"#,
+            r#""avg_latency_ns":1543.125,"throughput_pps":2500000.0,"energy_nj_per_packet":98.75,"#,
+            r#""bottleneck":"npu-threads","quality":"optimal"},"#,
+            "\n",
+            r#"{"hash":"00000000deadbeef","label":"cell-1","avg_latency_cycles":0.1,"#,
+            r#""avg_latency_ns":0.30000000000000004,"throughput_pps":6.02214076e23,"#,
+            r#""energy_nj_per_packet":1e-300,"bottleneck":"emem","quality":"greedy"}"#,
+            "\n]}\n",
+        );
+        let ck = Checkpoint::parse(text);
+        assert_eq!(ck.len(), 2);
+        assert_eq!(ck.get(42), Some(&cell(42, "rate=600k \"q\"")));
+        let want = CellSummary {
+            hash: 0xdead_beef,
+            label: "cell-1".into(),
+            avg_latency_cycles: 0.1,
+            avg_latency_ns: 0.1 + 0.2,
+            throughput_pps: 6.02214076e23,
+            energy_nj_per_packet: 1e-300,
+            bottleneck: "emem".into(),
+            quality: "greedy".into(),
+        };
+        assert_eq!(ck.get(0xdead_beef), Some(&want));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use classes::{enumerate_classes, PacketClass};
 pub use interfere::{predict_sliced, SliceSpec};
 pub use partial::{predict_partial, HostParams, PartialPlan};
 pub use clara_map::{MappingQuality, RunDeadline, SolveBudget, SolverConfig};
-pub use clara_telemetry::{json_escape, Sink, SimStats, SolveStats, TelemetryReport};
+pub use clara_telemetry::{Sink, SimStats, SolveStats, TelemetryReport};
 pub use fanout::panic_text;
 pub use predictor::{
     predict, predict_with_options, predict_with_sink, ClassKey, ClassPrediction, PredictError,

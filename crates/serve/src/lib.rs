@@ -33,18 +33,20 @@
 //! Every degradation is a distinct structured reply code
 //! ([`protocol::reply_codes`]) mirroring the CLI's exit codes.
 //!
-//! The crate is dependency-free (std only), like the rest of the
-//! workspace: framing, JSON, the thread pool, and signal handling are
-//! all hand-rolled.
+//! The crate takes no third-party dependency, like the rest of the
+//! workspace: framing, the thread pool, and signal handling are
+//! hand-rolled, and the wire's JSON is the workspace codec
+//! (`clara_telemetry::json`), re-exported here as [`json`].
 
 pub mod chaos;
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod protocol;
 pub mod server;
 pub mod stats;
+
+pub use clara_telemetry::json;
 
 pub use chaos::{Chaos, ChaosConfig, JobChaos};
 pub use client::{Client, ClientError};

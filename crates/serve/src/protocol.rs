@@ -276,7 +276,11 @@ impl ProtoError {
 }
 
 /// Parse a request frame. Unknown ops, missing fields, and invalid
-/// workloads all map to distinct reply codes.
+/// workloads all map to distinct reply codes. Every field is optional
+/// unless its op needs it, but a field that is present must have the
+/// right JSON type and range: a workload field that does not is refused
+/// with `workload`, any other with `usage` (DESIGN.md, "Serving &
+/// overload semantics").
 pub fn parse_request(bytes: &[u8]) -> Result<Request, ProtoError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|_| ProtoError::new(reply_codes::PROTOCOL, "frame is not utf-8"))?;
@@ -286,16 +290,14 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, ProtoError> {
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| ProtoError::new(reply_codes::PROTOCOL, "missing `op`"))?;
+    // A non-workload integer field.
+    let uint = |key: &str| field(&value, key, reply_codes::USAGE, Value::as_u64);
 
     match op {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "events" => {
-            let limit = value
-                .get("limit")
-                .and_then(Value::as_u64)
-                .unwrap_or(64)
-                .min(4_096) as usize;
+            let limit = uint("limit")?.unwrap_or(64).min(4_096) as usize;
             if limit == 0 {
                 return Err(ProtoError::new(reply_codes::USAGE, "`limit` must be > 0"));
             }
@@ -303,42 +305,32 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, ProtoError> {
         }
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
-        "predict" => {
-            let source = parse_source(&value)?;
-            Ok(Request::Predict {
-                source,
-                nic: nic_of(&value),
-                workload: workload_of(&value)?,
-                deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
-                inject_panic: value
-                    .get("inject_panic")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
-            })
-        }
+        "predict" => Ok(Request::Predict {
+            source: parse_source(&value)?,
+            nic: nic_of(&value)?,
+            workload: workload_of(&value)?,
+            deadline_ms: uint("deadline_ms")?,
+            inject_panic: field(&value, "inject_panic", reply_codes::USAGE, Value::as_bool)?
+                .unwrap_or(false),
+        }),
         "sweep" => {
             let source = parse_source(&value)?;
             let rates = rates_of(&value)?;
             Ok(Request::Sweep {
                 source,
-                nic: nic_of(&value),
+                nic: nic_of(&value)?,
                 workload: workload_of(&value)?,
                 rates,
-                deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
+                deadline_ms: uint("deadline_ms")?,
             })
         }
         "validate" => {
-            let nf = value
-                .get("nf")
-                .and_then(Value::as_str)
+            let nf = field(&value, "nf", reply_codes::USAGE, Value::as_str)?
                 .ok_or_else(|| ProtoError::new(reply_codes::USAGE, "validate needs `nf`"))?
                 .to_string();
             let rates = rates_of(&value)?;
-            let packets = value
-                .get("packets")
-                .and_then(Value::as_u64)
-                .unwrap_or(2_000) as usize;
-            if !(1..=clara_predict::MAX_PACKETS).contains(&packets) {
+            let packets = uint("packets")?.unwrap_or(2_000);
+            if !(1..=clara_predict::MAX_PACKETS as u64).contains(&packets) {
                 return Err(ProtoError::new(
                     reply_codes::USAGE,
                     format!("`packets` must be in 1..={}", clara_predict::MAX_PACKETS),
@@ -346,12 +338,12 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, ProtoError> {
             }
             Ok(Request::Validate {
                 nf,
-                nic: nic_of(&value),
+                nic: nic_of(&value)?,
                 workload: workload_of(&value)?,
                 rates,
-                packets,
-                seed: value.get("seed").and_then(Value::as_u64).unwrap_or(42),
-                deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
+                packets: packets as usize,
+                seed: uint("seed")?.unwrap_or(42),
+                deadline_ms: uint("deadline_ms")?,
             })
         }
         other => Err(ProtoError::new(
@@ -361,11 +353,27 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, ProtoError> {
     }
 }
 
+/// Field `key` of the request read by `read`: `None` when absent, and an
+/// error with `code` when present but of the wrong type or range.
+fn field<'a, T>(
+    value: &'a Value,
+    key: &str,
+    code: u8,
+    read: fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, ProtoError> {
+    match value.get(key) {
+        None => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| ProtoError::new(code, format!("`{key}` has the wrong type or range"))),
+    }
+}
+
 fn parse_source(value: &Value) -> Result<Source, ProtoError> {
-    if let Some(nf) = value.get("nf").and_then(Value::as_str) {
+    if let Some(nf) = field(value, "nf", reply_codes::USAGE, Value::as_str)? {
         return Ok(Source::Corpus(nf.to_string()));
     }
-    if let Some(src) = value.get("source").and_then(Value::as_str) {
+    if let Some(src) = field(value, "source", reply_codes::USAGE, Value::as_str)? {
         return Ok(Source::Inline(src.to_string()));
     }
     Err(ProtoError::new(
@@ -374,12 +382,9 @@ fn parse_source(value: &Value) -> Result<Source, ProtoError> {
     ))
 }
 
-fn nic_of(value: &Value) -> String {
-    value
-        .get("nic")
-        .and_then(Value::as_str)
-        .unwrap_or("netronome")
-        .to_string()
+fn nic_of(value: &Value) -> Result<String, ProtoError> {
+    let nic = field(value, "nic", reply_codes::USAGE, Value::as_str)?;
+    Ok(nic.unwrap_or("netronome").to_string())
 }
 
 fn rates_of(value: &Value) -> Result<Vec<f64>, ProtoError> {
@@ -409,27 +414,29 @@ fn rates_of(value: &Value) -> Result<Vec<f64>, ProtoError> {
 /// default, then validate it (reply code `workload` on failure, same
 /// category the CLI exits with).
 fn workload_of(value: &Value) -> Result<WorkloadProfile, ProtoError> {
+    let number = |key: &str| field(value, key, reply_codes::WORKLOAD, Value::as_f64);
+    let integer = |key: &str| field(value, key, reply_codes::WORKLOAD, Value::as_u64);
     let mut wl = WorkloadProfile::paper_default();
-    if let Some(v) = value.get("rate_pps").and_then(Value::as_f64) {
+    if let Some(v) = number("rate_pps")? {
         wl.rate_pps = v;
     }
-    if let Some(v) = value.get("flows").and_then(Value::as_u64) {
+    if let Some(v) = integer("flows")? {
         wl.flows = v as usize;
     }
-    if let Some(v) = value.get("payload").and_then(Value::as_f64) {
+    if let Some(v) = number("payload")? {
         wl.avg_payload = v;
         wl.max_payload = v.max(0.0) as usize;
     }
-    if let Some(v) = value.get("max_payload").and_then(Value::as_u64) {
+    if let Some(v) = integer("max_payload")? {
         wl.max_payload = v as usize;
     }
-    if let Some(v) = value.get("tcp").and_then(Value::as_f64) {
+    if let Some(v) = number("tcp")? {
         wl.tcp_share = v;
     }
-    if let Some(v) = value.get("syn").and_then(Value::as_f64) {
+    if let Some(v) = number("syn")? {
         wl.syn_share = v;
     }
-    if let Some(v) = value.get("zipf").and_then(Value::as_f64) {
+    if let Some(v) = number("zipf")? {
         wl.zipf_alpha = v;
     }
     wl.validate()
@@ -544,12 +551,49 @@ mod tests {
             (br#"{"op":"validate","rates":[1.0]}"#, reply_codes::USAGE),
             (br#"{"op":"validate","nf":"nat","packets":0}"#, reply_codes::USAGE),
             (br#"{"op":"events","limit":0}"#, reply_codes::USAGE),
+            // A present field of the wrong type or range is refused, not
+            // dropped: workload fields with `workload`, others with `usage`.
+            (br#"{"op":"predict","nf":"nat","flows":1e20}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","flows":-5}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","flows":1.5}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","flows":"1000"}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","rate_pps":"fast"}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","payload":null}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","max_payload":1.5}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","tcp":true}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","syn":[0.1]}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","zipf":"0.5"}"#, reply_codes::WORKLOAD),
+            (br#"{"op":"predict","nf":"nat","deadline_ms":-1}"#, reply_codes::USAGE),
+            (br#"{"op":"predict","nf":"nat","inject_panic":1}"#, reply_codes::USAGE),
+            (br#"{"op":"predict","nf":"nat","nic":7}"#, reply_codes::USAGE),
+            (br#"{"op":"predict","nf":7,"source":"nf x {}"}"#, reply_codes::USAGE),
+            (br#"{"op":"sweep","nf":"nat","nic":null}"#, reply_codes::USAGE),
+            (br#"{"op":"validate","nf":"nat","packets":1.5}"#, reply_codes::USAGE),
+            (br#"{"op":"validate","nf":"nat","seed":"x"}"#, reply_codes::USAGE),
+            (br#"{"op":"validate","nf":"nat","deadline_ms":"5"}"#, reply_codes::USAGE),
+            (br#"{"op":"events","limit":-3}"#, reply_codes::USAGE),
         ];
         for (bytes, want) in cases {
             match parse_request(bytes) {
                 Err(e) => assert_eq!(e.code, *want, "{:?}", String::from_utf8_lossy(bytes)),
                 Ok(r) => panic!("accepted {:?} as {r:?}", String::from_utf8_lossy(bytes)),
             }
+        }
+    }
+
+    #[test]
+    fn integral_floats_and_large_integers_read_as_integers() {
+        let req = parse_request(
+            br#"{"op":"validate","nf":"nat","flows":1000.0,"packets":2e3,"seed":18446744073709551615}"#,
+        )
+        .unwrap();
+        match req {
+            Request::Validate { workload, packets, seed, .. } => {
+                assert_eq!(workload.flows, 1_000);
+                assert_eq!(packets, 2_000);
+                assert_eq!(seed, u64::MAX);
+            }
+            other => panic!("{other:?}"),
         }
     }
 

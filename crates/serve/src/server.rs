@@ -605,22 +605,7 @@ fn inline_reply(shared: &Shared, request: &Request) -> Reply {
             )
         }
         Request::Events { limit } => {
-            let events: Vec<Value> = shared
-                .obs
-                .recorder
-                .tail(*limit)
-                .iter()
-                .map(|e| {
-                    ObjBuilder::new()
-                        .uint("seq", e.seq)
-                        .uint("ts_us", e.ts_us)
-                        .str("event", e.kind.name())
-                        .uint("code", u64::from(e.code))
-                        .uint("req", e.a)
-                        .uint("val", e.b)
-                        .build()
-                })
-                .collect();
+            let events = shared.obs.recorder.tail(*limit).iter().map(|e| e.to_value()).collect();
             Reply::ok(
                 ObjBuilder::new()
                     .str("op", "events")

@@ -37,6 +37,7 @@
 //! Capacity 0 disables the recorder entirely: `record` returns without
 //! touching memory, making the instrumentation zero-cost when off.
 
+use crate::json::{ObjBuilder, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -113,17 +114,18 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
-    /// One JSONL line: stable keys, no trailing newline.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"ts_us\":{},\"event\":\"{}\",\"code\":{},\"req\":{},\"val\":{}}}",
-            self.seq,
-            self.ts_us,
-            self.kind.name(),
-            self.code,
-            self.a,
-            self.b
-        )
+    /// The event as a JSON object with stable keys: `seq`, `ts_us`,
+    /// `event` (the kind's name), `code`, `req` (`a`) and `val` (`b`).
+    /// One JSONL dump line, and one element of the `events` reply.
+    pub fn to_value(&self) -> Value {
+        ObjBuilder::new()
+            .uint("seq", self.seq)
+            .uint("ts_us", self.ts_us)
+            .str("event", self.kind.name())
+            .uint("code", u64::from(self.code))
+            .uint("req", self.a)
+            .uint("val", self.b)
+            .build()
     }
 }
 
@@ -249,7 +251,7 @@ impl FlightRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.events() {
-            out.push_str(&e.to_json_line());
+            out.push_str(&e.to_value().to_json());
             out.push('\n');
         }
         out
@@ -302,9 +304,20 @@ mod tests {
         let r = FlightRecorder::new(2);
         r.record(EventKind::Panic, 22, 41, 1);
         let jsonl = r.to_jsonl();
-        assert!(jsonl.starts_with("{\"seq\":0,\"ts_us\":"));
-        assert!(jsonl.contains("\"event\":\"panic\",\"code\":22,\"req\":41,\"val\":1}"));
         assert!(jsonl.ends_with('\n'));
+        let lines: Vec<Value> =
+            jsonl.lines().map(|l| crate::json::parse(l).expect("line parses")).collect();
+        assert_eq!(lines.len(), 1);
+        let e = &lines[0];
+        let uint = |k: &str| e.get(k).and_then(Value::as_u64);
+        assert_eq!(uint("seq"), Some(0));
+        assert!(uint("ts_us").is_some());
+        assert_eq!(e.get("event").and_then(Value::as_str), Some("panic"));
+        assert_eq!((uint("code"), uint("req"), uint("val")), (Some(22), Some(41), Some(1)));
+        match e {
+            Value::Obj(m) => assert_eq!(m.len(), 6, "{e:?}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,23 +1,39 @@
-//! A minimal, allocation-light JSON reader for the serve protocol.
+//! The workspace's one JSON codec: a strict reader, a compact writer and
+//! a pretty writer over one [`Value`] tree.
 //!
-//! The daemon cannot take a serde dependency, and the CLI's existing
-//! JSON *writers* (checkpoints, telemetry) never needed a reader. The
-//! protocol does: requests arrive as attacker-controllable bytes, so the
-//! parser's contract is strict — it returns `Err` on anything malformed
-//! and **never panics**, recurses unboundedly, or allocates
+//! Every number Clara reports leaves the process as JSON through this
+//! module: the serve wire, telemetry reports, Chrome traces,
+//! flight-recorder dumps, `clara validate -o`, sweep checkpoints and the
+//! `BENCH_*.json` files. The workspace takes no serde dependency, so the
+//! codec is std-only and small.
+//!
+//! **Reading.** Requests arrive as attacker-controllable bytes, so the
+//! parser's contract is strict: [`parse`] returns `Err` on anything
+//! malformed and never panics, recurses without bound, or allocates
 //! proportionally to a claimed (rather than actual) length. Frame size
-//! is capped upstream by the codec, nesting depth is capped here.
+//! is capped upstream by the serve codec; nesting depth is capped here.
 //!
-//! Numbers are held as `f64`. Replies serialize `f64` with `{:?}`,
-//! which round-trips every finite double exactly through `str::parse`,
-//! so a prediction forwarded over the wire stays bit-identical to the
-//! in-process value (the chaos test depends on this).
+//! **Numbers.** A literal of decimal digits alone that fits a `u64`
+//! reads as [`Value::UInt`], exactly; every other number reads as
+//! [`Value::Num`], an `f64`. The writers render `UInt` in decimal and
+//! `Num` through [`num`] (`{:?}`), which round-trips every finite double
+//! exactly through `str::parse`, so a prediction forwarded over the wire
+//! stays bit-identical to the in-process value (the chaos test depends
+//! on this) and a `u64` counter reads back exactly up to `u64::MAX`.
+//! JSON has no NaN or Infinity: a non-finite `Num` is written `null`.
+//!
+//! **Objects** are `BTreeMap`s, so keys are written sorted and, when a
+//! document repeats a key, the last value wins.
+//!
+//! **Layouts.** [`Value::to_json`] is compact (the wire, JSONL lines,
+//! checkpoint cells); [`Value::to_json_pretty`] writes one member per
+//! line with a two-space indent and `"key": value`, the form of every
+//! JSON file Clara writes.
 
-use clara_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Maximum nesting depth accepted from the wire. Protocol requests are
+/// Maximum nesting depth accepted by [`parse`]. Protocol requests are
 /// at most 3 deep; 32 leaves headroom without letting `[[[[...` recurse
 /// to a stack overflow.
 const MAX_DEPTH: usize = 32;
@@ -27,7 +43,10 @@ const MAX_DEPTH: usize = 32;
 pub enum Value {
     Null,
     Bool(bool),
+    /// Any number that is not a plain unsigned integer literal.
     Num(f64),
+    /// An unsigned integer, exact over the whole `u64` range.
+    UInt(u64),
     Str(String),
     Arr(Vec<Value>),
     /// Object keys are sorted (BTreeMap) so serialization is canonical.
@@ -50,17 +69,20 @@ impl Value {
         }
     }
 
+    /// Any number as an `f64` (a `UInt` above 2^53 rounds).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::UInt(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// Numeric member coerced to `u64`; rejects negatives, non-integers
-    /// and values beyond 2^53 (not exactly representable).
+    /// A number that is a non-negative integer: a `UInt` exactly, or an
+    /// integral `Num` up to 2^53 (beyond it a double is not exact).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::UInt(n) => Some(*n),
             Value::Num(n) if *n >= 0.0 && *n <= 9_007_199_254_740_992.0 && n.fract() == 0.0 => {
                 Some(*n as u64)
             }
@@ -82,57 +104,107 @@ impl Value {
         }
     }
 
-    /// Serialize back to compact JSON. Non-finite numbers become
-    /// `null` (JSON has no NaN/Infinity).
+    /// Compact JSON: no whitespace between tokens.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Pretty JSON, newline-terminated: one member or element per line,
+    /// a two-space indent per level, `"key": value`; empty containers
+    /// stay `{}` and `[]`.
+    pub fn to_json_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Append this value; `indent` is the current depth when pretty.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => out.push_str(&num(*n)),
-            Value::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
+            Value::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n:?}");
             }
+            Value::Num(_) => out.push_str("null"),
+            Value::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
+                write_members(out, indent, ['[', ']'], items.iter().map(|v| (None, v)))
             }
             Value::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":", json_escape(k));
-                    v.write(out);
-                }
-                out.push('}');
+                write_members(out, indent, ['{', '}'], map.iter().map(|(k, v)| (Some(k), v)))
             }
         }
     }
 }
 
-/// Render an `f64` for the wire: `{:?}` round-trips finite doubles
+/// Append a container's members between `brackets`, keyed for objects.
+fn write_members<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: [char; 2],
+    members: impl Iterator<Item = (Option<&'a String>, &'a Value)>,
+) {
+    out.push(brackets[0]);
+    let inner = indent.map(|depth| depth + 1);
+    let mut any = false;
+    for (key, value) in members {
+        if any {
+            out.push(',');
+        }
+        any = true;
+        if let Some(depth) = inner {
+            newline(out, depth);
+        }
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(if inner.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
+    }
+    if let (Some(depth), true) = (indent, any) {
+        newline(out, depth);
+    }
+    out.push(brackets[1]);
+}
+
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+/// Append `s` as a JSON string literal: quotes, backslashes and every
+/// control character escaped.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Render an `f64` as the writers do: `{:?}` round-trips finite doubles
 /// exactly; non-finite values become `null`.
 pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
+    Value::Num(v).to_json()
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -237,9 +309,11 @@ fn parse_literal(
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
+    let mut digits_only = true;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
+        digits_only &= bytes[*pos].is_ascii_digit();
         *pos += 1;
     }
     if start == *pos {
@@ -247,6 +321,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     // The slice is pure ASCII by construction, so from_utf8 can't fail.
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number")?;
+    if digits_only {
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::UInt(n));
+        }
+    }
     let n: f64 = text.parse().map_err(|_| format!("bad number `{text}`"))?;
     if !n.is_finite() {
         return Err(format!("non-finite number `{text}`"));
@@ -294,13 +373,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err(format!("control byte in string at {pos}")),
             Some(_) => {
-                // Consume one full UTF-8 scalar (the input is a &str,
-                // so boundaries are valid by construction).
-                let rest = &bytes[*pos..];
-                let text = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                let c = text.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote, backslash or control
+                // byte. Those are ASCII, so the run ends on a character
+                // boundary of the (valid UTF-8) input, and each byte is
+                // validated once.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid utf-8")?;
+                out.push_str(run);
             }
         }
     }
@@ -326,6 +408,8 @@ impl ObjBuilder {
         self.put(key, Value::Str(value.to_string()))
     }
 
+    /// An `f64` member; a non-finite value is stored (and written) as
+    /// `null`.
     pub fn num(self, key: &str, value: f64) -> Self {
         if value.is_finite() {
             self.put(key, Value::Num(value))
@@ -334,8 +418,9 @@ impl ObjBuilder {
         }
     }
 
+    /// An exact unsigned-integer member.
     pub fn uint(self, key: &str, value: u64) -> Self {
-        self.put(key, Value::Num(value as f64))
+        self.put(key, Value::UInt(value))
     }
 
     pub fn bool(self, key: &str, value: bool) -> Self {
@@ -350,7 +435,6 @@ impl ObjBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clara_predict::{CellSummary, Checkpoint};
 
     #[test]
     fn parses_request_shapes() {
@@ -386,38 +470,83 @@ mod tests {
     }
 
     #[test]
+    fn u64_round_trips_exactly() {
+        // 2^53 + 1 is the first integer a double cannot hold.
+        for v in [0, 4_000, (1u64 << 53) + 1, u64::MAX] {
+            let text = ObjBuilder::new().uint("n", v).build().to_json();
+            let back = parse(&text).unwrap().get("n").and_then(Value::as_u64);
+            assert_eq!(back, Some(v), "{text}");
+        }
+        assert_eq!(ObjBuilder::new().uint("n", 4_000).build().to_json(), r#"{"n":4000}"#);
+    }
+
+    #[test]
+    fn integer_literals_read_exactly_and_integral_floats_as_integers() {
+        assert_eq!(parse("9007199254740993").unwrap(), Value::UInt((1 << 53) + 1));
+        assert_eq!(parse("1000.0").unwrap().as_u64(), Some(1_000));
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1_000));
+        for not_u64 in ["1.5", "-5", "1e20", "\"1000\"", "true"] {
+            assert_eq!(parse(not_u64).unwrap().as_u64(), None, "{not_u64}");
+        }
+        assert_eq!(parse("18446744073709551616").unwrap(), Value::Num(18_446_744_073_709_551_616.0));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A frame may carry up to 1 MiB of untrusted text, so a string
+        // must parse in time linear in its length.
+        let long = "é".repeat(128 * 1024);
+        let text = Value::Str(long.clone()).to_json();
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), Value::Str(long));
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "256 KiB string took {took:?}");
+    }
+
+    #[test]
     fn serialization_round_trips() {
         let v = ObjBuilder::new()
             .str("op", "ping")
             .num("x", 1.5)
+            .uint("n", 7)
             .bool("ok", true)
             .put("list", Value::Arr(vec![Value::Num(1.0), Value::Null]))
             .build();
-        let text = v.to_json();
-        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(parse(&v.to_json()).unwrap(), v);
+        assert_eq!(parse(&v.to_json_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn non_finite_numbers_become_null() {
+        assert_eq!(num(f64::NAN), "null");
+        assert_eq!(num(f64::INFINITY), "null");
+        assert_eq!(num(2.5), "2.5");
+        assert_eq!(Value::Num(f64::NEG_INFINITY).to_json(), "null");
+        assert_eq!(ObjBuilder::new().num("x", f64::NAN).build(), ObjBuilder::new().put("x", Value::Null).build());
+    }
+
+    #[test]
+    fn pretty_layout_indents_two_spaces_per_level() {
+        let v = ObjBuilder::new()
+            .uint("b", 1)
+            .put("a", Value::Arr(vec![Value::Bool(true), ObjBuilder::new().build()]))
+            .put("c", Value::Arr(Vec::new()))
+            .build();
+        assert_eq!(
+            v.to_json_pretty(),
+            "{\n  \"a\": [\n    true,\n    {}\n  ],\n  \"b\": 1,\n  \"c\": []\n}\n"
+        );
+        assert_eq!(v.to_json(), r#"{"a":[true,{}],"b":1,"c":[]}"#);
     }
 
     #[test]
     fn escapes_control_and_quote_bytes() {
-        // Every control char, a quote and a backslash, through the one
-        // shared escaper, read back by both parsers in the workspace.
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\nd\te\r\u{01}");
+        assert_eq!(out, r#""a\"b\\c\nd\te\r\u0001""#);
+        // Every control char, a quote and a backslash read back intact.
         let nasty: String = (0u8..0x20).map(char::from).chain(['"', '\\']).collect();
-        let v = Value::Str(nasty.clone());
-        assert_eq!(v.to_json(), format!("\"{}\"", json_escape(&nasty)));
+        let v = Value::Str(nasty);
         assert_eq!(parse(&v.to_json()).unwrap(), v);
-
-        let mut ck = Checkpoint::new();
-        ck.insert(CellSummary {
-            hash: 7,
-            label: nasty.clone(),
-            avg_latency_cycles: 1.0,
-            avg_latency_ns: 1.0,
-            throughput_pps: 1.0,
-            energy_nj_per_packet: 1.0,
-            bottleneck: nasty.clone(),
-            quality: nasty.clone(),
-        });
-        let back = Checkpoint::parse(&ck.to_json());
-        assert_eq!(back.get(7), ck.get(7));
     }
 }

@@ -23,9 +23,8 @@
 //!   switch-fabric transfers, and drops broken down by cause. Packet
 //!   conservation (`injected == completed + drops`) is checkable via
 //!   [`SimStats::conserved`].
-//! * [`TelemetryReport`] — the aggregate of all of the above, serialized
-//!   as hand-rolled JSON in the same offline-friendly style as the sweep
-//!   checkpoint code (the workspace takes no serde dependency).
+//! * [`TelemetryReport`] — the aggregate of all of the above, written as
+//!   a pretty JSON file through [`json`].
 //! * [`StageTimeline`] / [`ChromeTrace`] — an opt-in per-packet stage
 //!   timeline that exports Chrome trace-event JSON, viewable in Perfetto
 //!   or `chrome://tracing`.
@@ -37,6 +36,10 @@
 //! * [`FlightRecorder`] — a fixed-capacity lock-free ring of structured
 //!   events (admit/shed/dequeue/complete/panic/...) with monotonic
 //!   sequence numbers, dumped as JSONL around faults and drains.
+//! * [`json`] — the workspace's one JSON codec (reader, compact and
+//!   pretty writers, exact `u64` integers). Every JSON Clara reads or
+//!   writes goes through it; it lives here because this crate has no
+//!   dependencies, so every other crate can reach it.
 //!
 //! Telemetry is strictly *read-only* with respect to results: nothing in
 //! this crate feeds back into solver or simulator decisions, so an
@@ -45,6 +48,7 @@
 
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod rates;
 pub mod report;
 pub mod sink;
@@ -54,7 +58,7 @@ pub mod trace;
 pub use flight::{EventKind, FlightEvent, FlightRecorder};
 pub use hist::{HistSnapshot, HistSummary, Histogram};
 pub use rates::RateWindows;
-pub use report::{json_escape, TelemetryReport};
+pub use report::TelemetryReport;
 pub use sink::{MemorySink, Sink, SpanRecord};
 pub use stats::{AccelStats, IslandStats, MemLevelStats, SimStats, SolveStats};
 pub use trace::{ChromeTrace, StageSpan, StageTimeline, TraceEvent};

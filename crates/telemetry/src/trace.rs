@@ -8,8 +8,7 @@
 //! `chrome://tracing` load directly: one track (`tid`) per hardware
 //! thread, packets visible as labeled spans along each track.
 
-use crate::report::json_escape;
-use std::fmt::Write as _;
+use crate::json::{ObjBuilder, Value};
 
 /// One recorded stage execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,30 +120,25 @@ impl ChromeTrace {
     /// Serialize to the JSON object form Perfetto and
     /// `chrome://tracing` accept.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \
-                 \"dur\": {:.3}, \"pid\": {}, \"tid\": {}}}",
-                json_escape(&e.name),
-                json_escape(&e.cat),
-                e.ts_us,
-                e.dur_us,
-                e.pid,
-                e.tid
-            );
-            out.push_str(if i + 1 < self.events.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]}\n");
-        out
+        let events = self.events.iter().map(|e| {
+            ObjBuilder::new()
+                .str("name", &e.name)
+                .str("cat", &e.cat)
+                .str("ph", "X")
+                .num("ts", e.ts_us)
+                .num("dur", e.dur_us)
+                .uint("pid", u64::from(e.pid))
+                .uint("tid", u64::from(e.tid))
+                .build()
+        });
+        ObjBuilder::new().put("traceEvents", Value::Arr(events.collect())).build().to_json_pretty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::assert_valid_json;
+    use crate::json::parse;
 
     #[test]
     fn timeline_respects_its_packet_limit() {
@@ -160,19 +154,24 @@ mod tests {
         tl.record(1, "lookup \"q\"", "npu", 5, 180, 300);
         let trace = tl.to_chrome(0.8);
         assert_eq!(trace.events.len(), 2);
-        let json = trace.to_json();
-        assert_valid_json(&json);
-        for field in ["\"ph\": \"X\"", "\"ts\": ", "\"dur\": ", "\"pid\": ", "\"tid\": "] {
-            assert!(json.contains(field), "missing {field} in {json}");
+        let v = parse(&trace.to_json()).unwrap();
+        let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
+        assert_eq!(events.len(), 2);
+        for e in events {
+            assert_eq!(e.get("ph").and_then(Value::as_str), Some("X"), "{e:?}");
+            for field in ["ts", "dur", "pid", "tid"] {
+                assert!(e.get(field).and_then(Value::as_f64).is_some(), "missing {field} in {e:?}");
+            }
         }
+        assert_eq!(events[1].get("name").and_then(Value::as_str), Some("pkt1 lookup \"q\""));
         // 100 cycles at 0.8 GHz = 0.125 µs.
-        assert!(json.contains("\"ts\": 0.125"), "{json}");
+        let ts = events[0].get("ts").and_then(Value::as_f64).unwrap();
+        assert!((ts - 0.125).abs() < 1e-12, "{ts}");
     }
 
     #[test]
     fn empty_trace_is_valid_json() {
-        let json = ChromeTrace::default().to_json();
-        assert_valid_json(&json);
-        assert!(json.contains("traceEvents"));
+        let v = parse(&ChromeTrace::default().to_json()).unwrap();
+        assert_eq!(v.get("traceEvents").and_then(Value::as_arr), Some(&[][..]));
     }
 }
