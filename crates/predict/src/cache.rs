@@ -7,38 +7,50 @@
 //! entries it can hold; the expected hit ratio is the probability mass of
 //! those retained flows under the workload's popularity distribution
 //! (Zipf with the profile's exponent; uniform when α = 0).
+//!
+//! Uniform masses are a closed form. A skewed mass needs the sum of every
+//! flow's rank weight, one `powf` each: at 100,000 flows and more that
+//! sum dwarfs the rest of a prediction. [`hit_model`] therefore first
+//! plans every cell, collecting each `top` (resident entries) whose mass
+//! it needs, and then computes all of them in one table-free pass: the
+//! calling thread owns one weight buffer, the crate's fan-out executor
+//! fills it in 8,192-rank blocks (each worker writes only the blocks it
+//! claims and allocates nothing), and [`clara_workload::zipf::masses`]
+//! sums it once in rank order. The masses equal
+//! `Zipf::new(flows, α).mass(top)` bit for bit whatever the worker
+//! count.
 
+use crate::fanout::fan_out;
 use clara_map::StateSpec;
-use clara_microbench::NicParameters;
-use clara_workload::{WorkloadProfile, Zipf};
+use clara_microbench::{MemEst, NicParameters};
+use clara_workload::{zipf, WorkloadProfile, Zipf};
+use std::sync::Mutex;
 
 /// Cache line size assumed for resident-entry accounting.
 const LINE: f64 = 64.0;
 
-/// Expected hit ratio when `state` is placed in `region` under
-/// `workload`.
-pub fn state_region_hit(
-    state: &StateSpec,
-    region: &clara_microbench::MemEst,
-    workload: &WorkloadProfile,
-) -> f64 {
-    state_region_hit_shared(state, region, workload, &mut None)
+/// Ranks per block of the skewed model's weight fill: a fixed size, so
+/// the blocks and the sum do not depend on the worker count, and a
+/// workload of at most one block runs inline.
+const BLOCK: usize = 8192;
+
+/// One cell of the cache model: a hit ratio known outright, or the Zipf
+/// mass of the `top` hottest flows.
+#[derive(Clone, Copy)]
+enum Hit {
+    Ratio(f64),
+    Mass(usize),
 }
 
-/// [`state_region_hit`] with a caller-owned Zipf table. Building the
-/// cumulative Zipf mass is O(flows) with a `powf` per rank — at 100k
-/// flows it dwarfs everything else in the hit model — but it depends
-/// only on `(flows, zipf_alpha)`, so one table serves every (state,
-/// region) pair of a prediction. Lazily built, so skewed workloads that
-/// fit in cache never pay for it; uniform workloads never pay at all
-/// (at α = 0 [`Zipf`] is a closed form with no table).
-fn state_region_hit_shared(
-    state: &StateSpec,
-    region: &clara_microbench::MemEst,
-    workload: &WorkloadProfile,
-    zipf: &mut Option<Zipf>,
-) -> f64 {
-    let Some(cache) = &region.cache else { return 0.0 };
+/// Expected hit ratio when `state` is placed in `region` under
+/// `workload`.
+pub fn state_region_hit(state: &StateSpec, region: &MemEst, workload: &WorkloadProfile) -> f64 {
+    resolve(&[plan_state_region(state, region, workload)], workload, 0)[0]
+}
+
+/// The cache-model plan of one (state, region) cell.
+fn plan_state_region(state: &StateSpec, region: &MemEst, workload: &WorkloadProfile) -> Hit {
+    let Some(cache) = &region.cache else { return Hit::Ratio(0.0) };
     // Content-addressed state (LPM rule tables, DPI automata arrays):
     // accesses draw (approximately uniformly) from the table's lines.
     // Within one reuse epoch — every flow sending one packet — the set of
@@ -52,7 +64,7 @@ fn state_region_hit_shared(
         let c_lines = cache.capacity / LINE;
         let draws = workload.flows.max(1) as f64 * workload.avg_payload.max(1.0);
         let touched = n_lines * (1.0 - (-draws / n_lines).exp());
-        return (c_lines / touched.max(1.0)).min(1.0);
+        return Hit::Ratio((c_lines / touched.max(1.0)).min(1.0));
     }
     // Flow-addressed state: one entry per flow; the cache retains the
     // hottest flows' entries.
@@ -63,10 +75,9 @@ fn state_region_hit_shared(
     let resident_entries = (cache.capacity / (LINE * lines_per_entry)).max(0.0);
     let touched = workload.flows.max(1) as f64;
     if touched <= resident_entries {
-        return 1.0;
+        return Hit::Ratio(1.0);
     }
-    zipf.get_or_insert_with(|| Zipf::new(workload.flows.max(1), workload.zipf_alpha.max(0.0)))
-        .mass(resident_entries as usize)
+    Hit::Mass(resident_entries as usize)
 }
 
 /// Hit matrix `[state][region]` for the mapping ILP.
@@ -79,70 +90,109 @@ pub fn state_hit_matrix(
 }
 
 /// The full cache model for one prediction: the `[state][region]` hit
-/// matrix plus the flow-cache engine hit ratio, sharing a single Zipf
-/// table across every cell.
+/// matrix plus the flow-cache engine hit ratio, every skewed mass from
+/// one weight pass fanned over the available cores.
 pub fn hit_model(
     states: &[StateSpec],
     params: &NicParameters,
     workload: &WorkloadProfile,
 ) -> (Vec<Vec<f64>>, f64) {
-    hit_model_reading(states, params, workload, true)
+    hit_model_reading(states, params, workload, true, 0)
 }
 
 /// [`hit_model`] for a prediction that reads the flow-cache engine hit
-/// ratio only if `fc_read`. When it does not — no node can be placed on
-/// the flow-cache or LPM engine — the ratio is left at 0, uncomputed,
-/// which spares a skewed workload the O(flows) Zipf table when no state
-/// needs it either.
+/// ratio only if `fc_read`, filling the weights on up to `threads`
+/// workers ([`fan_out`]'s count: 0 is every available core, 1 inline).
+/// When the ratio is not read — no node can be placed on the flow-cache
+/// or LPM engine — it is left at 0, uncomputed, which spares a skewed
+/// workload the O(flows) pass when no state needs it either.
 pub(crate) fn hit_model_reading(
     states: &[StateSpec],
     params: &NicParameters,
     workload: &WorkloadProfile,
     fc_read: bool,
+    threads: usize,
 ) -> (Vec<Vec<f64>>, f64) {
-    let mut zipf = None;
-    let matrix = states
+    let mut plans: Vec<Hit> = states
         .iter()
-        .map(|s| {
-            params
-                .mems
-                .iter()
-                .map(|m| state_region_hit_shared(s, m, workload, &mut zipf))
-                .collect()
-        })
+        .flat_map(|s| params.mems.iter().map(move |m| plan_state_region(s, m, workload)))
         .collect();
-    let fc_hit = if fc_read { fc_hit_shared(params, workload, &mut zipf) } else { 0.0 };
-    (matrix, fc_hit)
+    plans.push(if fc_read { plan_fc(params, workload) } else { Hit::Ratio(0.0) });
+    let mut hits = resolve(&plans, workload, threads).into_iter();
+    let matrix = states.iter().map(|_| hits.by_ref().take(params.mems.len()).collect()).collect();
+    (matrix, hits.next().expect("the flow-cache plan is last"))
 }
 
 /// Expected flow-cache engine hit ratio: the mass of flows that fit in
 /// the engine's (estimated) entry capacity.
 pub fn fc_hit_ratio(params: &NicParameters, workload: &WorkloadProfile) -> f64 {
-    fc_hit_shared(params, workload, &mut None)
+    resolve(&[plan_fc(params, workload)], workload, 0)[0]
 }
 
-fn fc_hit_shared(
-    params: &NicParameters,
-    workload: &WorkloadProfile,
-    zipf: &mut Option<Zipf>,
-) -> f64 {
+/// The cache-model plan of the flow-cache engine.
+fn plan_fc(params: &NicParameters, workload: &WorkloadProfile) -> Hit {
     if !params.flow_cache_entries.is_finite() || params.flow_cache_entries <= 0.0 {
-        return 0.0;
+        return Hit::Ratio(0.0);
     }
     let capacity = params.flow_cache_entries;
-    let flows = workload.flows.max(1);
-    if (flows as f64) <= capacity {
-        return 1.0;
+    if (workload.flows.max(1) as f64) <= capacity {
+        return Hit::Ratio(1.0);
     }
-    zipf.get_or_insert_with(|| Zipf::new(flows, workload.zipf_alpha.max(0.0)))
-        .mass(capacity as usize)
+    Hit::Mass(capacity as usize)
+}
+
+/// Every plan's hit ratio, the masses from one pass over the workload's
+/// flow popularity.
+fn resolve(plans: &[Hit], workload: &WorkloadProfile, threads: usize) -> Vec<f64> {
+    let tops: Vec<usize> = plans
+        .iter()
+        .filter_map(|h| match *h {
+            Hit::Mass(top) => Some(top),
+            Hit::Ratio(_) => None,
+        })
+        .collect();
+    let alpha = workload.zipf_alpha.max(0.0);
+    let mut masses = zipf_masses(workload.flows.max(1), alpha, &tops, threads).into_iter();
+    plans
+        .iter()
+        .map(|h| match *h {
+            Hit::Ratio(r) => r,
+            Hit::Mass(_) => masses.next().expect("one mass per top"),
+        })
+        .collect()
+}
+
+/// `Zipf::new(n, alpha).mass(top)` for every `top`, bit for bit, without
+/// the table: α = 0 is its closed form; otherwise the calling thread's
+/// buffer of `n` rank weights is filled in [`BLOCK`]-rank blocks on up to
+/// `threads` workers, each locking only the blocks it claims, and
+/// summed once in rank order. Nothing is computed when `tops` is empty.
+fn zipf_masses(n: usize, alpha: f64, tops: &[usize], threads: usize) -> Vec<f64> {
+    if tops.is_empty() {
+        return Vec::new();
+    }
+    if alpha == 0.0 {
+        let uniform = Zipf::new(n, 0.0);
+        return tops.iter().map(|&top| uniform.mass(top)).collect();
+    }
+    assert!(alpha.is_finite(), "invalid Zipf exponent");
+    let mut weights = vec![0.0; n];
+    let blocks: Vec<Mutex<&mut [f64]>> = weights.chunks_mut(BLOCK).map(Mutex::new).collect();
+    fan_out(blocks.len(), threads, || (), |b, _| {
+        let mut block = blocks[b].lock().expect("a block is claimed once, so never poisoned");
+        for (j, w) in block.iter_mut().enumerate() {
+            *w = zipf::rank_weight(b * BLOCK + j, alpha);
+        }
+    });
+    drop(blocks);
+    zipf::masses(&weights, tops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use clara_map::StateClass;
-    use clara_microbench::{CacheEst, MemEst};
+    use clara_microbench::CacheEst;
 
     fn region(cache: Option<CacheEst>) -> MemEst {
         MemEst {
@@ -211,6 +261,49 @@ mod tests {
         let small_entries = state_region_hit(&state(1 << 20, 16), &r, &wl(100_000, 0.0));
         let big_entries = state_region_hit(&state(1 << 20, 256), &r, &wl(100_000, 0.0));
         assert!(big_entries < small_entries, "small {small_entries} big {big_entries}");
+    }
+
+    #[test]
+    fn table_free_masses_equal_the_zipf_table() {
+        for n in [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 100_000] {
+            let mut tops = vec![0, 1, n - 1, n, n + 1, usize::MAX];
+            for edge in (BLOCK..=n + 1).step_by(BLOCK) {
+                tops.extend([edge - 1, edge, edge + 1]);
+            }
+            for alpha in [1e-9, 0.5, 1.0, 1.2, 3.0] {
+                let table = Zipf::new(n, alpha);
+                for workers in [1, 2, 3] {
+                    let got = zipf_masses(n, alpha, &tops, workers);
+                    for (&top, m) in tops.iter().zip(&got) {
+                        assert_eq!(
+                            m.to_bits(),
+                            table.mass(top).to_bits(),
+                            "n={n} alpha={alpha} top={top} workers={workers}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hit_model_matches_its_single_cell_forms() {
+        let r = region(Some(CacheEst { capacity: 3.2e6, hit_latency: 150.0 }));
+        let mut p = fake_params(32_768.0);
+        p.mems = vec![region(None), r.clone()];
+        let states = [state(1 << 20, 16), state(1 << 20, 256), state(100, 16)];
+        for alpha in [0.0, 0.9] {
+            let w = wl(200_000, alpha);
+            let (matrix, fc) = hit_model(&states, &p, &w);
+            for (s, row) in states.iter().zip(&matrix) {
+                let want: Vec<u64> =
+                    p.mems.iter().map(|m| state_region_hit(s, m, &w).to_bits()).collect();
+                assert_eq!(row.iter().map(|h| h.to_bits()).collect::<Vec<_>>(), want);
+            }
+            assert_eq!(fc.to_bits(), fc_hit_ratio(&p, &w).to_bits());
+            let (inline, unread) = hit_model_reading(&states, &p, &w, false, 1);
+            assert_eq!((inline, unread), (matrix, 0.0));
+        }
     }
 
     #[test]

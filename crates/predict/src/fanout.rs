@@ -1,5 +1,6 @@
 //! The one parallel executor behind [`crate::run_sweep`], the
-//! supervised sweep's first pass and [`crate::run_validation_sweep`].
+//! supervised sweep's first pass, [`crate::run_validation_sweep`] and
+//! the skewed cache model's rank-weight fill ([`crate::cache`]).
 //!
 //! [`fan_out`] runs one closure per item on a scoped thread pool: workers
 //! claim items from a shared counter (so one slow item never blocks the
@@ -9,21 +10,52 @@
 //! per-item function gives bit-identical results sequentially and in
 //! parallel.
 //!
+//! Thread use is bounded. A fan-out called while its thread runs another
+//! fan-out's items — a sweep cell's `prepare`, say — runs inline, so
+//! pools never nest. A worker the system refuses to spawn leaves its
+//! items to the caller's thread instead of panicking.
+//!
 //! Fault containment is the caller's, through [`contain`]: a sweep cell
 //! wraps its body so that one panicking item becomes that item's error
 //! instead of unwinding the pool.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Whether this thread is running a [`fan_out`]'s items.
+    static RUNNING_ITEMS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as running fan-out items until dropped, then
+/// restores the mark it found (an inline fan-out runs on its caller's
+/// thread, which may itself be a worker).
+struct ItemsMark(bool);
+
+impl ItemsMark {
+    fn set() -> Self {
+        ItemsMark(RUNNING_ITEMS.with(|m| m.replace(true)))
+    }
+}
+
+impl Drop for ItemsMark {
+    fn drop(&mut self) {
+        RUNNING_ITEMS.with(|m| m.set(self.0));
+    }
+}
 
 /// Run `run(i, state)` for every `i in 0..n` and return the results in
 /// input order.
 ///
 /// `threads == 0` uses [`std::thread::available_parallelism`]; when fewer
 /// than two workers would run, every item runs inline on the caller's
-/// thread. Each worker builds its own `state` with `init` on its first
+/// thread. So does every item of a fan-out called from inside another
+/// fan-out's items (on a worker or inline), whatever `threads` asks. A
+/// worker that fails to spawn leaves its items to the caller's thread.
+/// Each worker builds its own `state` with `init` on its first
 /// claim and reuses it for every later item it claims, so `init` runs at
 /// most once per worker. A state must stay usable after an item that
 /// panicked mid-use (a [`clara_nicsim::SimScratch`] resets its arenas at
@@ -39,6 +71,7 @@ pub(crate) fn fan_out<S, T: Send + Sync>(
     run: impl Fn(usize, &mut S) -> T + Sync,
 ) -> Vec<T> {
     let workers = match threads {
+        _ if RUNNING_ITEMS.with(Cell::get) => 1,
         0 => std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1),
@@ -48,6 +81,7 @@ pub(crate) fn fan_out<S, T: Send + Sync>(
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let work = || {
+        let _mark = ItemsMark::set();
         let mut state = None;
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -63,8 +97,11 @@ pub(crate) fn fan_out<S, T: Send + Sync>(
         work();
     } else {
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(work);
+            let spawned = (0..workers)
+                .filter(|_| std::thread::Builder::new().spawn_scoped(s, work).is_ok())
+                .count();
+            if spawned < workers {
+                work();
             }
         });
     }
@@ -140,6 +177,24 @@ mod tests {
             // Only each state's first item sees a fresh count.
             assert_eq!(out.iter().filter(|&&ran| ran == 1).count(), built);
         }
+    }
+
+    #[test]
+    fn a_fan_out_on_a_worker_runs_on_that_workers_thread() {
+        for threads in [1, 2, 3] {
+            let out = fan_out(6, threads, || (), |_, _| {
+                let outer = std::thread::current().id();
+                let inner = fan_out(5, 4, || (), |_, _| std::thread::current().id());
+                (outer, inner)
+            });
+            for (outer, inner) in out {
+                assert!(inner.iter().all(|&id| id == outer), "threads={threads}");
+            }
+        }
+        // The caller's thread is a worker only while it runs items.
+        let caller = std::thread::current().id();
+        let spread = fan_out(8, 2, || (), |_, _| std::thread::current().id());
+        assert!(spread.iter().all(|&id| id != caller), "spawned workers run every item");
     }
 
     #[test]

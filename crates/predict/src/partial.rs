@@ -7,11 +7,9 @@
 //! rest on the host); packets crossing the cut pay a PCIe traversal, and
 //! host nodes are priced with a conventional x86-like cost model.
 
-use crate::cache::{fc_hit_ratio, state_hit_matrix};
-use crate::classes::enumerate_classes;
-use crate::predictor::{predict, state_specs, PredictError};
+use crate::predictor::{predict_prepared, prepare, PredictError, PredictOptions, Prepared};
 use clara_cir::CirModule;
-use clara_dataflow::{extract, DfNode};
+use clara_dataflow::DfNode;
 use clara_map::{node_compute_cost, state_access_cost, CostCtx};
 use clara_microbench::NicParameters;
 use clara_workload::WorkloadProfile;
@@ -58,43 +56,30 @@ pub struct PartialPlan {
 
 /// Evaluate every prefix cut of the dataflow graph and return the plans
 /// sorted by cut position (full offload last).
+///
+/// One `prepare` (classes, state specs, cache model) serves both the
+/// full-offload prediction and every cut. Its flow-cache hit ratio is
+/// left at 0 only when no node can sit on the flow-cache or LPM engine,
+/// and the cost model reads it only for such a placement, so the cuts
+/// price exactly as with the ratio computed.
 pub fn predict_partial(
     module: &CirModule,
     params: &NicParameters,
     workload: &WorkloadProfile,
     host: HostParams,
 ) -> Result<Vec<PartialPlan>, PredictError> {
-    let full = predict(module, params, workload)?;
-    let graph = extract(module);
-    let classes = enumerate_classes(module, workload);
-    let states = state_specs(module);
-    let state_hit = state_hit_matrix(&states, params, workload);
-    let fc_hit = fc_hit_ratio(params, workload);
-
-    // Class-averaged node weights.
-    let weights: Vec<f64> = graph
-        .nodes
-        .iter()
-        .map(|node| {
-            classes
-                .iter()
-                .map(|c| {
-                    c.share
-                        * node
-                            .blocks
-                            .iter()
-                            .map(|b| c.block_weights.get(b.0 as usize).copied().unwrap_or(0.0))
-                            .fold(0.0, f64::max)
-                })
-                .sum()
-        })
-        .collect();
+    let prepared = prepare(module, params, workload, 0);
+    let full =
+        predict_prepared(module, params, workload, &PredictOptions::default(), &prepared)?;
+    let Prepared { states, state_hit, fc_hit, .. } = &prepared;
+    // The prediction's graph carries the class-averaged node weights.
+    let graph = &full.graph;
 
     let ctx = CostCtx {
         params,
         payload: workload.avg_payload,
-        state_hit: &state_hit,
-        fc_hit,
+        state_hit,
+        fc_hit: *fc_hit,
         dpi_hit: 0.2,
     };
     // Per-node NIC cost under the full mapping (ns).
@@ -108,17 +93,16 @@ pub fn predict_partial(
             for state in node.touched_states() {
                 let s = state.0 as usize;
                 cycles +=
-                    state_access_cost(node, s, full.mapping.state_mem[s], unit, &states, &ctx);
+                    state_access_cost(node, s, full.mapping.state_mem[s], unit, states, &ctx);
             }
-            weights[i] * cycles / params.freq_ghz
+            node.weight * cycles / params.freq_ghz
         })
         .collect();
     // Per-node host cost (ns).
     let host_ns: Vec<f64> = graph
         .nodes
         .iter()
-        .enumerate()
-        .map(|(i, node)| weights[i] * host_node_cycles(node, workload.avg_payload, &host) / host.freq_ghz)
+        .map(|node| node.weight * host_node_cycles(node, workload.avg_payload, &host) / host.freq_ghz)
         .collect();
 
     let hub_ns = params.hub_overhead / params.freq_ghz;
@@ -183,6 +167,7 @@ fn host_node_cycles(node: &DfNode, payload: f64, host: &HostParams) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clara_dataflow::extract;
     use clara_lnic::profiles;
     use clara_microbench::extract_parameters;
     use std::sync::OnceLock;

@@ -251,11 +251,16 @@ pub(crate) struct Prepared {
 
 /// Compute the rate-independent inputs: reads `module`, `params`, and
 /// the workload's class mix (`tcp_share`, `syn_share`), `avg_payload`,
-/// `flows`, and `zipf_alpha` — never `rate_pps`.
+/// `flows`, and `zipf_alpha` — never `rate_pps`. The skewed cache model
+/// fans its weight pass over up to `threads` workers (0: every available
+/// core; 1: inline, as a serving session asks, its pool being the
+/// daemon's workers); a `prepare` on a sweep's worker runs it inline
+/// whatever `threads` says. The result does not depend on `threads`.
 pub(crate) fn prepare(
     module: &CirModule,
     params: &NicParameters,
     workload: &WorkloadProfile,
+    threads: usize,
 ) -> Prepared {
     let classes = enumerate_classes(module, workload);
     let states = state_specs(module);
@@ -266,7 +271,7 @@ pub(crate) fn prepare(
     // costs about 15 µs.
     let fc_read = extract(module).nodes.iter().any(|n| reaches_table_engine(n, params));
     let (state_hit, fc_hit) =
-        crate::cache::hit_model_reading(&states, params, workload, fc_read);
+        crate::cache::hit_model_reading(&states, params, workload, fc_read, threads);
     Prepared { classes, states, state_hit, fc_hit }
 }
 
@@ -277,7 +282,7 @@ pub fn predict_with_options(
     workload: &WorkloadProfile,
     options: PredictOptions,
 ) -> Result<Prediction, PredictError> {
-    let prepared = prepare(module, params, workload);
+    let prepared = prepare(module, params, workload, 0);
     predict_prepared(module, params, workload, &options, &prepared)
 }
 
@@ -295,7 +300,7 @@ pub fn predict_with_sink(
     options: PredictOptions,
     sink: &mut clara_telemetry::Sink,
 ) -> Result<Prediction, PredictError> {
-    let prepared = sink.span("predict.prepare", || prepare(module, params, workload));
+    let prepared = sink.span("predict.prepare", || prepare(module, params, workload, 0));
     let result = sink
         .span("predict.solve", || predict_prepared(module, params, workload, &options, &prepared));
     if let Ok(p) = &result {

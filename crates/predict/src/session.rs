@@ -156,7 +156,9 @@ impl NfSession {
         // `prepare` is pure, so whichever insert lands first is the
         // value everyone replays.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(prepare(&self.module, &self.params, workload));
+        // One thread: a session's callers (the daemon's workers) are the
+        // parallelism, so a cold class spawns no threads of its own.
+        let fresh = Arc::new(prepare(&self.module, &self.params, workload, 1));
         let mut map = self.preps.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(map.entry(key).or_insert(fresh))
     }

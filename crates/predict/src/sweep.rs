@@ -112,7 +112,7 @@ impl PrepShare {
     /// poisoned), so a retry of the same cell recomputes it cleanly.
     fn prepared(&self, scenarios: &[SweepScenario<'_>], i: usize) -> &Prepared {
         let sc = &scenarios[i];
-        self.preps[self.prep_of[i]].get_or_init(|| prepare(sc.module, sc.params, &sc.workload))
+        self.preps[self.prep_of[i]].get_or_init(|| prepare(sc.module, sc.params, &sc.workload, 0))
     }
 
     /// The cross-cell warm-start seed for scenario `i`: `None` for the

@@ -119,8 +119,9 @@ fn hostile_flow_count_is_a_workload_error_and_the_daemon_keeps_serving() {
     let server = Server::start(quick_config()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
-    // A skewed cache model over 10^12 flows would need an 8 TB table; a
-    // failed allocation aborts the process, so it must be refused first.
+    // A skewed cache model over 10^12 flows would need an 8 TB weight
+    // buffer; a failed allocation aborts the process, so it must be
+    // refused first.
     let reply = client
         .request(r#"{"op":"predict","nf":"nat","flows":1000000000000,"zipf":0.5}"#)
         .unwrap();

@@ -81,9 +81,10 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// Largest flow count a profile may name. The skewed cache model
-    /// builds a table of 8 bytes per flow, and a failed allocation aborts
-    /// the process, so the bound is checked before any model runs: 2^24
-    /// flows is a 128 MiB table.
+    /// fills a weight buffer of 8 bytes per flow (a skewed trace
+    /// generator's table is as large), and a failed allocation aborts the
+    /// process, so the bound is checked before any model runs: 2^24 flows
+    /// is a 128 MiB buffer.
     pub const MAX_FLOWS: usize = 1 << 24;
 
     /// Largest mean payload, bytes: an IPv4 datagram less 40 header

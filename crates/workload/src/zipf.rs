@@ -10,6 +10,13 @@
 //! `1.0`, so the running sums are exact integers and table entry `k` is
 //! the correctly rounded quotient `(k+1)/n`. The uniform case computes
 //! those entries on demand and is bit-identical to building the table.
+//!
+//! A caller that needs only a few masses, not samples, can skip the
+//! table too: [`rank_weight`] is the one weight formula the table sums,
+//! and [`masses`] sums a slice of those weights in the same rank order,
+//! so its masses equal [`Zipf::mass`] bit for bit. The weights are
+//! independent of each other, so the caller may compute them in any
+//! order or on any thread.
 
 use rand::Rng;
 
@@ -41,7 +48,7 @@ impl Zipf {
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(alpha);
+            acc += rank_weight(k, alpha);
             cumulative.push(acc);
         }
         let total = acc;
@@ -86,7 +93,8 @@ impl Zipf {
     ///
     /// This is the quantity the predictor's cache model uses: if a cache
     /// holds the state of the `top` hottest flows, `mass(top)` is the
-    /// expected hit ratio.
+    /// expected hit ratio. (For α > 0 the model computes it with
+    /// [`masses`], which needs no table.)
     pub fn mass(&self, top: usize) -> f64 {
         if top == 0 {
             0.0
@@ -135,6 +143,47 @@ impl Zipf {
         }
         j.min(n - 1)
     }
+}
+
+/// The unnormalized popularity of rank `k` (0-based) under Zipf(α):
+/// `1 / (k+1)^α`, one `powf`. [`Zipf::new`] sums these in rank order.
+pub fn rank_weight(k: usize, alpha: f64) -> f64 {
+    1.0 / ((k + 1) as f64).powf(alpha)
+}
+
+/// [`Zipf::mass`] of every `top` in `tops`, without the table.
+///
+/// `weights` holds every rank's [`rank_weight`] for one exponent α > 0,
+/// rank 0 first; its length is the rank count `n`. One pass sums it in
+/// rank order, as [`Zipf::new`] does, and a mass is the running sum
+/// through rank `top − 1` over the total: 0 at `top == 0` and 1 at
+/// `top >= n`, as the table's top entry is. The result therefore equals
+/// `Zipf::new(n, α).mass(top)` bit for bit, in O(n) additions.
+///
+/// # Panics
+/// Panics if `weights` is empty.
+pub fn masses(weights: &[f64], tops: &[usize]) -> Vec<f64> {
+    let n = weights.len();
+    assert!(n > 0, "Zipf over zero ranks");
+    // The last rank each read sum covers, ascending.
+    let mut ends: Vec<usize> = tops.iter().filter(|&&t| t > 0 && t < n).map(|&t| t - 1).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let mut sums = Vec::with_capacity(ends.len());
+    let (mut acc, mut from) = (0.0, 0);
+    for &end in &ends {
+        acc = weights[from..=end].iter().fold(acc, |a, w| a + w);
+        sums.push(acc);
+        from = end + 1;
+    }
+    let total = weights[from..].iter().fold(acc, |a, w| a + w);
+    tops.iter()
+        .map(|&top| match top {
+            0 => 0.0,
+            t if t >= n => 1.0,
+            t => sums[ends.binary_search(&(t - 1)).expect("every read sum is kept")] / total,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -333,6 +382,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn masses_from_weights_match_the_table() {
+        for n in [1, 2, 3, 10, 1000] {
+            for alpha in [1e-9, 0.5, 1.0, 2.5] {
+                let z = Zipf::new(n, alpha);
+                let weights: Vec<f64> = (0..n).map(|k| rank_weight(k, alpha)).collect();
+                // Unsorted, repeated and out-of-range tops.
+                let tops = [n + 1, 0, n / 2, 1, n - 1, n / 2, n, usize::MAX, 2];
+                let got = masses(&weights, &tops);
+                for (&top, m) in tops.iter().zip(got) {
+                    assert_eq!(m.to_bits(), z.mass(top).to_bits(), "n={n} alpha={alpha} top={top}");
+                }
+            }
+        }
+        assert!(masses(&[1.0], &[]).is_empty());
     }
 
     #[test]

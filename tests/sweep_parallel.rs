@@ -2,6 +2,11 @@
 //! shared-preparation sweep must be indistinguishable from independent
 //! sequential predictions — bit-identical numbers, identical mappings —
 //! and the fast solver must agree with the seed's dense reference.
+//!
+//! The grid's skewed cells (α = 0.9 at 500,000 flows, above both
+//! cache-model thresholds) fill the cache model's rank weights on one
+//! thread inside a sweep worker and on every core in a standalone
+//! prediction; the results must not differ.
 
 use clara_core::{
     nfs, run_sweep, Clara, PredictOptions, SolverConfig, SweepScenario, WorkloadProfile,
@@ -20,9 +25,9 @@ fn grid<'a>(
     let mut out = Vec::new();
     for rate in [20_000.0, 200_000.0, 600_000.0] {
         for payload in [100.0, 700.0, 1400.0] {
-            for flows in [100usize, 10_000, 100_000] {
+            for (flows, alpha) in [(100usize, 0.0), (10_000, 0.0), (100_000, 0.0), (500_000, 0.9)] {
                 out.push(SweepScenario {
-                    label: format!("rate={rate} payload={payload} flows={flows}"),
+                    label: format!("rate={rate} payload={payload} flows={flows} alpha={alpha}"),
                     module,
                     params: clara().params(),
                     workload: WorkloadProfile {
@@ -30,6 +35,7 @@ fn grid<'a>(
                         avg_payload: payload,
                         max_payload: payload as usize,
                         flows,
+                        zipf_alpha: alpha,
                         ..WorkloadProfile::paper_default()
                     },
                     options: PredictOptions { solver, ..Default::default() },
